@@ -376,7 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--blend", type=float)
     ex.set_defaults(func=_cmd_explain)
 
-    st = commands.add_parser("stats", help="per-image feature spread statistics")
+    st = commands.add_parser(
+        "stats", help="per-image feature spread statistics",
+        description="Per-image feature spread statistics s2 and qdiff.  The values "
+                    "are in embedding units and are not scale-normalized: scaling a "
+                    "feature map by a scales s2 by a**2 and qdiff by a.")
     _add_config_flag(st)
     st.add_argument("--checkpoint")
     st.add_argument("--data")

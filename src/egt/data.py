@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError
+from .errors import ConfigError, ContractError, DataFormatError, parse_dims, parse_fields
 
 Array = np.ndarray
 
@@ -390,16 +390,10 @@ def load_dataset(path: str) -> LabeledImageSet:
         tokens = raw[:newline].decode("ascii").split()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"dataset manifest is not ascii: {exc}", offset=0) from exc
-    kv = dict(t.split("=", 1) for t in tokens[1:] if "=" in t)
-    missing = {"classes", "per_class", "shape", "domain"} - kv.keys()
-    if missing:
-        raise DataFormatError(f"dataset manifest is missing {sorted(missing)}", offset=0)
-    try:
-        n_classes = int(kv["classes"])
-        per_class = [int(t) for t in kv["per_class"].split(",")]
-        shape = tuple(int(d) for d in kv["shape"].split("x"))
-    except ValueError as exc:
-        raise DataFormatError(f"bad manifest value: {exc}", offset=0) from exc
+    kv = parse_fields(tokens[1:], {
+        "classes": int, "per_class": lambda v: [int(t) for t in v.split(",")],
+        "shape": parse_dims, "domain": str}, 0)
+    n_classes, per_class, shape = kv["classes"], kv["per_class"], kv["shape"]
     if n_classes < 1 or len(per_class) != n_classes:
         raise DataFormatError(
             f"per_class lists {len(per_class)} entries for {n_classes} classes",
@@ -407,7 +401,7 @@ def load_dataset(path: str) -> LabeledImageSet:
     if any(n < 1 for n in per_class):
         raise DataFormatError("dataset contains an empty class", offset=0)
     if len(shape) != 3 or any(d < 1 for d in shape):
-        raise DataFormatError(f"bad image shape {kv['shape']!r}", offset=0)
+        raise DataFormatError(f"bad image shape {shape}", offset=0)
     n_images = sum(per_class)
     img_bytes = n_images * shape[0] * shape[1] * shape[2] * 4
     lbl_bytes = n_images * 4

@@ -1,7 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the header tokenizer.
 
 The CLI maps these onto process exit codes: usage and configuration
 problems exit 1, data problems exit 2, numeric failures exit 3.
+
+Both file formats describe their contents in ascii ``key=value``
+headers; :func:`parse_fields` is the one tokenizer for all of them and
+reports every malformed header as a :class:`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -30,3 +34,36 @@ class DataFormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric invariant broke: non-finite values, degenerate embeddings."""
+
+
+def parse_dims(text: str) -> tuple[int, ...]:
+    """``"3x16x16"`` -> ``(3, 16, 16)``."""
+    return tuple(int(d) for d in text.split("x"))
+
+
+def parse_fields(tokens: list[str], schema: dict, offset: int | None) -> dict:
+    """Parse ``key=value`` header tokens into a dict.
+
+    Every key of ``schema`` is required, and its value is converted by
+    the callable it maps to; other keys are kept as strings.  A token
+    without ``=``, a repeated key, a missing required key, or a value
+    its converter rejects raises :class:`DataFormatError` at ``offset``.
+    """
+    fields: dict = {}
+    for token in tokens:
+        parts = token.split("=", 1)
+        if len(parts) != 2:
+            raise DataFormatError(f"header token {token!r} is not key=value", offset)
+        if parts[0] in fields:
+            raise DataFormatError(f"header key {parts[0]!r} is repeated", offset)
+        fields[parts[0]] = parts[1]
+    missing = sorted(schema.keys() - fields.keys())
+    if missing:
+        raise DataFormatError(f"header is missing keys {missing}", offset)
+    for key, convert in schema.items():
+        try:
+            fields[key] = convert(fields[key])
+        except ValueError as exc:
+            raise DataFormatError(f"bad header value {key}={fields[key]!r}: {exc}",
+                                  offset) from exc
+    return fields

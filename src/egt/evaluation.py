@@ -126,16 +126,20 @@ def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
              workers: int = 1) -> EvalReport:
     """Accuracy over freshly sampled episodes with a 95% interval.
 
-    Episodes are sampled up front from ``rng`` so the result does not
-    depend on ``workers``; parallel chunks only split the scoring work.
+    Episodes are drawn from ``rng`` in the same order whatever
+    ``workers`` is, so the result does not depend on it.  The serial
+    path samples each episode just before scoring it and holds one at a
+    time; the parallel path samples all of them up front and splits only
+    the scoring work into chunks.
     """
     if episodes < 1:
         raise ContractError("need at least one evaluation episode")
-    drawn = [sample_episode(data, way, shot, n_query, rng)
-             for _ in range(episodes)]
     if workers <= 1:
-        accs = [episode_accuracy(model, ep, transductive) for ep in drawn]
+        accs = [episode_accuracy(model, sample_episode(data, way, shot, n_query, rng),
+                                 transductive) for _ in range(episodes)]
     else:
+        drawn = [sample_episode(data, way, shot, n_query, rng)
+                 for _ in range(episodes)]
         chunks = [drawn[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_accuracy_chunk,

@@ -98,6 +98,19 @@ def relevance_init_parametric(logits: Array) -> Array:
     return np.array(logits, dtype=np.float64)
 
 
+def relation_pairs(protos: Array, query_maps: Array) -> Array:
+    """Channel-wise (prototype, query) concatenations: ``[n, K, 2C, H, W]``.
+
+    ``protos`` is ``[K, C, H, W]`` and ``query_maps`` is ``[n, C, H, W]``;
+    entry ``[i, k]`` pairs prototype ``k`` with query ``i``.
+    """
+    n, way = query_maps.shape[0], protos.shape[0]
+    return np.concatenate(
+        [np.broadcast_to(protos[None], (n,) + protos.shape),
+         np.broadcast_to(query_maps[:, None], (n, way) + query_maps.shape[1:])],
+        axis=2)
+
+
 def relation_head(query_map: Array, protos: Array, relation_net: Network,
                   ) -> tuple[Array, ForwardTrace]:
     """Logits of one query against K prototype maps, forward recorded.
@@ -110,9 +123,7 @@ def relation_head(query_map: Array, protos: Array, relation_net: Network,
     if protos.shape[1:] != q.shape:
         raise ContractError(
             f"prototype shape {protos.shape[1:]} does not match query {q.shape}")
-    pairs = np.concatenate(
-        [protos, np.broadcast_to(q, protos.shape)], axis=1)
-    logits, trace = relation_net.forward_recorded(pairs)
+    logits, trace = relation_net.forward_recorded(relation_pairs(protos, q[None])[0])
     if logits.shape[1:] != (1,):
         raise ContractError(
             f"relation net must emit one logit per pair, got shape {logits.shape[1:]}")

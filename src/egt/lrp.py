@@ -14,7 +14,8 @@ relevance is absorbed.  Conservation is therefore exact only on
 bias-free stacks.  Parameter-free layers pass relevance through: relu
 and flatten keep it unchanged under the index mapping, max pooling
 routes each window's relevance to the recorded winner (lowest flat
-index on ties), average pooling splits proportionally to each input's
+index on ties) -- this is ``MaxPool2d.backward`` applied to the
+relevance -- and average pooling splits proportionally to each input's
 contribution, falling back to an equal split when a window sums to
 exactly zero.
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
 from .tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, Linear,
-                        MaxPool2d, Network, ReLU, _unpool_windows)
+                        MaxPool2d, Network, ReLU, _fold)
 
 Array = np.ndarray
 
@@ -87,11 +88,6 @@ class RelevanceTrace:
     @property
     def input_relevance(self) -> Array:
         r = self.relevances[0]
-        return r if self.batched else r[0]
-
-    @property
-    def output_relevance(self) -> Array:
-        r = self.relevances[-1]
         return r if self.batched else r[0]
 
 
@@ -165,9 +161,7 @@ def lrp_passthrough(layer, x: Array, rel_out: Array, *,
     x, batched = _with_batch(x, 3)
     rel_out, _ = _with_batch(rel_out, 3)
     if isinstance(layer, MaxPool2d):
-        win = np.zeros_like(layer.windows(x))
-        idx = layer.winner_index(x)
-        np.put_along_axis(win, idx[:, :, None], rel_out[:, :, None], axis=2)
+        rel_in = layer.backward(x, None, rel_out)[0]
     else:
         if avgpool_rule not in _AVGPOOL_RULES:
             raise ConfigError(f"unknown avgpool rule {avgpool_rule!r}")
@@ -179,8 +173,8 @@ def lrp_passthrough(layer, x: Array, rel_out: Array, *,
             sums = win_x.sum(axis=2, keepdims=True)
             ratio = _safe_div(win_x, sums, sums != 0)
             ratio += (sums == 0) * (1.0 / k2)
-        win = ratio * rel_out[:, :, None]
-    rel_in = _unpool_windows(win, layer.kernel, layer.stride, x.shape[1:])
+        rel_in = _fold(ratio * rel_out[:, :, None], layer.kernel, layer.kernel,
+                       layer.stride, *x.shape[2:])
     return rel_in if batched else rel_in[0]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError
+from .errors import ConfigError, ContractError, DataFormatError, parse_dims, parse_fields
 from .heads import (
     COSINE_EXPLAIN_VARIANTS,
     CosineHead,
@@ -34,6 +34,7 @@ from .heads import (
     class_prototypes,
     cosine_scores,
     lrp_through_head,
+    relation_pairs,
     scaled_softmax,
 )
 from .lrp import LrpConfig, lrp_backward
@@ -147,11 +148,6 @@ def build_model(head_kind: str, in_shape: tuple[int, int, int],
     return FewShotModel(encoder, head)
 
 
-def proto_maps_from_support(model: FewShotModel, support_maps: Array,
-                            support_local: Array, way: int) -> Array:
-    return class_prototypes(support_maps, support_local, way)
-
-
 def probs_from_maps(model: FewShotModel, proto_maps: Array, query_maps: Array) -> Array:
     """Class probabilities for each query map given prototype maps."""
     proto_maps = np.asarray(proto_maps, dtype=np.float64)
@@ -162,10 +158,7 @@ def probs_from_maps(model: FewShotModel, proto_maps: Array, query_maps: Array) -
         scores = cosine_scores(query_maps.reshape(n, -1),
                                proto_maps.reshape(way, -1))
         return scaled_softmax(scores, model.head.beta)
-    pairs = np.concatenate(
-        [np.broadcast_to(proto_maps[None], (n,) + proto_maps.shape),
-         np.broadcast_to(query_maps[:, None], (n, way) + query_maps.shape[1:])],
-        axis=2)
+    pairs = relation_pairs(proto_maps, query_maps)
     logits = model.head.net.forward(pairs.reshape((n * way,) + pairs.shape[2:]))
     return scaled_softmax(logits.reshape(n, way), model.head.beta)
 
@@ -236,10 +229,6 @@ def _shape_token(shape: tuple[int, ...]) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def _parse_shape(token: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in token.split("x"))
-
-
 def save_model(model: FewShotModel, path: str) -> None:
     lines = []
     head = model.head
@@ -267,20 +256,22 @@ def save_model(model: FewShotModel, path: str) -> None:
             fh.write(block)
 
 
-def _parse_head_line(line: str):
-    parts = line.split()
-    if not parts or parts[0] != "head":
-        raise DataFormatError(f"expected head line, got {line!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    kind = kv.get("kind")
+def _parse_head_line(line: str, offset: int):
+    tag, *tokens = line.split() or [""]
+    if tag != "head":
+        raise DataFormatError(f"expected head line, got {line!r}", offset)
+    kv = parse_fields(tokens, {"kind": str, "beta": float}, offset)
+    kind, beta = kv["kind"], kv["beta"]
+    if not (np.isfinite(beta) and beta > 0):
+        raise DataFormatError(f"head beta must be positive and finite, got {beta}", offset)
     if kind == "cosine":
         variant = kv.get("variant", "query")
         if variant not in COSINE_EXPLAIN_VARIANTS:
-            raise DataFormatError(f"unknown cosine explain variant {variant!r}")
-        return kind, float(kv["beta"]), variant
+            raise DataFormatError(f"unknown cosine explain variant {variant!r}", offset)
+        return kind, beta, variant
     if kind == "relation":
-        return kind, float(kv["beta"]), None
-    raise DataFormatError(f"unknown head kind {kind!r}")
+        return kind, beta, None
+    raise DataFormatError(f"unknown head kind {kind!r}", offset)
 
 
 def load_model(path: str) -> FewShotModel:
@@ -297,28 +288,34 @@ def load_model(path: str) -> FewShotModel:
         header = raw[len(CHECKPOINT_MAGIC):cut + 1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"checkpoint header is not ascii: {exc}") from exc
-    payload = raw[cut + len(marker):]
+    start = cut + len(marker)
+    payload = raw[start:]
 
-    lines = header.splitlines()
+    lines = header.split("\n")[:-1]
     if not lines:
         raise DataFormatError("checkpoint header is empty")
-    kind, beta, variant = _parse_head_line(lines[0])
+    offset = len(CHECKPOINT_MAGIC)
+    kind, beta, variant = _parse_head_line(lines[0], offset)
 
     sections: list[tuple[str, tuple[int, ...], list[Layer]]] = []
     current: list[Layer] | None = None
-    for line in lines[1:]:
-        parts = line.split(None, 1)
-        tag = parts[0]
+    for prev, line in zip(lines, lines[1:]):
+        offset += len(prev) + 1
+        tag, *tokens = line.split() or [""]
         if tag in ("encoder", "relation"):
-            kv = dict(p.split("=", 1) for p in parts[1].split())
             current = []
-            sections.append((tag, _parse_shape(kv["input"]), current))
+            in_shape = parse_fields(tokens, {"input": parse_dims}, offset)["input"]
+            sections.append((tag, in_shape, current))
         elif tag == "layer":
             if current is None:
-                raise DataFormatError(f"layer line before any network section: {line!r}")
-            current.append(layer_from_description(parts[1]))
+                raise DataFormatError(f"layer line before any network section: {line!r}",
+                                      offset)
+            try:
+                current.append(layer_from_description(" ".join(tokens)))
+            except (ValueError, MemoryError) as exc:
+                raise DataFormatError(f"bad layer line {line!r}: {exc}", offset) from exc
         else:
-            raise DataFormatError(f"unknown checkpoint header line {line!r}")
+            raise DataFormatError(f"unknown checkpoint header line {line!r}", offset)
     if not sections or sections[0][0] != "encoder":
         raise DataFormatError("checkpoint header is missing the encoder section")
     if kind == "relation" and (len(sections) != 2 or sections[1][0] != "relation"):
@@ -333,21 +330,27 @@ def load_model(path: str) -> FewShotModel:
         except ContractError as exc:
             raise DataFormatError(f"checkpoint layer chain is inconsistent: {exc}") from exc
 
+    if len(payload) % 4:
+        raise DataFormatError("checkpoint payload ends inside a float32 value",
+                              offset=start + len(payload) // 4 * 4)
     values = np.frombuffer(payload, dtype="<f4")
     pos = 0
     for net in nets:
         for _, layer in net.param_layers():
-            for name, arr in (("weight", layer.weight), ("bias", layer.bias)):
+            for arr in (layer.weight, layer.bias):
                 n = arr.size
                 if pos + n > values.size:
-                    raise DataFormatError(
-                        "checkpoint payload is truncated",
-                        offset=cut + len(marker) + values.size * 4)
+                    raise DataFormatError("checkpoint payload is truncated",
+                                          offset=start + values.size * 4)
                 arr[...] = values[pos:pos + n].reshape(arr.shape)
                 pos += n
     if pos != values.size:
         raise DataFormatError("checkpoint payload has trailing bytes",
-                              offset=cut + len(marker) + pos * 4)
+                              offset=start + pos * 4)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataFormatError("checkpoint holds non-finite parameters",
+                              offset=start + 4 * int(bad[0]))
 
     if kind == "cosine":
         head: CosineHead | RelationHead = CosineHead(beta=beta, explain_variant=variant)

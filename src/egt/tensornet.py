@@ -7,6 +7,10 @@ the episodic trainer: ``linear``, ``conv2d``, ``relu``, ``maxpool2d``,
 both the gradient pass and the relevance pass replay that trace instead
 of touching global state.
 
+One window kernel serves every spatial layer: :func:`_windows` unrolls
+sliding windows and :func:`_fold` scatter-adds them back.  The
+convolution runs them on its padded input, the pools on their input.
+
 All arithmetic is float64 numpy.  Activations are row-major, shaped
 ``(C, H, W)`` for image-like tensors and ``(D,)`` for vectors, with an
 optional leading batch axis on every public entry point.
@@ -19,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, parse_dims, parse_fields
 
 Array = np.ndarray
-
-LAYER_KINDS = ("linear", "conv2d", "relu", "maxpool2d", "avgpool2d", "flatten")
 
 
 def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> Array:
@@ -35,6 +37,30 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ContractError(message)
+
+
+def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
+    """Stack the sliding windows of ``x`` along axis 2: ``(B, C, kh*kw, oh, ow)``.
+
+    Window index ``i*kw + j`` holds kernel offset ``(i, j)``.  This is
+    the one unroll behind the convolution and both pools.
+    """
+    b, c = x.shape[:2]
+    win = np.empty((b, c, kh * kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            win[:, :, i * kw + j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return win
+
+
+def _fold(win: Array, kh: int, kw: int, stride: int, h: int, w: int) -> Array:
+    """Scatter-add stacked windows back onto an ``h x w`` grid (adjoint of :func:`_windows`)."""
+    b, c, _, oh, ow = win.shape
+    out = np.zeros((b, c, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += win[:, :, i * kw + j]
+    return out
 
 
 class Layer:
@@ -135,47 +161,18 @@ class Conv2d(Layer):
                  f"kernel {kh}x{kw} larger than padded input {h}x{w}")
         return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
 
-    def _pad(self, x: Array) -> Array:
-        if self.padding == 0:
-            return x
-        p = self.padding
-        return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
     def _cols(self, x: Array, oh: int, ow: int) -> Array:
-        """Unroll receptive fields to ``(B, C*kh*kw, oh*ow)``."""
-        xp = self._pad(x)
-        b, c = xp.shape[:2]
+        """Unroll receptive fields of the padded input to ``(B, C*kh*kw, oh*ow)``."""
+        b, c = x.shape[:2]
         _, _, kh, kw = self.weight.shape
-        s = self.stride
-        win = np.empty((b, c, kh, kw, oh, ow), dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                win[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-        return win.reshape(b, c * kh * kw, oh * ow)
-
-    def _fold(self, dcols: Array, in_shape: tuple[int, ...]) -> Array:
-        """Scatter-add column gradients back onto the (padded) input."""
-        b = dcols.shape[0]
-        c, h, w = in_shape
-        _, _, kh, kw = self.weight.shape
-        s, p = self.stride, self.padding
-        oh, ow = self._oh_ow(in_shape)
-        win = dcols.reshape(b, c, kh, kw, oh, ow)
-        dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += win[:, :, i, j]
-        if p == 0:
-            return dxp
-        return dxp[:, :, p:-p, p:-p]
-
-    def _oh_ow(self, in_shape: tuple[int, ...]) -> tuple[int, int]:
-        _, oh, ow = self.out_shape(in_shape)
-        return oh, ow
+        p = self.padding
+        if p:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        return _windows(x, kh, kw, self.stride, oh, ow).reshape(b, c * kh * kw, oh * ow)
 
     def forward(self, x: Array) -> Array:
         o = self.weight.shape[0]
-        oh, ow = self._oh_ow(x.shape[1:])
+        _, oh, ow = self.out_shape(x.shape[1:])
         cols = self._cols(x, oh, ow)
         y = np.matmul(self.weight.reshape(o, -1), cols)
         y += self.bias[:, None]
@@ -197,10 +194,14 @@ class Conv2d(Layer):
         this to push sign-split weights through the same fold.
         """
         w = self.weight if weight is None else weight
-        b, o = grad_out.shape[:2]
-        g2 = grad_out.reshape(b, o, -1)
-        dcols = np.matmul(w.reshape(o, -1).T, g2)
-        return self._fold(dcols, in_shape)
+        b, o, oh, ow = grad_out.shape
+        c, h, wd = in_shape
+        _, _, kh, kw = w.shape
+        p = self.padding
+        dcols = np.matmul(w.reshape(o, -1).T, grad_out.reshape(b, o, -1))
+        dxp = _fold(dcols.reshape(b, c, kh * kw, oh, ow), kh, kw, self.stride,
+                    h + 2 * p, wd + 2 * p)
+        return dxp if p == 0 else dxp[:, :, p:-p, p:-p]
 
     def params(self) -> dict[str, Array]:
         return {"weight": self.weight, "bias": self.bias}
@@ -219,27 +220,6 @@ class ReLU(Layer):
         return grad_out * (x > 0.0), None
 
 
-def _pool_windows(x: Array, kernel: int, stride: int, oh: int, ow: int) -> Array:
-    """Stack pooling windows along axis 2: ``(B, C, k*k, oh, ow)``."""
-    b, c = x.shape[:2]
-    win = np.empty((b, c, kernel * kernel, oh, ow), dtype=x.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            win[:, :, i * kernel + j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return win
-
-
-def _unpool_windows(win: Array, kernel: int, stride: int, in_shape: tuple[int, ...]) -> Array:
-    b = win.shape[0]
-    c, h, w = in_shape
-    oh, ow = win.shape[3], win.shape[4]
-    dx = np.zeros((b, c, h, w))
-    for i in range(kernel):
-        for j in range(kernel):
-            dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += win[:, :, i * kernel + j]
-    return dx
-
-
 class _Pool(Layer):
     def __init__(self, kernel: int, stride: int | None = None):
         _require(kernel >= 1, f"pool kernel must be >= 1, got {kernel}")
@@ -256,7 +236,7 @@ class _Pool(Layer):
 
     def windows(self, x: Array) -> Array:
         _, oh, ow = self.out_shape(x.shape[1:])
-        return _pool_windows(x, self.kernel, self.stride, oh, ow)
+        return _windows(x, self.kernel, self.kernel, self.stride, oh, ow)
 
 
 class MaxPool2d(_Pool):
@@ -273,7 +253,7 @@ class MaxPool2d(_Pool):
         win = np.zeros_like(self.windows(x))
         idx = self.winner_index(x)
         np.put_along_axis(win, idx[:, :, None], grad_out[:, :, None], axis=2)
-        return _unpool_windows(win, self.kernel, self.stride, x.shape[1:]), None
+        return _fold(win, self.kernel, self.kernel, self.stride, *x.shape[2:]), None
 
 
 class AvgPool2d(_Pool):
@@ -285,7 +265,7 @@ class AvgPool2d(_Pool):
     def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, None]:
         k2 = self.kernel * self.kernel
         win = np.broadcast_to(grad_out[:, :, None] / k2, grad_out.shape[:2] + (k2,) + grad_out.shape[2:])
-        return _unpool_windows(win, self.kernel, self.stride, x.shape[1:]), None
+        return _fold(win, self.kernel, self.kernel, self.stride, *x.shape[2:]), None
 
 
 class Flatten(Layer):
@@ -313,11 +293,6 @@ class ForwardTrace:
     """Everything the gradient and relevance passes need to replay a forward pass."""
     entries: list[LayerTrace]
     batched: bool
-
-    @property
-    def output(self) -> Array:
-        out = self.entries[-1].output
-        return out if self.batched else out[0]
 
 
 class Network:
@@ -382,7 +357,7 @@ class Network:
         g = np.asarray(grad_out, dtype=np.float64)
         if not trace.batched:
             g = g[None]
-        expected = self.entries_output_shape(trace)
+        expected = trace.entries[-1].output.shape
         if g.shape != expected:
             raise ContractError(f"grad_out shape {g.shape} does not match traced output {expected}")
         param_grads: list[dict[str, Array] | None] = [None] * len(self.layers)
@@ -394,17 +369,8 @@ class Network:
             raise NumericError("backward pass produced non-finite input gradient")
         return (g if trace.batched else g[0]), param_grads
 
-    @staticmethod
-    def entries_output_shape(trace: ForwardTrace) -> tuple[int, ...]:
-        return trace.entries[-1].output.shape
-
     def param_layers(self) -> list[tuple[int, Layer]]:
         return [(i, layer) for i, layer in enumerate(self.layers) if layer.params()]
-
-    def copy_params_from(self, other: "Network") -> None:
-        for (_, mine), (_, theirs) in zip(self.param_layers(), other.param_layers()):
-            for name, arr in mine.params().items():
-                arr[...] = theirs.params()[name]
 
 
 def sgd_step(net: Network, param_grads: list[dict[str, Array] | None],
@@ -456,23 +422,30 @@ def describe_layer(layer: Layer) -> str:
     raise ContractError(f"cannot describe layer of kind {layer.kind!r}")
 
 
+_LAYER_FIELDS = {
+    "linear": {"in": int, "out": int},
+    "conv2d": {"in": int, "out": int, "kernel": parse_dims, "stride": int, "padding": int},
+    "maxpool2d": {"kernel": int, "stride": int},
+    "avgpool2d": {"kernel": int, "stride": int},
+    "relu": {},
+    "flatten": {},
+}
+
+
 def layer_from_description(text: str) -> Layer:
     """Rebuild a layer (zero parameters) from :func:`describe_layer` output."""
-    parts = text.split()
-    kind, kv = parts[0], dict(p.split("=", 1) for p in parts[1:])
+    kind, *tokens = text.split() or [""]
+    if kind not in _LAYER_FIELDS:
+        raise ContractError(f"unknown layer kind {kind!r}")
+    kv = parse_fields(tokens, _LAYER_FIELDS[kind], None)
     if kind == "linear":
-        return Linear(np.zeros((int(kv["out"]), int(kv["in"]))), np.zeros(int(kv["out"])))
+        return Linear(np.zeros((kv["out"], kv["in"])), np.zeros(kv["out"]))
     if kind == "conv2d":
-        kh, kw = (int(d) for d in kv["kernel"].split("x"))
-        weight = np.zeros((int(kv["out"]), int(kv["in"]), kh, kw))
-        return Conv2d(weight, np.zeros(int(kv["out"])),
-                      stride=int(kv["stride"]), padding=int(kv["padding"]))
+        kh, kw = kv["kernel"]
+        return Conv2d(np.zeros((kv["out"], kv["in"], kh, kw)), np.zeros(kv["out"]),
+                      stride=kv["stride"], padding=kv["padding"])
     if kind == "maxpool2d":
-        return MaxPool2d(int(kv["kernel"]), int(kv["stride"]))
+        return MaxPool2d(kv["kernel"], kv["stride"])
     if kind == "avgpool2d":
-        return AvgPool2d(int(kv["kernel"]), int(kv["stride"]))
-    if kind == "relu":
-        return ReLU()
-    if kind == "flatten":
-        return Flatten()
-    raise ContractError(f"unknown layer kind {kind!r}")
+        return AvgPool2d(kv["kernel"], kv["stride"])
+    return ReLU() if kind == "relu" else Flatten()

@@ -32,11 +32,14 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .heads import (
+    PROB_CLAMP_HIGH,
+    PROB_CLAMP_LOW,
     CosineHead,
     RelationHead,
     class_prototypes,
     cosine_explain,
     cosine_scores,
+    relation_pairs,
     relevance_init_nonparametric,
     relevance_init_parametric,
     scaled_softmax,
@@ -48,9 +51,6 @@ from .tensornet import sgd_step
 Array = np.ndarray
 
 CE_CLAMP = 1e-12
-
-PROB_CLAMP_HIGH = 1.0 - 1e-7
-PROB_CLAMP_LOW = 1e-12
 
 
 def default_loss_weights(head_kind: str, shot: int, baseline: bool) -> tuple[float, float]:
@@ -170,7 +170,7 @@ def _cosine_branch(v: Array, protos: Array, grads: Array, scores: Array,
     return dv, dp
 
 
-def _log_odds_slope(p: float, num_classes: int) -> float:
+def _log_odds_slope(p: float) -> float:
     """d/dp of log(p / (1 - p) * (K - 1)) inside the clamp window, else 0."""
     if p <= PROB_CLAMP_LOW or p >= PROB_CLAMP_HIGH:
         return 0.0
@@ -178,15 +178,16 @@ def _log_odds_slope(p: float, num_classes: int) -> float:
 
 
 def _cosine_weight_path(q: Array, protos: Array, pn: Array, u: Array, pr: Array,
-                        c: int, rel: Array, g_qw: Array, epsilon: float,
+                        c: int, rc: float, rel: Array, g_qw: Array, epsilon: float,
                         beta: float) -> tuple[Array, Array]:
     """Exact gradient contribution through the explanation weights.
 
     Adds the terms that the stop-gradient treatment drops: the loss also
     depends on q and the prototypes through w = 1 + rel/max|rel|, where
-    rel is the epsilon-rule explanation of the winning cosine score.
-    ``g_qw`` is dLoss/d(q * w).  Returns extra gradients for q and for
-    the prototype matrix.
+    rel is the epsilon-rule explanation of the winning cosine score and
+    ``rc`` is the winner's log-odds relevance init.  ``g_qw`` is
+    dLoss/d(q * w).  Returns extra gradients for q and for the prototype
+    matrix.
     """
     dq = np.zeros_like(q)
     dp = np.zeros_like(protos)
@@ -207,14 +208,12 @@ def _cosine_weight_path(q: Array, protos: Array, pn: Array, u: Array, pr: Array,
     t /= peak
     # rel = R_c * z / denom with denom = sum(z) + eps*sign
     d_rc = (t @ z) / denom
-    prc = float(np.clip(pr[c], PROB_CLAMP_LOW, PROB_CLAMP_HIGH))
-    rc = np.log(prc / (1.0 - prc) * (pr.shape[0] - 1))
     dz = rc * (t / denom - (t @ z) / denom ** 2)
     dq += dz * phat
     dphat = dz * q
     dp[c] += dphat / pn[c] - ((dphat @ protos[c]) / pn[c] ** 3) * protos[c]
     # R_c path: relevance init is the log odds of the winning probability.
-    d_prc = d_rc * _log_odds_slope(float(pr[c]), pr.shape[0])
+    d_prc = d_rc * _log_odds_slope(float(pr[c]))
     du = d_prc * beta * pr[c] * (np.eye(pr.shape[0])[c] - pr)
     gq_u, gp_u = _cosine_branch(q[None], protos, du[None], u[None])
     dq += gq_u[0]
@@ -236,31 +235,14 @@ def _merge_param_grads(a, b):
     return merged
 
 
-def _episode_arrays(model: FewShotModel, episode) -> tuple:
-    images = np.concatenate([episode.support_images, episode.query_images], axis=0)
-    maps, trace = model.encode_recorded(images)
-    n_support = episode.support_images.shape[0]
-    return maps[:n_support], maps[n_support:], trace, n_support
-
-
-def _cosine_episode(model: FewShotModel, episode, cfg: TrainConfig,
-                    enable_lrp: bool):
-    head = model.head
-    smaps, qmaps, trace, n_support = _episode_arrays(model, episode)
-    way = episode.way
-    n = qmaps.shape[0]
-    s_local = episode.support_local
-    y = episode.query_local
-
-    feats_s = smaps.reshape(n_support, -1)
+def _cosine_step(head: CosineHead, proto_maps: Array, qmaps: Array, y: Array,
+                 cfg: TrainConfig, enable_lrp: bool):
+    """Cosine head's part of an episode; see :func:`episode_gradients`."""
+    way, n = proto_maps.shape[0], qmaps.shape[0]
+    protos = proto_maps.reshape(way, -1)
     feats_q = qmaps.reshape(n, -1)
-    protos = class_prototypes(feats_s, s_local, way)
-    counts = np.bincount(s_local, minlength=way)
-
     scores = cosine_scores(feats_q, protos)
     probs = scaled_softmax(scores, head.beta)
-    ce_plain = np.array([cross_entropy(y[i], probs[i]) for i in range(n)])
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
 
     d_fq = np.zeros_like(feats_q)
     d_protos = np.zeros_like(protos)
@@ -270,6 +252,7 @@ def _cosine_episode(model: FewShotModel, episode, cfg: TrainConfig,
         d_fq += gq
         d_protos += gp
 
+    probs_lrp = None
     if enable_lrp:
         rel_init = relevance_init_nonparametric(probs)
         winners = np.argmax(probs, axis=1)
@@ -285,7 +268,6 @@ def _cosine_episode(model: FewShotModel, episode, cfg: TrainConfig,
             reweighted[i] = weighted_features(feats_q[i], weights[i])
         scores_lrp = cosine_scores(reweighted, protos)
         probs_lrp = scaled_softmax(scores_lrp, head.beta)
-        ce_lrp = np.array([cross_entropy(y[i], probs_lrp[i]) for i in range(n)])
         if cfg.lam != 0.0:
             g2 = _softmax_ce_grads(probs_lrp, y, head.beta, cfg.lam / n)
             gq2, gp2 = _cosine_branch(reweighted, protos, g2, scores_lrp)
@@ -298,53 +280,27 @@ def _cosine_episode(model: FewShotModel, episode, cfg: TrainConfig,
                         "'query' explain variant")
                 pn = np.linalg.norm(protos, axis=1)
                 for i in range(n):
+                    c = int(winners[i])
                     dq_x, dp_x = _cosine_weight_path(
-                        feats_q[i], protos, pn, scores[i], probs[i],
-                        int(winners[i]), rels[i], gq2[i], cfg.lrp.epsilon,
+                        feats_q[i], protos, pn, scores[i], probs[i], c,
+                        rel_init[i, c], rels[i], gq2[i], cfg.lrp.epsilon,
                         head.beta)
                     d_fq[i] += dq_x
                     d_protos += dp_x
-    else:
-        probs_lrp = probs
-        ce_lrp = np.zeros(n)
-
-    d_fs = d_protos[s_local] / counts[s_local][:, None]
-    d_maps = np.concatenate([d_fs, d_fq], axis=0).reshape(
-        (n_support + n,) + model.feature_map_shape)
-    _, enc_grads = model.encoder.backward_grad(trace, d_maps)
-
-    loss_plain = float(ce_plain.mean())
-    loss_lrp = float(ce_lrp.mean())
-    result = EpisodeResult(
-        loss_plain=loss_plain, loss_lrp=loss_lrp,
-        loss_total=cfg.xi * loss_plain + cfg.lam * loss_lrp,
-        probs=probs, probs_lrp=probs_lrp, accuracy=accuracy)
-    return result, enc_grads, None
+    return (probs, probs_lrp, d_protos.reshape(proto_maps.shape),
+            d_fq.reshape(qmaps.shape), None)
 
 
-def _relation_episode(model: FewShotModel, episode, cfg: TrainConfig,
-                      enable_lrp: bool):
-    head = model.head
+def _relation_step(head: RelationHead, protos: Array, qmaps: Array, y: Array,
+                   cfg: TrainConfig, enable_lrp: bool):
+    """Relation head's part of an episode; see :func:`episode_gradients`."""
     rnet = head.net
-    smaps, qmaps, trace, n_support = _episode_arrays(model, episode)
-    way = episode.way
-    n = qmaps.shape[0]
-    s_local = episode.support_local
-    y = episode.query_local
-
-    protos = class_prototypes(smaps, s_local, way)
-    counts = np.bincount(s_local, minlength=way)
-    channels = protos.shape[1]
-
-    pairs = np.concatenate(
-        [np.broadcast_to(protos[None], (n,) + protos.shape),
-         np.broadcast_to(qmaps[:, None], (n, way) + qmaps.shape[1:])], axis=2)
+    n, way = qmaps.shape[0], protos.shape[0]
+    pairs = relation_pairs(protos, qmaps)
     flat = pairs.reshape((n * way,) + pairs.shape[2:])
     logits_flat, rtrace = rnet.forward_recorded(flat)
     scores = logits_flat[:, 0].reshape(n, way)
     probs = scaled_softmax(scores, head.beta)
-    ce_plain = np.array([cross_entropy(y[i], probs[i]) for i in range(n)])
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
 
     d_flat = np.zeros_like(flat)
     rel_grads = None
@@ -354,6 +310,7 @@ def _relation_episode(model: FewShotModel, episode, cfg: TrainConfig,
         d_flat += gin
         rel_grads = pg
 
+    probs_lrp = None
     if enable_lrp:
         rel_init = relevance_init_parametric(scores)
         winners = np.argmax(probs, axis=1)
@@ -368,7 +325,6 @@ def _relation_episode(model: FewShotModel, episode, cfg: TrainConfig,
         logits2, rtrace2 = rnet.forward_recorded(flat2)
         scores_lrp = logits2[:, 0].reshape(n, way)
         probs_lrp = scaled_softmax(scores_lrp, head.beta)
-        ce_lrp = np.array([cross_entropy(y[i], probs_lrp[i]) for i in range(n)])
         if cfg.lam != 0.0:
             if not cfg.stop_gradient_through_weights:
                 raise ConfigError(
@@ -378,16 +334,50 @@ def _relation_episode(model: FewShotModel, episode, cfg: TrainConfig,
             gin2, pg2 = rnet.backward_grad(rtrace2, g2.reshape(n * way, 1))
             d_flat += (gin2.reshape(pairs.shape) * weights[:, None]).reshape(flat.shape)
             rel_grads = _merge_param_grads(rel_grads, pg2)
-    else:
-        probs_lrp = probs
-        ce_lrp = np.zeros(n)
 
     d_pairs = d_flat.reshape(pairs.shape)
-    d_protos = d_pairs[:, :, :channels].sum(axis=0)
-    d_q = d_pairs[:, :, channels:].sum(axis=1)
+    channels = protos.shape[1]
+    return (probs, probs_lrp, d_pairs[:, :, :channels].sum(axis=0),
+            d_pairs[:, :, channels:].sum(axis=1), rel_grads)
+
+
+def episode_gradients(model: FewShotModel, episode, cfg: TrainConfig,
+                      enable_lrp: bool = True):
+    """Loss report plus parameter gradients, without applying an update.
+
+    The episode skeleton for both heads.  The head step returns the
+    plain and re-weighted probabilities (``None`` without LRP), the
+    gradients for the prototype and query maps, and the relation-net
+    gradients (``None`` for the cosine head).
+    """
+    if episode.way != cfg.way:
+        raise ContractError(
+            f"episode way {episode.way} does not match config way {cfg.way}")
+    if isinstance(model.head, CosineHead):
+        head_step = _cosine_step
+    elif isinstance(model.head, RelationHead):
+        head_step = _relation_step
+    else:
+        raise ConfigError(f"unknown head {type(model.head).__name__!r}")
+    images = np.concatenate([episode.support_images, episode.query_images], axis=0)
+    maps, trace = model.encode_recorded(images)
+    n_support = episode.support_images.shape[0]
+    s_local, y = episode.support_local, episode.query_local
+    protos = class_prototypes(maps[:n_support], s_local, episode.way)
+    probs, probs_lrp, d_protos, d_q, rel_grads = head_step(
+        model.head, protos, maps[n_support:], y, cfg, enable_lrp)
+
+    n = probs.shape[0]
+    ce_plain = np.array([cross_entropy(y[i], probs[i]) for i in range(n)])
+    accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
+    if probs_lrp is None:
+        probs_lrp, ce_lrp = probs, np.zeros(n)
+    else:
+        ce_lrp = np.array([cross_entropy(y[i], probs_lrp[i]) for i in range(n)])
+
+    counts = np.bincount(s_local, minlength=episode.way)
     d_s = d_protos[s_local] / counts[s_local][:, None, None, None]
-    d_maps = np.concatenate([d_s, d_q], axis=0)
-    _, enc_grads = model.encoder.backward_grad(trace, d_maps)
+    _, enc_grads = model.encoder.backward_grad(trace, np.concatenate([d_s, d_q], axis=0))
 
     loss_plain = float(ce_plain.mean())
     loss_lrp = float(ce_lrp.mean())
@@ -396,24 +386,6 @@ def _relation_episode(model: FewShotModel, episode, cfg: TrainConfig,
         loss_total=cfg.xi * loss_plain + cfg.lam * loss_lrp,
         probs=probs, probs_lrp=probs_lrp, accuracy=accuracy)
     return result, enc_grads, rel_grads
-
-
-def _episode_step(model: FewShotModel, episode, cfg: TrainConfig,
-                  enable_lrp: bool):
-    if episode.way != cfg.way:
-        raise ContractError(
-            f"episode way {episode.way} does not match config way {cfg.way}")
-    if isinstance(model.head, CosineHead):
-        return _cosine_episode(model, episode, cfg, enable_lrp)
-    if isinstance(model.head, RelationHead):
-        return _relation_episode(model, episode, cfg, enable_lrp)
-    raise ConfigError(f"unknown head {type(model.head).__name__!r}")
-
-
-def episode_gradients(model: FewShotModel, episode, cfg: TrainConfig,
-                      enable_lrp: bool = True):
-    """Loss report plus parameter gradients, without applying an update."""
-    return _episode_step(model, episode, cfg, enable_lrp)
 
 
 def _apply(model: FewShotModel, enc_grads, rel_grads, lr: float, momentum: float) -> None:
@@ -426,7 +398,7 @@ def train_episode(model: FewShotModel, episode, cfg: TrainConfig,
                   lr: float | None = None) -> EpisodeResult:
     """One full explanation-guided episode: predict, explain, re-weight,
     combine losses, and apply a momentum SGD step."""
-    result, enc_grads, rel_grads = _episode_step(model, episode, cfg, enable_lrp=True)
+    result, enc_grads, rel_grads = episode_gradients(model, episode, cfg)
     _apply(model, enc_grads, rel_grads, cfg.lr if lr is None else lr, cfg.momentum)
     return result
 
@@ -434,7 +406,7 @@ def train_episode(model: FewShotModel, episode, cfg: TrainConfig,
 def train_episode_plain(model: FewShotModel, episode, cfg: TrainConfig,
                         lr: float | None = None) -> EpisodeResult:
     """Ordinary episodic step with the explanation branch disabled."""
-    result, enc_grads, rel_grads = _episode_step(model, episode, cfg, enable_lrp=False)
+    result, enc_grads, rel_grads = episode_gradients(model, episode, cfg, enable_lrp=False)
     _apply(model, enc_grads, rel_grads, cfg.lr if lr is None else lr, cfg.momentum)
     return result
 

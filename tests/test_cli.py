@@ -9,13 +9,17 @@ import hashlib
 import importlib.metadata
 import json
 import os
+import re
+import shlex
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from egt.cli import main
+from egt.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _hash(path):
@@ -202,6 +206,34 @@ class TestEval:
                      "--out", str(tmp_path), "--episodes", "2"])
         assert code == 2
 
+    # (header, payload) -> (header, payload); the header ends with "end\n"
+    CORRUPTIONS = {
+        "token-without-equals": lambda h, p: (h.replace(b"beta=", b"beta ", 1), p),
+        "missing-beta": lambda h, p: (re.sub(rb" beta=\S+", b"", h, count=1), p),
+        "beta-not-a-number": lambda h, p: (re.sub(rb"beta=\S+", b"beta=abc", h, count=1), p),
+        "truncated-layer": lambda h, p: (
+            re.sub(rb"layer conv2d [^\n]*", b"layer conv2d in=3", h, count=1), p),
+        "bare-encoder-line": lambda h, p: (re.sub(rb"encoder [^\n]*", b"encoder", h, count=1), p),
+        "payload-not-whole-floats": lambda h, p: (h, p + b"\x00\x00"),
+        "all-nan-payload": lambda h, p: (h, np.full(len(p) // 4, np.nan, "<f4").tobytes()),
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_malformed_checkpoint_exits_2(self, corpus, run_dir, tmp_path,
+                                          capsys, corruption):
+        raw = (run_dir / "model.egt1").read_bytes()
+        cut = raw.index(b"\nend\n") + len(b"\nend\n")
+        header, payload = self.CORRUPTIONS[corruption](raw[:cut], raw[cut:])
+        assert header + payload != raw
+        bad = tmp_path / "bad.egt1"
+        bad.write_bytes(header + payload)
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--data", str(corpus / "dark.egtd"),
+                     "--out", str(tmp_path), "--episodes", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestExplain:
     def test_all_targets_write_ppm_and_npy(self, corpus, run_dir, tmp_path):
@@ -268,6 +300,15 @@ class TestTopLevel:
     def test_no_command_exits_1(self, capsys):
         assert main([]) == 1
         assert "gen-data" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [line for line in lines if line.startswith("egt ")]
+        assert len(commands) == 5
+        for command in commands:
+            args = build_parser().parse_args(shlex.split(command)[1:])
+            assert args.func is not None, command
 
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")

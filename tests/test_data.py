@@ -266,3 +266,15 @@ class TestDatasetIo:
         path.write_bytes(b"EGTD classes=2 shape=1x2x2 domain=x\n")
         with pytest.raises(DataFormatError, match="per_class"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("manifest, message", [
+        (b"EGTD classes=2 classes=2 per_class=1,1 shape=1x2x2 domain=x", "repeated"),
+        (b"EGTD classes=2 per_class=1,1 shape=1x2x2 domain=x stray", "key=value"),
+        (b"EGTD classes=two per_class=1,1 shape=1x2x2 domain=x", "classes='two'"),
+    ])
+    def test_malformed_manifest_tokens(self, tmp_path, manifest, message):
+        path = tmp_path / "d.egtd"
+        body = np.zeros(2 * 1 * 2 * 2, dtype="<f4").tobytes()
+        path.write_bytes(manifest + b"\n" + body + np.arange(2, dtype="<i4").tobytes())
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(str(path))

@@ -191,6 +191,19 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="trailing"):
             load_model(path)
 
+    def test_header_error_offset_is_its_line(self, tmp_path):
+        model = build_model("cosine", (1, 16, 16), np.random.default_rng(15), widths=(4, 8))
+        path = str(tmp_path / "m.egt1")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        line = raw.index(b"layer conv2d")
+        with open(path, "wb") as fh:
+            fh.write(raw.replace(b"layer conv2d in=1", b"layer conv2d in=x", 1))
+        with pytest.raises(DataFormatError, match="in='x'") as info:
+            load_model(path)
+        assert info.value.offset == line
+
     def test_offsets_reported(self, tmp_path):
         path = tmp_path / "m.egt1"
         path.write_bytes(b"nope")
