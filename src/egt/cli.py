@@ -44,11 +44,47 @@ def _require_dir(path: str, what: str) -> None:
         raise FileNotFoundError(f"{what} directory {path!r} does not exist")
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """One ``--config`` value, checked and converted like its flag's value.
+
+    A string goes through the flag's ``type``; any other value must have
+    that type already (an int passes for a float, a bool never passes
+    for a number).  ``store_const`` flags take a JSON boolean, a
+    ``nargs="+"`` flag also takes a list, and ``choices`` apply.
+    """
+    if value is None:
+        return None
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    kind = action.type or str
+
+    def check(v):
+        if isinstance(v, str) and kind is not str:
+            try:
+                v = kind(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config key {key!r}: invalid {kind.__name__} "
+                                  f"value {v!r}") from None
+        elif isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {v!r}")
+        if action.choices is not None and v not in action.choices:
+            raise ConfigError(f"config key {key!r}: invalid choice {v!r} "
+                              f"(choose from {', '.join(map(repr, action.choices))})")
+        return v
+
+    if action.nargs == "+" and isinstance(value, list) and value:
+        return [check(v) for v in value]
+    return check(value)
+
+
 def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
     """Merge flag values over defaults, or load them from --config.
 
-    Keys listed in ``optional`` may resolve to None; every other key
-    must end up with a concrete value.
+    Loaded values are checked against the flags they stand for.  Keys
+    listed in ``optional`` may resolve to None; every other key must
+    end up with a concrete value.
     """
     provided = {k: getattr(args, k) for k in defaults}
     if args.config is not None:
@@ -58,12 +94,15 @@ def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
                 f"--config replaces all other flags; drop {sorted(given)}")
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object of settings")
         loaded.pop("command", None)
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
+        actions = {a.dest: a for a in args.parser._actions}
         params = dict(defaults)
-        params.update(loaded)
+        params.update({k: _config_value(actions[k], k, v) for k, v in loaded.items()})
     else:
         params = dict(defaults)
         params.update({k: v for k, v in provided.items() if v is not None})
@@ -145,10 +184,6 @@ def _cmd_train(args) -> int:
                 "seed": 0, "widths": "8,16,32", "hidden": 64,
                 "explain_variant": "query", "exact_weight_grad": False}
     params = _resolve_params(args, defaults, optional=("xi", "lam", "beta"))
-    if params["mode"] not in ("egt", "baseline"):
-        raise ConfigError(f"unknown mode {params['mode']!r}")
-    if params["head"] not in ("cosine", "relation"):
-        raise ConfigError(f"unknown head {params['head']!r}")
     _require_dir(params["out"], "output")
 
     data = load_dataset(params["data"])
@@ -241,13 +276,7 @@ def _cmd_explain(args) -> int:
     result = explain_input(model, episode.support_images, episode.support_local,
                            episode.way, query_image, lrp_cfg=lrp_cfg)
     predicted = int(np.argmax(result.probabilities))
-    if params["targets"] == "predicted":
-        targets = [predicted]
-    elif params["targets"] == "all":
-        targets = list(range(episode.way))
-    else:
-        raise ConfigError(f"targets must be 'all' or 'predicted', "
-                          f"got {params['targets']!r}")
+    targets = [predicted] if params["targets"] == "predicted" else list(range(episode.way))
     for target in targets:
         rel = result.input_relevance[target]
         base = os.path.join(params["out"], f"query{q}_class{target}")
@@ -293,6 +322,7 @@ def _cmd_stats(args) -> int:
 def _add_config_flag(sub) -> None:
     sub.add_argument("--config", help="JSON file with all settings "
                      "(mutually exclusive with other flags)")
+    sub.set_defaults(parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,16 +1,22 @@
 """Metric-based few-shot classifier heads and relevance initialization.
 
-Two heads share one protocol: build class prototypes by averaging
-support embeddings, score a query against every prototype, turn scores
-into probabilities, and provide a per-class relevance initialization
-for the explanation pass.
+Both heads speak one protocol, shared by ``model.probs_from_maps``
+(evaluation), ``model.explain_input`` and the two head steps of
+``training.episode_gradients``, so none of them re-implements a head:
 
-* cosine head: scores are cosine similarities, probabilities come from
-  a beta-scaled softmax, and relevance starts from the log-odds ratio
-  against chance level (a non-parametric classifier has no logits).
-* relation head: a small trained network scores each channel-wise
-  concatenated (prototype, query) pair; its raw logits double as the
-  relevance initialization.
+* ``head.scores(protos, query_maps) -> (scores [n, K], trace)``; the
+  probabilities are ``scaled_softmax(scores, head.beta)``;
+* ``head.relevance_init(scores, probs)`` is the per-class relevance an
+  explanation starts from;
+* :func:`lrp_through_head` carries it across the head onto the
+  processed classifier input f_p, for one target class per query.
+
+The cosine head scores the flattened maps by cosine similarity and
+starts from the log-odds ratio against chance level (a non-parametric
+classifier has no logits); its f_p is the query vector.  The relation
+head scores each channel-wise concatenated (prototype, query) pair with
+a small trained network whose raw logits double as the relevance
+initialization; its f_p is the pair.
 """
 
 from __future__ import annotations
@@ -29,14 +35,6 @@ PROB_CLAMP_HIGH = 1.0 - 1e-7
 PROB_CLAMP_LOW = 1e-12
 
 COSINE_EXPLAIN_VARIANTS = ("query", "both-normalized")
-
-
-@dataclass
-class HeadOutput:
-    """Per-query head evaluation: scores, probabilities, relevance init."""
-    scores: Array
-    probabilities: Array
-    relevance_init: Array
 
 
 def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
@@ -93,11 +91,6 @@ def relevance_init_nonparametric(probs: Array) -> Array:
     return np.log(p / (1.0 - p) * (p.shape[-1] - 1))
 
 
-def relevance_init_parametric(logits: Array) -> Array:
-    """Logits pass through unchanged as per-class relevance."""
-    return np.array(logits, dtype=np.float64)
-
-
 def relation_pairs(protos: Array, query_maps: Array) -> Array:
     """Channel-wise (prototype, query) concatenations: ``[n, K, 2C, H, W]``.
 
@@ -109,25 +102,6 @@ def relation_pairs(protos: Array, query_maps: Array) -> Array:
         [np.broadcast_to(protos[None], (n,) + protos.shape),
          np.broadcast_to(query_maps[:, None], (n, way) + query_maps.shape[1:])],
         axis=2)
-
-
-def relation_head(query_map: Array, protos: Array, relation_net: Network,
-                  ) -> tuple[Array, ForwardTrace]:
-    """Logits of one query against K prototype maps, forward recorded.
-
-    Each pair is the channel-wise concatenation (prototype, query) fed
-    through the relation network, whose output is a single logit.
-    """
-    protos = np.asarray(protos, dtype=np.float64)
-    q = np.asarray(query_map, dtype=np.float64)
-    if protos.shape[1:] != q.shape:
-        raise ContractError(
-            f"prototype shape {protos.shape[1:]} does not match query {q.shape}")
-    logits, trace = relation_net.forward_recorded(relation_pairs(protos, q[None])[0])
-    if logits.shape[1:] != (1,):
-        raise ContractError(
-            f"relation net must emit one logit per pair, got shape {logits.shape[1:]}")
-    return logits[:, 0], trace
 
 
 def cosine_explain(query_feat: Array, proto: Array, relevance: float,
@@ -178,10 +152,13 @@ class CosineHead:
         if self.explain_variant not in COSINE_EXPLAIN_VARIANTS:
             raise ConfigError(f"unknown cosine explain variant {self.explain_variant!r}")
 
-    def output(self, query_feat: Array, protos: Array) -> HeadOutput:
-        scores = cosine_scores(query_feat, protos)
-        probs = scaled_softmax(scores, self.beta)
-        return HeadOutput(scores, probs, relevance_init_nonparametric(probs))
+    def scores(self, protos: Array, query_maps: Array) -> tuple[Array, None]:
+        """Cosine similarity of the flattened maps: ``[n, K]``, no trace."""
+        q, p = np.asarray(query_maps), np.asarray(protos)
+        return cosine_scores(q.reshape(q.shape[0], -1), p.reshape(p.shape[0], -1)), None
+
+    def relevance_init(self, scores: Array, probs: Array) -> Array:
+        return relevance_init_nonparametric(probs)
 
 
 @dataclass
@@ -192,35 +169,56 @@ class RelationHead:
     beta: float = 1.0
     kind: str = "relation"
 
-    def output(self, query_map: Array, protos: Array) -> tuple[HeadOutput, ForwardTrace]:
-        logits, trace = relation_head(query_map, protos, self.net)
-        probs = scaled_softmax(logits, self.beta)
-        return HeadOutput(logits, probs, relevance_init_parametric(logits)), trace
+    def scores(self, protos: Array, query_maps: Array) -> tuple[Array, ForwardTrace]:
+        """Logits ``[n, K]`` from one recorded pass over the n*K pairs.
+
+        Pair ``(i, k)`` is row ``i*K + k`` of the trace; its input is the
+        channel-wise concatenation (prototype k, query i).
+        """
+        protos = np.asarray(protos, dtype=np.float64)
+        q = np.asarray(query_maps, dtype=np.float64)
+        if protos.shape[1:] != q.shape[1:]:
+            raise ContractError(
+                f"prototype shape {protos.shape[1:]} does not match query {q.shape[1:]}")
+        pairs = relation_pairs(protos, q)
+        logits, trace = self.net.forward_recorded(pairs.reshape((-1,) + pairs.shape[2:]))
+        if logits.shape[1:] != (1,):
+            raise ContractError(
+                f"relation net must emit one logit per pair, got shape {logits.shape[1:]}")
+        return logits[:, 0].reshape(q.shape[0], protos.shape[0]), trace
+
+    def relevance_init(self, scores: Array, probs: Array) -> Array:
+        """Logits pass through unchanged (as a copy) as per-class relevance."""
+        return np.array(scores, dtype=np.float64)
 
 
-def lrp_through_head(head, recorded, relevance_init: Array, target_class: int,
-                     cfg: LrpConfig) -> Array:
-    """Relevance of the processed classifier input f_p for one target class.
+def lrp_through_head(head, protos: Array, query_maps: Array, trace: ForwardTrace | None,
+                     relevance_init: Array, targets, cfg: LrpConfig) -> Array:
+    """Relevance of f_p for class ``targets[i]`` of query ``i``: ``[n, ...]``.
 
-    * cosine head: ``recorded`` is the (query_feat, protos) pair; the
-      result is relevance over the query feature vector.
-    * relation head: ``recorded`` is the trace of the K concatenated
-      pairs; relevance is propagated through the relation network onto
-      the target class's pair, covering both the prototype half and the
-      query half.
+    ``trace`` and ``relevance_init`` ``[n, K]`` come from ``head.scores``
+    and ``head.relevance_init`` on the same prototypes and queries.
+
+    * cosine head: the epsilon rule over the target similarity's terms,
+      one row ``[D]`` per query over its flattened map.
+    * relation head: one LRP pass through the relation network over all
+      n*K pairs, with relevance only on rows ``i*K + targets[i]``; row
+      ``i`` covers that pair's prototype half and query half.
     """
     relevance_init = np.asarray(relevance_init, dtype=np.float64)
-    if not 0 <= target_class < relevance_init.shape[0]:
-        raise ContractError(f"target class {target_class} out of range")
+    n, way = relevance_init.shape
+    targets = np.asarray(targets)
+    if targets.shape != (n,) or not np.all((targets >= 0) & (targets < way)):
+        raise ContractError(f"target class {targets} out of range for {n} queries x {way} classes")
     if isinstance(head, CosineHead):
-        query_feat, protos = recorded
-        return cosine_explain(query_feat, protos[target_class],
-                              relevance_init[target_class], cfg.epsilon,
-                              head.explain_variant)
+        q, p = np.asarray(query_maps), np.asarray(protos)
+        return np.stack([
+            cosine_explain(q[i].reshape(-1), p[t].reshape(-1), relevance_init[i, t],
+                           cfg.epsilon, head.explain_variant)
+            for i, t in enumerate(targets)])
     if isinstance(head, RelationHead):
-        trace = recorded
-        init = np.zeros(trace.entries[-1].output.shape)
-        init[target_class, 0] = relevance_init[target_class]
-        rtrace = lrp_backward(head.net, trace, init, cfg)
-        return rtrace.relevances[0][target_class]
+        rows = np.arange(n) * way + targets
+        init = np.zeros((n * way, 1))
+        init[rows, 0] = relevance_init[np.arange(n), targets]
+        return lrp_backward(head.net, trace, init, cfg).relevances[0][rows]
     raise ConfigError(f"unknown head kind {type(head).__name__!r}")

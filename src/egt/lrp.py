@@ -103,6 +103,14 @@ def _safe_div(num: Array, denom: Array, keep) -> Array:
     return np.divide(num, denom, out=np.zeros_like(num), where=keep)
 
 
+def _adjoint(layer: Linear | Conv2d, s: Array, in_shape: tuple[int, ...],
+             weight: Array) -> Array:
+    """Pull ``s`` back through the layer's linear map with ``weight``."""
+    if isinstance(layer, Linear):
+        return s @ weight
+    return layer.grad_input(s, in_shape, weight=weight)
+
+
 def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
                 epsilon: float) -> Array:
     """Epsilon rule for a linear map (dense or convolutional)."""
@@ -114,10 +122,7 @@ def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
     rel_out, _ = _with_batch(rel_out, rank)
     denom = y + epsilon * np.where(y >= 0, 1.0, -1.0)
     s = _safe_div(rel_out, denom, denom != 0)
-    if isinstance(layer, Linear):
-        rel_in = x * (s @ layer.weight)
-    else:
-        rel_in = x * layer.grad_input(s, x.shape[1:])
+    rel_in = x * _adjoint(layer, s, x.shape[1:], layer.weight)
     return rel_in if batched else rel_in[0]
 
 
@@ -133,17 +138,10 @@ def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
     xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
     sp = _safe_div(rel_out, y, y > 0)
     sn = _safe_div(rel_out, y, y < 0)
-    if isinstance(layer, Linear):
-        wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
-        pos = xp * (sp @ wp) + xn * (sp @ wn)
-        neg = xp * (sn @ wn) + xn * (sn @ wp)
-    else:
-        wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
-        in_shape = x.shape[1:]
-        pos = xp * layer.grad_input(sp, in_shape, weight=wp) \
-            + xn * layer.grad_input(sp, in_shape, weight=wn)
-        neg = xp * layer.grad_input(sn, in_shape, weight=wn) \
-            + xn * layer.grad_input(sn, in_shape, weight=wp)
+    wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
+    in_shape = x.shape[1:]
+    pos = xp * _adjoint(layer, sp, in_shape, wp) + xn * _adjoint(layer, sp, in_shape, wn)
+    neg = xp * _adjoint(layer, sn, in_shape, wn) + xn * _adjoint(layer, sn, in_shape, wp)
     rel_in = alpha * pos - (alpha - 1.0) * neg
     return rel_in if batched else rel_in[0]
 
@@ -161,7 +159,7 @@ def lrp_passthrough(layer, x: Array, rel_out: Array, *,
     x, batched = _with_batch(x, 3)
     rel_out, _ = _with_batch(rel_out, 3)
     if isinstance(layer, MaxPool2d):
-        rel_in = layer.backward(x, None, rel_out)[0]
+        rel_in = layer.backward(x, rel_out)[0]
     else:
         if avgpool_rule not in _AVGPOOL_RULES:
             raise ConfigError(f"unknown avgpool rule {avgpool_rule!r}")

@@ -32,9 +32,8 @@ from .heads import (
     CosineHead,
     RelationHead,
     class_prototypes,
-    cosine_scores,
+    cosine_scores,  # noqa: F401 -- not called here; benchmarks/spans.py wraps it in this module
     lrp_through_head,
-    relation_pairs,
     scaled_softmax,
 )
 from .lrp import LrpConfig, lrp_backward
@@ -69,10 +68,6 @@ class FewShotModel:
     @property
     def head_kind(self) -> str:
         return self.head.kind
-
-    @property
-    def feature_map_shape(self) -> tuple[int, ...]:
-        return self.encoder.output_shape
 
     def encode(self, images: Array) -> Array:
         return self.encoder.forward(np.asarray(images, dtype=np.float64))
@@ -150,17 +145,7 @@ def build_model(head_kind: str, in_shape: tuple[int, int, int],
 
 def probs_from_maps(model: FewShotModel, proto_maps: Array, query_maps: Array) -> Array:
     """Class probabilities for each query map given prototype maps."""
-    proto_maps = np.asarray(proto_maps, dtype=np.float64)
-    query_maps = np.asarray(query_maps, dtype=np.float64)
-    way = proto_maps.shape[0]
-    n = query_maps.shape[0]
-    if isinstance(model.head, CosineHead):
-        scores = cosine_scores(query_maps.reshape(n, -1),
-                               proto_maps.reshape(way, -1))
-        return scaled_softmax(scores, model.head.beta)
-    pairs = relation_pairs(proto_maps, query_maps)
-    logits = model.head.net.forward(pairs.reshape((n * way,) + pairs.shape[2:]))
-    return scaled_softmax(logits.reshape(n, way), model.head.beta)
+    return scaled_softmax(model.head.scores(proto_maps, query_maps)[0], model.head.beta)
 
 
 def episode_probs(model: FewShotModel, support_images: Array, support_local: Array,
@@ -197,31 +182,23 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     smaps = model.encode(support_images)
     qmap, qtrace = model.encode_recorded(np.asarray(query_image))
     protos = class_prototypes(smaps, support_local, way)
-    if targets is None:
-        targets = range(way)
-
-    channels = protos.shape[1]
-    if isinstance(model.head, CosineHead):
-        out = model.head.output(qmap.reshape(-1), protos.reshape(way, -1))
-        recorded = (qmap.reshape(-1), protos.reshape(way, -1))
-    else:
-        out, rtrace = model.head.output(qmap, protos)
-        recorded = rtrace
+    scores, trace = model.head.scores(protos, qmap[None])
+    probs = scaled_softmax(scores, model.head.beta)
+    rel_init = model.head.relevance_init(scores, probs)
 
     feature_rel: dict[int, Array] = {}
     input_rel: dict[int, Array] = {}
-    for target in targets:
-        rel = lrp_through_head(model.head, recorded, out.relevance_init,
-                               int(target), lrp_cfg)
+    for target in range(way) if targets is None else targets:
+        rel = lrp_through_head(model.head, protos, qmap[None], trace, rel_init,
+                               [int(target)], lrp_cfg)[0]
         feature_rel[int(target)] = rel
-        if isinstance(model.head, CosineHead):
-            map_rel = rel.reshape(model.feature_map_shape)
-        else:
-            map_rel = rel[channels:]
-        rtrace_full = lrp_backward(model.encoder, qtrace, map_rel, lrp_cfg)
-        input_rel[int(target)] = rtrace_full.input_relevance
-    return ExplainResult(scores=out.scores, probabilities=out.probabilities,
-                         relevance_init=out.relevance_init,
+        # f_p ends with the query map for both heads: it is the whole
+        # cosine vector and the second channel half of a relation pair.
+        map_rel = rel.reshape(-1)[-qmap.size:].reshape(qmap.shape)
+        input_rel[int(target)] = lrp_backward(model.encoder, qtrace, map_rel,
+                                              lrp_cfg).input_relevance
+    return ExplainResult(scores=scores[0], probabilities=probs[0],
+                         relevance_init=rel_init[0],
                          feature_relevance=feature_rel, input_relevance=input_rel)
 
 

@@ -75,7 +75,7 @@ class Layer:
         """Apply the layer to a batched input ``(B, *in_shape)``."""
         raise NotImplementedError
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, dict[str, Array] | None]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array] | None]:
         """Return ``(grad_in, param_grads)`` for one recorded application.
 
         ``param_grads`` is summed over the batch axis; ``None`` for
@@ -112,7 +112,7 @@ class Linear(Layer):
     def forward(self, x: Array) -> Array:
         return x @ self.weight.T + self.bias
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
         grad_in = grad_out @ self.weight
         return grad_in, {"weight": grad_out.T @ x, "bias": grad_out.sum(axis=0)}
 
@@ -178,7 +178,7 @@ class Conv2d(Layer):
         y += self.bias[:, None]
         return y.reshape(x.shape[0], o, oh, ow)
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
         b, o = grad_out.shape[:2]
         g2 = grad_out.reshape(b, o, -1)
         cols = self._cols(x, grad_out.shape[2], grad_out.shape[3])
@@ -216,7 +216,7 @@ class ReLU(Layer):
     def forward(self, x: Array) -> Array:
         return np.maximum(x, 0.0)
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, None]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
         return grad_out * (x > 0.0), None
 
 
@@ -249,7 +249,7 @@ class MaxPool2d(_Pool):
         """Flat within-window index of the max; ties pick the lowest index."""
         return self.windows(x).argmax(axis=2)
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, None]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
         win = np.zeros_like(self.windows(x))
         idx = self.winner_index(x)
         np.put_along_axis(win, idx[:, :, None], grad_out[:, :, None], axis=2)
@@ -262,7 +262,7 @@ class AvgPool2d(_Pool):
     def forward(self, x: Array) -> Array:
         return self.windows(x).mean(axis=2)
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, None]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
         k2 = self.kernel * self.kernel
         win = np.broadcast_to(grad_out[:, :, None] / k2, grad_out.shape[:2] + (k2,) + grad_out.shape[2:])
         return _fold(win, self.kernel, self.kernel, self.stride, *x.shape[2:]), None
@@ -277,7 +277,7 @@ class Flatten(Layer):
     def forward(self, x: Array) -> Array:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, x: Array, y: Array, grad_out: Array) -> tuple[Array, None]:
+    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
         return grad_out.reshape(x.shape), None
 
 
@@ -363,7 +363,7 @@ class Network:
         param_grads: list[dict[str, Array] | None] = [None] * len(self.layers)
         for i in reversed(range(len(self.layers))):
             entry = trace.entries[i]
-            g, pg = self.layers[i].backward(entry.input, entry.output, g)
+            g, pg = self.layers[i].backward(entry.input, g)
             param_grads[i] = pg
         if not np.isfinite(g).all():
             raise NumericError("backward pass produced non-finite input gradient")

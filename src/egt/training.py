@@ -31,6 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, ContractError
+
+# cosine_explain and lrp_backward are not called here; benchmarks/spans.py wraps them here.
 from .heads import (
     PROB_CLAMP_HIGH,
     PROB_CLAMP_LOW,
@@ -39,9 +41,7 @@ from .heads import (
     class_prototypes,
     cosine_explain,
     cosine_scores,
-    relation_pairs,
-    relevance_init_nonparametric,
-    relevance_init_parametric,
+    lrp_through_head,
     scaled_softmax,
 )
 from .lrp import LrpConfig, lrp_backward, normalize_relevance
@@ -254,18 +254,11 @@ def _cosine_step(head: CosineHead, proto_maps: Array, qmaps: Array, y: Array,
 
     probs_lrp = None
     if enable_lrp:
-        rel_init = relevance_init_nonparametric(probs)
+        rel_init = head.relevance_init(scores, probs)
         winners = np.argmax(probs, axis=1)
-        weights = np.empty_like(feats_q)
-        rels = np.empty_like(feats_q)
-        reweighted = np.empty_like(feats_q)
-        for i in range(n):
-            c = int(winners[i])
-            rel = cosine_explain(feats_q[i], protos[c], rel_init[i, c],
-                                 cfg.lrp.epsilon, head.explain_variant)
-            rels[i] = rel
-            weights[i] = lrp_weights(normalize_relevance(rel))
-            reweighted[i] = weighted_features(feats_q[i], weights[i])
+        rels = lrp_through_head(head, protos, feats_q, None, rel_init, winners, cfg.lrp)
+        weights = np.array([lrp_weights(normalize_relevance(r)) for r in rels])
+        reweighted = weighted_features(feats_q, weights)
         scores_lrp = cosine_scores(reweighted, protos)
         probs_lrp = scaled_softmax(scores_lrp, head.beta)
         if cfg.lam != 0.0:
@@ -296,10 +289,9 @@ def _relation_step(head: RelationHead, protos: Array, qmaps: Array, y: Array,
     """Relation head's part of an episode; see :func:`episode_gradients`."""
     rnet = head.net
     n, way = qmaps.shape[0], protos.shape[0]
-    pairs = relation_pairs(protos, qmaps)
-    flat = pairs.reshape((n * way,) + pairs.shape[2:])
-    logits_flat, rtrace = rnet.forward_recorded(flat)
-    scores = logits_flat[:, 0].reshape(n, way)
+    scores, rtrace = head.scores(protos, qmaps)
+    flat = rtrace.entries[0].input
+    pairs = flat.reshape((n, way) + flat.shape[1:])
     probs = scaled_softmax(scores, head.beta)
 
     d_flat = np.zeros_like(flat)
@@ -312,15 +304,10 @@ def _relation_step(head: RelationHead, protos: Array, qmaps: Array, y: Array,
 
     probs_lrp = None
     if enable_lrp:
-        rel_init = relevance_init_parametric(scores)
+        rel_init = head.relevance_init(scores, probs)
         winners = np.argmax(probs, axis=1)
-        init = np.zeros((n * way, 1))
-        rows = np.arange(n) * way + winners
-        init[rows, 0] = rel_init[np.arange(n), winners]
-        rel_pairs = lrp_backward(rnet, rtrace, init, cfg.lrp).relevances[0]
-        weights = np.empty((n,) + flat.shape[1:])
-        for i in range(n):
-            weights[i] = lrp_weights(normalize_relevance(rel_pairs[rows[i]]))
+        rels = lrp_through_head(head, protos, qmaps, rtrace, rel_init, winners, cfg.lrp)
+        weights = np.array([lrp_weights(normalize_relevance(r)) for r in rels])
         flat2 = (pairs * weights[:, None]).reshape(flat.shape)
         logits2, rtrace2 = rnet.forward_recorded(flat2)
         scores_lrp = logits2[:, 0].reshape(n, way)

@@ -96,6 +96,44 @@ class TestGenData:
         assert main(["gen-data", "--config", str(bad)]) == 1
 
 
+class TestConfigValues:
+    # name -> (command, config file content, text the error line names)
+    BAD = {
+        "not-an-object": ("train", [1, 2], "JSON object"),
+        "int-from-bad-string": ("train", {"way": "abc"}, "'way'"),
+        "eval-int-from-bad-string": ("eval", {"episodes": "x"}, "'episodes'"),
+        "float-from-bad-string": ("train", {"lr": "x"}, "'lr'"),
+        "const-flag-from-string": ("train", {"exact_weight_grad": "false"},
+                                   "'exact_weight_grad'"),
+        "eval-const-flag-from-string": ("eval", {"transductive": "no"}, "'transductive'"),
+        "float-for-int": ("train", {"epochs": 1.7}, "'epochs'"),
+        "bool-for-int": ("train", {"way": True}, "'way'"),
+        "choice": ("train", {"head": "oracle"}, "'head'"),
+        "explain-choice": ("explain", {"targets": "some"}, "'targets'"),
+        "eval-data-not-a-string": ("eval", {"data": 5}, "'data'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_value_exits_1(self, tmp_path, capsys, case):
+        command, content, key = self.BAD[case]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(content))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    def test_strings_convert_like_flags(self, corpus, tmp_path):
+        cfg_path = tmp_path / "strings.json"
+        cfg_path.write_text(json.dumps({
+            "data": str(corpus / "bright.egtd"), "out": str(tmp_path),
+            "way": "3", "shot": "2", "queries": "6", "epochs": "0", "lr": "1e-2",
+            "widths": "4,8", "exact_weight_grad": True}))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        cfg = json.loads((tmp_path / "train.config.json").read_text())
+        assert (cfg["way"], cfg["epochs"], cfg["lr"]) == (3, 0, 0.01)
+        assert cfg["exact_weight_grad"] is True
+
+
 class TestTrain:
     def test_outputs_exist(self, run_dir):
         assert (run_dir / "model.egt1").exists()

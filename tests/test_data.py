@@ -14,6 +14,8 @@ from egt.data import (
 )
 from egt.errors import ConfigError, ContractError, DataFormatError
 
+from util_nets import FUZZ_BYTES, loads_or_fails_cleanly
+
 
 def _toy_set(counts, side=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -266,6 +268,18 @@ class TestDatasetIo:
         path.write_bytes(b"EGTD classes=2 shape=1x2x2 domain=x\n")
         with pytest.raises(DataFormatError, match="per_class"):
             load_dataset(str(path))
+
+    def test_fuzzed_dataset_loads_or_fails_cleanly(self, tmp_path):
+        # Truncation at every byte and every single-byte replacement in
+        # the manifest line.
+        path = str(tmp_path / "d.egtd")
+        save_dataset(_toy_set([2, 3], side=2), path)
+        raw = open(path, "rb").read()
+        end = raw.index(b"\n") + 1
+        cases = [raw[:i] for i in range(len(raw))]
+        cases += [raw[:i] + bytes([b]) + raw[i + 1:]
+                  for i in range(end) for b in FUZZ_BYTES + b"," if b != raw[i]]
+        assert 0 < loads_or_fails_cleanly(load_dataset, path, cases) < len(cases)
 
     @pytest.mark.parametrize("manifest, message", [
         (b"EGTD classes=2 classes=2 per_class=1,1 shape=1x2x2 domain=x", "repeated"),

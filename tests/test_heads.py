@@ -12,9 +12,7 @@ from egt.heads import (
     cosine_explain,
     cosine_scores,
     lrp_through_head,
-    relation_head,
     relevance_init_nonparametric,
-    relevance_init_parametric,
     scaled_softmax,
 )
 from egt.lrp import LrpConfig
@@ -155,11 +153,12 @@ class TestRelevanceInit:
             relevance_init_nonparametric(np.array([1.0]))
 
     def test_parametric_identity(self):
-        logits = np.array([0.3, -2.0, 5.5])
-        got = relevance_init_parametric(logits)
+        head = RelationHead(_relation_net(np.random.default_rng(0), 2, 2))
+        logits = np.array([[0.3, -2.0, 5.5]])
+        got = head.relevance_init(logits, scaled_softmax(logits, 1.0))
         np.testing.assert_allclose(got, logits)
-        got[0] = 99.0
-        assert logits[0] == 0.3
+        got[0, 0] = 99.0
+        assert logits[0, 0] == 0.3
 
 
 def _unit(v):
@@ -236,45 +235,57 @@ def _relation_net(rng, in_ch, side, hidden=6, bias=True, relu=True):
 class TestRelationHead:
     def test_logits_match_manual_forward(self):
         rng = np.random.default_rng(8)
-        net = _relation_net(rng, 4, 3)
+        head = RelationHead(_relation_net(rng, 4, 3))
         protos = rng.normal(size=(5, 2, 3, 3))
-        q = rng.normal(size=(2, 3, 3))
-        logits, trace = relation_head(q, protos, net)
-        assert logits.shape == (5,)
-        for k in range(5):
-            pair = np.concatenate([protos[k], q], axis=0)
-            np.testing.assert_allclose(logits[k], net.forward(pair)[0], rtol=1e-12)
-        assert trace.entries[0].input.shape == (5, 4, 3, 3)
+        qs = rng.normal(size=(2, 2, 3, 3))
+        logits, trace = head.scores(protos, qs)
+        assert logits.shape == (2, 5)
+        assert trace.entries[0].input.shape == (10, 4, 3, 3)
+        for i in range(2):
+            for k in range(5):
+                pair = np.concatenate([protos[k], qs[i]], axis=0)
+                np.testing.assert_allclose(logits[i, k], head.net.forward(pair)[0],
+                                           rtol=1e-12)
+                np.testing.assert_array_equal(trace.entries[0].input[i * 5 + k], pair)
 
     def test_prototype_permutation_permutes_logits(self):
         rng = np.random.default_rng(9)
-        net = _relation_net(rng, 2, 2)
+        head = RelationHead(_relation_net(rng, 2, 2))
         protos = rng.normal(size=(4, 1, 2, 2))
-        q = rng.normal(size=(1, 2, 2))
-        logits, _ = relation_head(q, protos, net)
+        qs = rng.normal(size=(3, 1, 2, 2))
+        logits, _ = head.scores(protos, qs)
         perm = np.array([2, 0, 3, 1])
-        permuted, _ = relation_head(q, protos[perm], net)
-        np.testing.assert_allclose(permuted, logits[perm], rtol=1e-12)
+        permuted, _ = head.scores(protos[perm], qs)
+        np.testing.assert_allclose(permuted, logits[:, perm], rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
-        net = _relation_net(rng, 2, 2)
-        with pytest.raises(ContractError):
-            relation_head(np.ones((1, 3, 3)), np.ones((4, 1, 2, 2)), net)
+        head = RelationHead(_relation_net(rng, 2, 2))
+        with pytest.raises(ContractError, match="prototype shape"):
+            head.scores(np.ones((4, 1, 2, 2)), np.ones((1, 1, 3, 3)))
+
+    def test_two_logit_net_rejected(self):
+        rng = np.random.default_rng(10)
+        net = Network((2, 2, 2), [Flatten(), Linear.he_init(8, 2, rng)])
+        with pytest.raises(ContractError, match="one logit"):
+            RelationHead(net).scores(np.ones((3, 1, 2, 2)), np.ones((1, 1, 2, 2)))
 
 
 class TestHeadOutputs:
     def test_cosine_head_output(self):
         rng = np.random.default_rng(11)
         head = CosineHead(beta=7.0)
-        q = rng.normal(size=12)
-        protos = rng.normal(size=(5, 12))
-        out = head.output(q, protos)
-        np.testing.assert_allclose(out.scores, cosine_scores(q, protos))
-        np.testing.assert_allclose(out.probabilities,
-                                   scaled_softmax(out.scores, 7.0))
-        np.testing.assert_allclose(out.relevance_init,
-                                   relevance_init_nonparametric(out.probabilities))
+        qs = rng.normal(size=(3, 3, 2, 2))
+        protos = rng.normal(size=(5, 3, 2, 2))
+        scores, trace = head.scores(protos, qs)
+        assert trace is None
+        np.testing.assert_array_equal(
+            scores, cosine_scores(qs.reshape(3, -1), protos.reshape(5, -1)))
+        probs = scaled_softmax(scores, head.beta)
+        e = np.exp(7.0 * scores)
+        np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True), rtol=1e-12)
+        np.testing.assert_array_equal(head.relevance_init(scores, probs),
+                                      relevance_init_nonparametric(probs))
 
     def test_cosine_head_validation(self):
         with pytest.raises(ConfigError):
@@ -284,81 +295,100 @@ class TestHeadOutputs:
 
     def test_relation_head_output(self):
         rng = np.random.default_rng(12)
-        net = _relation_net(rng, 6, 2)
-        head = RelationHead(net)
+        head = RelationHead(_relation_net(rng, 6, 2))
         protos = rng.normal(size=(3, 3, 2, 2))
-        q = rng.normal(size=(3, 2, 2))
-        out, trace = head.output(q, protos)
-        logits, _ = relation_head(q, protos, net)
-        np.testing.assert_allclose(out.scores, logits)
-        np.testing.assert_allclose(out.probabilities, scaled_softmax(logits, 1.0))
-        np.testing.assert_allclose(out.relevance_init, logits)
-        assert trace.entries[-1].output.shape == (3, 1)
+        qs = rng.normal(size=(2, 3, 2, 2))
+        logits, trace = head.scores(protos, qs)
+        assert trace.entries[-1].output.shape == (6, 1)
+        np.testing.assert_array_equal(logits.reshape(-1), trace.entries[-1].output[:, 0])
+        init = head.relevance_init(logits, scaled_softmax(logits, head.beta))
+        np.testing.assert_array_equal(init, logits)
+        assert init is not logits
+
+
+def _explain(head, protos, qs, cfg, targets):
+    """Batched head explanation from the head's own scores and init."""
+    scores, trace = head.scores(protos, qs)
+    init = head.relevance_init(scores, scaled_softmax(scores, head.beta))
+    return lrp_through_head(head, protos, qs, trace, init, targets, cfg), init, trace
 
 
 class TestLrpThroughHead:
     def test_cosine_route_matches_direct_call(self):
         rng = np.random.default_rng(13)
         head = CosineHead(beta=7.0)
-        q = rng.normal(size=9)
+        qs = rng.normal(size=(3, 9))
         protos = rng.normal(size=(4, 9))
-        out = head.output(q, protos)
         cfg = LrpConfig(epsilon=0.001)
-        target = int(np.argmax(out.probabilities))
-        rel = lrp_through_head(head, (q, protos), out.relevance_init, target, cfg)
-        want = cosine_explain(q, protos[target], out.relevance_init[target], 0.001)
-        np.testing.assert_allclose(rel, want, rtol=1e-12)
-        assert rel.shape == q.shape
+        scores, _ = head.scores(protos, qs)
+        targets = np.argmax(scores, axis=1)
+        rel, init, _ = _explain(head, protos, qs, cfg, targets)
+        assert rel.shape == qs.shape
+        for i, t in enumerate(targets):
+            want = cosine_explain(qs[i], protos[t], init[i, t], 0.001)
+            np.testing.assert_array_equal(rel[i], want)
 
     def test_relation_pair_conservation_linear_net(self):
         # Bias-free affine relation net at epsilon 0: the relevance over
         # the full (prototype, query) pair sums back to the class init.
         rng = np.random.default_rng(14)
-        net = _relation_net(rng, 4, 3, bias=False, relu=False)
-        head = RelationHead(net)
+        head = RelationHead(_relation_net(rng, 4, 3, bias=False, relu=False))
         protos = rng.normal(size=(5, 2, 3, 3))
-        q = rng.normal(size=(2, 3, 3))
-        out, trace = head.output(q, protos)
+        qs = rng.normal(size=(2, 2, 3, 3))
         cfg = LrpConfig(epsilon=0.0, rule_map={"linear": "epsilon"})
         for target in range(5):
-            rel = lrp_through_head(head, trace, out.relevance_init, target, cfg)
-            assert rel.shape == (4, 3, 3)
-            np.testing.assert_allclose(rel.sum(), out.relevance_init[target],
+            rel, init, _ = _explain(head, protos, qs, cfg, [target, 4 - target])
+            assert rel.shape == (2, 4, 3, 3)
+            np.testing.assert_allclose(rel.sum(axis=(1, 2, 3)),
+                                       [init[0, target], init[1, 4 - target]],
                                        rtol=1e-9, atol=1e-12)
 
     def test_relation_gradient_times_input(self):
         # Bias-free relu relation net with parametric (logit) init equals
         # pair * d(logit_c)/d(pair), per the gradient-times-input identity.
         rng = np.random.default_rng(15)
-        net = _relation_net(rng, 2, 2, bias=False, relu=True)
-        head = RelationHead(net)
+        head = RelationHead(_relation_net(rng, 2, 2, bias=False, relu=True))
         protos = rng.normal(size=(3, 1, 2, 2))
-        q = rng.normal(size=(1, 2, 2))
-        out, trace = head.output(q, protos)
+        qs = rng.normal(size=(2, 1, 2, 2))
         cfg = LrpConfig(epsilon=0.0)
         for target in range(3):
-            rel = lrp_through_head(head, trace, out.relevance_init, target, cfg)
-            cot = np.zeros((3, 1))
-            cot[target, 0] = 1.0
-            grad, _ = net.backward_grad(trace, cot)
-            pair = np.concatenate([protos[target], q], axis=0)
-            np.testing.assert_allclose(rel, pair * grad[target], rtol=1e-9, atol=1e-12)
+            rel, _, trace = _explain(head, protos, qs, cfg, [target, target])
+            cot = np.zeros((6, 1))
+            cot[[target, 3 + target], 0] = 1.0
+            grad, _ = head.net.backward_grad(trace, cot)
+            for i in range(2):
+                pair = np.concatenate([protos[target], qs[i]], axis=0)
+                np.testing.assert_allclose(rel[i], pair * grad[3 * i + target],
+                                           rtol=1e-9, atol=1e-12)
 
     def test_shared_query_half_differs_by_class(self):
         rng = np.random.default_rng(16)
-        net = _relation_net(rng, 2, 2)
-        head = RelationHead(net)
+        head = RelationHead(_relation_net(rng, 2, 2))
         protos = rng.normal(size=(4, 1, 2, 2))
-        q = rng.normal(size=(1, 2, 2))
-        out, trace = head.output(q, protos)
+        qs = rng.normal(size=(1, 1, 2, 2))
         cfg = LrpConfig(epsilon=0.01)
-        rels = [lrp_through_head(head, trace, out.relevance_init, t, cfg)
-                for t in range(4)]
-        halves = [r[1:] for r in rels]
+        halves = [_explain(head, protos, qs, cfg, [t])[0][0, 1:] for t in range(4)]
         assert max_rel_err(halves[0], halves[1]) > 1e-6
+
+    @pytest.mark.parametrize("kind", ["cosine", "relation"])
+    def test_batched_rows_match_single_query_calls(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "cosine":
+            head = CosineHead(beta=7.0)
+        else:
+            head = RelationHead(_relation_net(rng, 4, 2))
+        protos = rng.normal(size=(3, 2, 2, 2))
+        qs = rng.normal(size=(4, 2, 2, 2))
+        targets = np.array([2, 0, 1, 2])
+        cfg = LrpConfig(epsilon=0.01)
+        batched = _explain(head, protos, qs, cfg, targets)[0]
+        for i, t in enumerate(targets):
+            single = _explain(head, protos, qs[i:i + 1], cfg, [t])[0]
+            np.testing.assert_array_equal(batched[i], single[0])
 
     def test_target_out_of_range(self):
         head = CosineHead()
-        with pytest.raises(ContractError, match="target class"):
-            lrp_through_head(head, (np.ones(3), np.ones((2, 3))),
-                             np.zeros(2), 5, LrpConfig())
+        for targets in ([5], [-1], [0, 1]):
+            with pytest.raises(ContractError, match="target class"):
+                lrp_through_head(head, np.ones((2, 3)), np.ones((1, 3)), None,
+                                 np.zeros((1, 2)), targets, LrpConfig())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from egt.errors import ConfigError, DataFormatError
-from egt.heads import CosineHead, RelationHead
+from egt.heads import CosineHead, RelationHead, scaled_softmax
 from egt.model import (
     build_encoder,
     build_model,
@@ -15,6 +15,8 @@ from egt.model import (
     save_model,
 )
 from egt.tensornet import Network
+
+from util_nets import FUZZ_BYTES, loads_or_fails_cleanly
 
 
 def _param_blob(model):
@@ -97,8 +99,9 @@ class TestEpisodeProbs:
         qmaps = model.encode(queries)
         protos = class_prototypes(smaps, local, 3)
         for i in range(queries.shape[0]):
-            out, _ = model.head.output(qmaps[i], protos)
-            np.testing.assert_allclose(probs[i], out.probabilities, rtol=1e-10)
+            logits, _ = model.head.scores(protos, qmaps[i:i + 1])
+            np.testing.assert_allclose(probs[i], scaled_softmax(logits[0], model.head.beta),
+                                       rtol=1e-10)
 
     def test_probs_from_maps_matches_episode_probs(self):
         rng = np.random.default_rng(8)
@@ -112,6 +115,21 @@ class TestEpisodeProbs:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_fuzzed_checkpoint_loads_or_fails_cleanly(self, head, tmp_path):
+        # Truncation at every header byte and every float32 boundary of
+        # the payload, and every single-byte replacement in the header.
+        model = build_model(head, (1, 8, 8), np.random.default_rng(11),
+                            widths=(2, 4), hidden=4)
+        path = str(tmp_path / "m.egt1")
+        save_model(model, path)
+        raw = open(path, "rb").read()
+        cut = raw.index(b"\nend\n") + len(b"\nend\n")
+        cases = [raw[:i] for i in range(cut)] + [raw[:i] for i in range(cut, len(raw), 4)]
+        cases += [raw[:i] + bytes([b]) + raw[i + 1:]
+                  for i in range(cut) for b in FUZZ_BYTES if b != raw[i]]
+        assert 0 < loads_or_fails_cleanly(load_model, path, cases) < len(cases)
+
     @pytest.mark.parametrize("head", ["cosine", "relation"])
     def test_round_trip_parameters(self, head, tmp_path):
         rng = np.random.default_rng(9)

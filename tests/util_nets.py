@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from egt.errors import ContractError, DataFormatError
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, Network, ReLU)
 
 
@@ -115,3 +116,26 @@ def dense_alpha_oracle(weight, x, y, rel_out, alpha):
                 term -= (alpha - 1.0) * min(z, 0.0) / dneg
             rel_in[i] += rel_out[j] * term
     return rel_in
+
+
+# Single-byte replacements for the loader fuzz tests: separators, digits,
+# a sign, a NUL and a non-ascii byte.
+FUZZ_BYTES = b"\x00\n =x09-\xff"
+
+
+def loads_or_fails_cleanly(load, path, cases):
+    """Write each case to ``path`` and load it; return how many loaded.
+
+    Anything but a clean load or an error the CLI maps to exit 2
+    (``DataFormatError``, ``ContractError``) escapes and fails the test.
+    """
+    loaded = 0
+    for case in cases:
+        with open(path, "wb") as fh:
+            fh.write(case)
+        try:
+            load(path)
+            loaded += 1
+        except (DataFormatError, ContractError):
+            pass
+    return loaded
