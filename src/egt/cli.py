@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,13 +45,27 @@ def _require_dir(path: str, what: str) -> None:
         raise FileNotFoundError(f"{what} directory {path!r} does not exist")
 
 
+def finite_float(text) -> float:
+    """A float flag's value: ``nan``, ``inf`` and out-of-range numbers are refused."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _config_value(action: argparse.Action, key: str, value):
     """One ``--config`` value, checked and converted like its flag's value.
 
     A string goes through the flag's ``type``; any other value must have
     that type already (an int passes for a float, a bool never passes
-    for a number).  ``store_const`` flags take a JSON boolean, a
-    ``nargs="+"`` flag also takes a list, and ``choices`` apply.
+    for a number).  Numbers for a float flag go through its type as
+    well, so ``NaN`` and ``Infinity``, which Python's ``json`` accepts,
+    are refused like ``--lr nan``.  ``store_const`` flags take a JSON
+    boolean, a ``nargs="+"`` flag also takes a list, and ``choices``
+    apply.
     """
     if value is None:
         return None
@@ -59,16 +74,21 @@ def _config_value(action: argparse.Action, key: str, value):
             return value
         raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
     kind = action.type or str
+    number = kind is finite_float
+    allowed = (str, int, float) if number else (str, kind)
 
     def check(v):
-        if isinstance(v, str) and kind is not str:
+        if isinstance(v, bool) or not isinstance(v, allowed):
+            raise ConfigError(f"config key {key!r} must be "
+                              f"{'float' if number else kind.__name__}, got {v!r}")
+        if isinstance(v, str) or number:
             try:
                 v = kind(v)
-            except (TypeError, ValueError):
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
+            except ValueError:
                 raise ConfigError(f"config key {key!r}: invalid {kind.__name__} "
                                   f"value {v!r}") from None
-        elif isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
-            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {v!r}")
         if action.choices is not None and v not in action.choices:
             raise ConfigError(f"config key {key!r}: invalid choice {v!r} "
                               f"(choose from {', '.join(map(repr, action.choices))})")
@@ -170,7 +190,6 @@ def _train_config(params: dict, head_kind: str) -> TrainConfig:
         episodes_per_epoch=int(params["episodes_per_epoch"]),
         lr_decay=float(params["lr_decay"]),
         lr_decay_every=int(params["lr_decay_every"]),
-        seed=int(params["seed"]),
         stop_gradient_through_weights=not bool(params["exact_weight_grad"]),
         lrp=lrp_cfg)
 
@@ -340,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int)
     gen.add_argument("--domains")
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--min-gap", dest="min_gap", type=float)
+    gen.add_argument("--min-gap", dest="min_gap", type=finite_float)
     gen.add_argument("--max-primitives", dest="max_primitives", type=int)
     gen.set_defaults(func=_cmd_gen_data)
 
@@ -355,14 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--queries", type=int)
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--episodes-per-epoch", dest="episodes_per_epoch", type=int)
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--momentum", type=float)
-    tr.add_argument("--xi", type=float)
-    tr.add_argument("--lam", type=float)
-    tr.add_argument("--beta", type=float)
-    tr.add_argument("--epsilon", type=float)
-    tr.add_argument("--alpha", type=float)
-    tr.add_argument("--lr-decay", dest="lr_decay", type=float)
+    tr.add_argument("--lr", type=finite_float)
+    tr.add_argument("--momentum", type=finite_float)
+    tr.add_argument("--xi", type=finite_float)
+    tr.add_argument("--lam", type=finite_float)
+    tr.add_argument("--beta", type=finite_float)
+    tr.add_argument("--epsilon", type=finite_float)
+    tr.add_argument("--alpha", type=finite_float)
+    tr.add_argument("--lr-decay", dest="lr_decay", type=finite_float)
     tr.add_argument("--lr-decay-every", dest="lr_decay_every", type=int)
     tr.add_argument("--seed", type=int)
     tr.add_argument("--widths")
@@ -401,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--seed", type=int)
     ex.add_argument("--query", type=int)
     ex.add_argument("--targets", choices=["all", "predicted"])
-    ex.add_argument("--epsilon", type=float)
-    ex.add_argument("--alpha", type=float)
-    ex.add_argument("--blend", type=float)
+    ex.add_argument("--epsilon", type=finite_float)
+    ex.add_argument("--alpha", type=finite_float)
+    ex.add_argument("--blend", type=finite_float)
     ex.set_defaults(func=_cmd_explain)
 
     st = commands.add_parser(

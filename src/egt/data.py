@@ -212,8 +212,9 @@ class GeneratorSpec:
                 f"unknown domains {unknown}; available: {sorted(STYLES)}")
         if self.max_primitives < 1:
             raise ConfigError("max_primitives must be >= 1")
-        if self.min_channel_gap < 0:
-            raise ConfigError("min_channel_gap must be >= 0")
+        if not 0 <= self.min_channel_gap < math.inf:
+            raise ConfigError(
+                f"min_channel_gap must be finite and >= 0, got {self.min_channel_gap}")
 
 
 def _soft(dist: Array, edge: float) -> Array:

@@ -21,6 +21,7 @@ initialization; its f_p is the pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,21 +52,17 @@ def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
 
 
 def cosine_scores(query_feat: Array, protos: Array) -> Array:
-    """Cosine similarity of each query row against each prototype row."""
+    """Cosine similarity ``[n, K]`` of query rows ``[n, D]`` against prototype rows ``[K, D]``."""
     q = np.asarray(query_feat, dtype=np.float64)
     p = np.asarray(protos, dtype=np.float64)
-    single = q.ndim == 1
-    if single:
-        q = q[None]
-    if q.shape[1] != p.shape[1]:
+    if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
         raise ContractError(
-            f"feature dim {q.shape[1]} does not match prototype dim {p.shape[1]}")
+            f"query rows {q.shape} and prototype rows {p.shape} must be [n, D] and [K, D]")
     qn = np.linalg.norm(q, axis=1)
     pn = np.linalg.norm(p, axis=1)
     if (qn == 0).any() or (pn == 0).any():
         raise NumericError("zero-norm vector in cosine similarity (degenerate embedding)")
-    scores = (q @ p.T) / np.outer(qn, pn)
-    return scores[0] if single else scores
+    return (q @ p.T) / np.outer(qn, pn)
 
 
 def scaled_softmax(scores: Array, beta: float) -> Array:
@@ -147,8 +144,8 @@ class CosineHead:
     kind: str = "cosine"
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
         if self.explain_variant not in COSINE_EXPLAIN_VARIANTS:
             raise ConfigError(f"unknown cosine explain variant {self.explain_variant!r}")
 
@@ -220,5 +217,5 @@ def lrp_through_head(head, protos: Array, query_maps: Array, trace: ForwardTrace
         rows = np.arange(n) * way + targets
         init = np.zeros((n * way, 1))
         init[rows, 0] = relevance_init[np.arange(n), targets]
-        return lrp_backward(head.net, trace, init, cfg).relevances[0][rows]
+        return lrp_backward(head.net, trace, init, cfg)[0][rows]
     raise ConfigError(f"unknown head kind {type(head).__name__!r}")

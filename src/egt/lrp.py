@@ -19,13 +19,17 @@ relevance -- and average pooling splits proportionally to each input's
 contribution, falling back to an equal split when a window sums to
 exactly zero.
 
-Relevance shapes always mirror the activation shapes of the trace, so
-conv layers run the same unrolled-window machinery as the gradient
-pass instead of materializing a dense matrix.
+Every array carries the trace's leading row axis, and rows never mix:
+row ``b`` of an input relevance depends only on row ``b`` of the
+activations and of the output relevance.  Relevance shapes mirror the
+activation shapes of the trace, so conv layers run the same
+unrolled-window machinery as the gradient pass instead of
+materializing a dense matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +58,10 @@ class LrpConfig:
     avgpool_rule: str = "proportional"
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.alpha < 1:
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 1 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
         for kind, rule in self.rule_map.items():
             if kind not in ("linear", "conv2d"):
                 raise ConfigError(f"rule_map keys must be linear/conv2d, got {kind!r}")
@@ -71,31 +75,6 @@ class LrpConfig:
             return self.rule_map[kind]
         except KeyError:
             raise ConfigError(f"no relevance rule configured for layer kind {kind!r}") from None
-
-
-@dataclass
-class RelevanceTrace:
-    """Relevance at every activation of a recorded pass.
-
-    ``relevances[i]`` aligns with the input of layer ``i``;
-    ``relevances[-1]`` is the output relevance the pass started from.
-    Arrays are stored batched, like the forward trace.
-    """
-
-    relevances: list[Array]
-    batched: bool
-
-    @property
-    def input_relevance(self) -> Array:
-        r = self.relevances[0]
-        return r if self.batched else r[0]
-
-
-def _with_batch(arr: Array, unbatched_rank: int) -> tuple[Array, bool]:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == unbatched_rank:
-        return arr[None], False
-    return arr, True
 
 
 def _safe_div(num: Array, denom: Array, keep) -> Array:
@@ -114,27 +93,18 @@ def _adjoint(layer: Linear | Conv2d, s: Array, in_shape: tuple[int, ...],
 def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
                 epsilon: float) -> Array:
     """Epsilon rule for a linear map (dense or convolutional)."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
-    rank = 1 if isinstance(layer, Linear) else 3
-    x, batched = _with_batch(x, rank)
-    y, _ = _with_batch(y, rank)
-    rel_out, _ = _with_batch(rel_out, rank)
     denom = y + epsilon * np.where(y >= 0, 1.0, -1.0)
     s = _safe_div(rel_out, denom, denom != 0)
-    rel_in = x * _adjoint(layer, s, x.shape[1:], layer.weight)
-    return rel_in if batched else rel_in[0]
+    return x * _adjoint(layer, s, x.shape[1:], layer.weight)
 
 
 def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
               alpha: float) -> Array:
     """Alpha rule with sign-split contributions and recorded denominators."""
-    if alpha < 1:
+    if not alpha >= 1:
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
-    rank = 1 if isinstance(layer, Linear) else 3
-    x, batched = _with_batch(x, rank)
-    y, _ = _with_batch(y, rank)
-    rel_out, _ = _with_batch(rel_out, rank)
     xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
     sp = _safe_div(rel_out, y, y > 0)
     sn = _safe_div(rel_out, y, y < 0)
@@ -142,47 +112,45 @@ def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
     in_shape = x.shape[1:]
     pos = xp * _adjoint(layer, sp, in_shape, wp) + xn * _adjoint(layer, sp, in_shape, wn)
     neg = xp * _adjoint(layer, sn, in_shape, wn) + xn * _adjoint(layer, sn, in_shape, wp)
-    rel_in = alpha * pos - (alpha - 1.0) * neg
-    return rel_in if batched else rel_in[0]
+    return alpha * pos - (alpha - 1.0) * neg
 
 
 def lrp_passthrough(layer, x: Array, rel_out: Array, *,
                     avgpool_rule: str = "proportional") -> Array:
     """Relevance through parameter-free layers."""
     if isinstance(layer, ReLU):
-        return np.asarray(rel_out, dtype=np.float64).copy()
+        return rel_out.copy()
     if isinstance(layer, Flatten):
-        return np.asarray(rel_out, dtype=np.float64).reshape(np.asarray(x).shape)
-    if not isinstance(layer, (MaxPool2d, AvgPool2d)):
-        raise ConfigError(f"layer kind {layer.kind!r} has no pass-through rule")
-
-    x, batched = _with_batch(x, 3)
-    rel_out, _ = _with_batch(rel_out, 3)
+        return rel_out.reshape(x.shape)
     if isinstance(layer, MaxPool2d):
-        rel_in = layer.backward(x, rel_out)[0]
+        return layer.backward(x, rel_out)[0]
+    if not isinstance(layer, AvgPool2d):
+        raise ConfigError(f"layer kind {layer.kind!r} has no pass-through rule")
+    if avgpool_rule not in _AVGPOOL_RULES:
+        raise ConfigError(f"unknown avgpool rule {avgpool_rule!r}")
+    k2 = layer.kernel * layer.kernel
+    win_x = layer.windows(x)
+    if avgpool_rule == "equal":
+        ratio = np.full_like(win_x, 1.0 / k2)
     else:
-        if avgpool_rule not in _AVGPOOL_RULES:
-            raise ConfigError(f"unknown avgpool rule {avgpool_rule!r}")
-        k2 = layer.kernel * layer.kernel
-        win_x = layer.windows(x)
-        if avgpool_rule == "equal":
-            ratio = np.full_like(win_x, 1.0 / k2)
-        else:
-            sums = win_x.sum(axis=2, keepdims=True)
-            ratio = _safe_div(win_x, sums, sums != 0)
-            ratio += (sums == 0) * (1.0 / k2)
-        rel_in = _fold(ratio * rel_out[:, :, None], layer.kernel, layer.kernel,
-                       layer.stride, *x.shape[2:])
-    return rel_in if batched else rel_in[0]
+        sums = win_x.sum(axis=2, keepdims=True)
+        ratio = _safe_div(win_x, sums, sums != 0)
+        ratio += (sums == 0) * (1.0 / k2)
+    return _fold(ratio * rel_out[:, :, None], layer.kernel, layer.kernel,
+                 layer.stride, *x.shape[2:])
 
 
 def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
-                 cfg: LrpConfig | None = None) -> RelevanceTrace:
-    """Propagate relevance from the network output down to its input."""
+                 cfg: LrpConfig | None = None) -> list[Array]:
+    """Propagate relevance from the network output down to its input.
+
+    ``output_relevance`` has the traced output's rows.  Returns the
+    relevance at every activation of the trace: entry ``i`` is shaped
+    like the input of layer ``i``, so entry 0 is the input relevance and
+    the last entry is the output relevance the pass started from.
+    """
     cfg = cfg or LrpConfig()
     r = np.asarray(output_relevance, dtype=np.float64)
-    if not trace.batched:
-        r = r[None]
     if r.shape != trace.entries[-1].output.shape:
         raise ContractError(
             f"output relevance shape {r.shape} does not match traced output "
@@ -202,7 +170,7 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
         relevances[i] = r
     if not np.isfinite(r).all():
         raise NumericError("relevance pass produced non-finite values")
-    return RelevanceTrace(relevances, trace.batched)
+    return relevances
 
 
 def normalize_relevance(rel: Array) -> Array:

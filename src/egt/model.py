@@ -176,27 +176,28 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     For the cosine head the feature relevance lives on the flattened
     query embedding; for the relation head it covers the (prototype,
     query) pair and the query half is what continues into the encoder.
-    ``targets`` defaults to every class.
+    ``query_image`` is one image ``(C, H, W)``, run as a one-row batch;
+    the result's arrays carry no row axis.  ``targets`` defaults to
+    every class.
     """
     lrp_cfg = LrpConfig() if lrp_cfg is None else lrp_cfg
     smaps = model.encode(support_images)
-    qmap, qtrace = model.encode_recorded(np.asarray(query_image))
+    qmaps, qtrace = model.encode_recorded(np.asarray(query_image)[None])
     protos = class_prototypes(smaps, support_local, way)
-    scores, trace = model.head.scores(protos, qmap[None])
+    scores, trace = model.head.scores(protos, qmaps)
     probs = scaled_softmax(scores, model.head.beta)
     rel_init = model.head.relevance_init(scores, probs)
 
     feature_rel: dict[int, Array] = {}
     input_rel: dict[int, Array] = {}
     for target in range(way) if targets is None else targets:
-        rel = lrp_through_head(model.head, protos, qmap[None], trace, rel_init,
-                               [int(target)], lrp_cfg)[0]
-        feature_rel[int(target)] = rel
+        rel = lrp_through_head(model.head, protos, qmaps, trace, rel_init,
+                               [int(target)], lrp_cfg)
+        feature_rel[int(target)] = rel[0]
         # f_p ends with the query map for both heads: it is the whole
         # cosine vector and the second channel half of a relation pair.
-        map_rel = rel.reshape(-1)[-qmap.size:].reshape(qmap.shape)
-        input_rel[int(target)] = lrp_backward(model.encoder, qtrace, map_rel,
-                                              lrp_cfg).input_relevance
+        map_rel = rel.reshape(-1)[-qmaps.size:].reshape(qmaps.shape)
+        input_rel[int(target)] = lrp_backward(model.encoder, qtrace, map_rel, lrp_cfg)[0][0]
     return ExplainResult(scores=scores[0], probabilities=probs[0],
                          relevance_init=rel_init[0],
                          feature_relevance=feature_rel, input_relevance=input_rel)

@@ -11,9 +11,9 @@ One window kernel serves every spatial layer: :func:`_windows` unrolls
 sliding windows and :func:`_fold` scatter-adds them back.  The
 convolution runs them on its padded input, the pools on their input.
 
-All arithmetic is float64 numpy.  Activations are row-major, shaped
-``(C, H, W)`` for image-like tensors and ``(D,)`` for vectors, with an
-optional leading batch axis on every public entry point.
+All arithmetic is float64 numpy.  Every activation carries a leading
+row axis: ``(B, C, H, W)`` for image-like tensors and ``(B, D)`` for
+vectors.  A network's ``input_shape`` and ``shapes`` name one row.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Layer:
         raise NotImplementedError
 
     def forward(self, x: Array) -> Array:
-        """Apply the layer to a batched input ``(B, *in_shape)``."""
+        """Apply the layer to input rows ``(B, *in_shape)``."""
         raise NotImplementedError
 
     def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array] | None]:
@@ -245,14 +245,12 @@ class MaxPool2d(_Pool):
     def forward(self, x: Array) -> Array:
         return self.windows(x).max(axis=2)
 
-    def winner_index(self, x: Array) -> Array:
-        """Flat within-window index of the max; ties pick the lowest index."""
-        return self.windows(x).argmax(axis=2)
-
     def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
-        win = np.zeros_like(self.windows(x))
-        idx = self.winner_index(x)
-        np.put_along_axis(win, idx[:, :, None], grad_out[:, :, None], axis=2)
+        """Route each window's cotangent to its max; ties pick the lowest index."""
+        win = self.windows(x)
+        idx = win.argmax(axis=2)[:, :, None]
+        win.fill(0.0)
+        np.put_along_axis(win, idx, grad_out[:, :, None], axis=2)
         return _fold(win, self.kernel, self.kernel, self.stride, *x.shape[2:]), None
 
 
@@ -283,7 +281,7 @@ class Flatten(Layer):
 
 @dataclass
 class LayerTrace:
-    """Recorded input and output of one layer application (batched)."""
+    """Recorded input and output rows of one layer application."""
     input: Array
     output: Array
 
@@ -292,7 +290,6 @@ class LayerTrace:
 class ForwardTrace:
     """Everything the gradient and relevance passes need to replay a forward pass."""
     entries: list[LayerTrace]
-    batched: bool
 
 
 class Network:
@@ -318,24 +315,18 @@ class Network:
     def output_shape(self) -> tuple[int, ...]:
         return self.shapes[-1]
 
-    def _to_batched(self, x: Array) -> tuple[Array, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape == self.input_shape:
-            return x[None], False
-        if x.shape[1:] == self.input_shape and x.ndim == len(self.input_shape) + 1:
-            return x, True
-        raise ContractError(
-            f"input shape {x.shape} does not match network input {self.input_shape}")
-
     def forward(self, x: Array) -> Array:
+        """Output rows ``(B, *output_shape)`` for input rows ``(B, *input_shape)``."""
         return self._run(x, record=False)[0]
 
     def forward_recorded(self, x: Array) -> tuple[Array, ForwardTrace]:
-        out, trace = self._run(x, record=True)
-        return out, trace
+        return self._run(x, record=True)
 
     def _run(self, x: Array, record: bool) -> tuple[Array, ForwardTrace | None]:
-        x, batched = self._to_batched(x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[1:] != self.input_shape or x.ndim != len(self.input_shape) + 1:
+            raise ContractError(f"input shape {x.shape} does not match network input "
+                                f"(B, {', '.join(map(str, self.input_shape))})")
         entries: list[LayerTrace] = []
         for layer in self.layers:
             y = layer.forward(x)
@@ -344,19 +335,17 @@ class Network:
             x = y
         if not np.isfinite(x).all():
             raise NumericError("network forward produced non-finite values")
-        out = x if batched else x[0]
-        return out, (ForwardTrace(entries, batched) if record else None)
+        return x, (ForwardTrace(entries) if record else None)
 
     def backward_grad(self, trace: ForwardTrace, grad_out: Array) -> tuple[Array, list[dict[str, Array] | None]]:
         """Propagate an output cotangent back through a recorded pass.
 
-        Returns the input gradient (batched like the traced input) and
-        one parameter-gradient dict per layer (``None`` where the layer
-        has no parameters), summed over the batch.
+        ``grad_out`` has the traced output's rows.  Returns the input
+        gradient, shaped like the traced input, and one parameter-gradient
+        dict per layer (``None`` where the layer has no parameters),
+        summed over the rows.
         """
         g = np.asarray(grad_out, dtype=np.float64)
-        if not trace.batched:
-            g = g[None]
         expected = trace.entries[-1].output.shape
         if g.shape != expected:
             raise ContractError(f"grad_out shape {g.shape} does not match traced output {expected}")
@@ -367,7 +356,7 @@ class Network:
             param_grads[i] = pg
         if not np.isfinite(g).all():
             raise NumericError("backward pass produced non-finite input gradient")
-        return (g if trace.batched else g[0]), param_grads
+        return g, param_grads
 
     def param_layers(self) -> list[tuple[int, Layer]]:
         return [(i, layer) for i, layer in enumerate(self.layers) if layer.params()]

@@ -77,7 +77,6 @@ class TrainConfig:
     episodes_per_epoch: int = 100
     lr_decay: float = 0.5
     lr_decay_every: int = 40
-    seed: int = 0
     stop_gradient_through_weights: bool = True
     lrp: LrpConfig = field(default_factory=LrpConfig)
 
@@ -86,16 +85,18 @@ class TrainConfig:
             raise ConfigError(
                 f"episode shape way={self.way} shot={self.shot} "
                 f"n_query={self.n_query} is invalid")
-        if self.xi < 0 or self.lam < 0 or self.xi + self.lam <= 0:
+        if not (0 <= self.xi < math.inf and 0 <= self.lam < math.inf
+                and self.xi + self.lam > 0):
             raise ConfigError(
-                f"loss weights xi={self.xi} lam={self.lam} must be nonnegative "
-                "with a positive sum")
-        if self.lr <= 0 or not 0 <= self.momentum < 1:
+                f"loss weights xi={self.xi} lam={self.lam} must be finite and "
+                "nonnegative with a positive sum")
+        if not (0 < self.lr < math.inf and 0 <= self.momentum < 1):
             raise ConfigError(f"bad optimizer settings lr={self.lr} momentum={self.momentum}")
         if self.epochs < 0 or self.episodes_per_epoch < 1:
             raise ConfigError("epochs must be >= 0 and episodes_per_epoch >= 1")
         if not 0 < self.lr_decay <= 1 or self.lr_decay_every < 0:
-            raise ConfigError("bad learning-rate decay settings")
+            raise ConfigError(f"bad learning-rate decay settings lr_decay={self.lr_decay} "
+                              f"lr_decay_every={self.lr_decay_every}")
 
 
 @dataclass
@@ -111,11 +112,6 @@ class EpisodeResult:
 def cross_entropy(label: int, probs: Array) -> float:
     """Negative log probability of the true class, clamped away from 0."""
     return -math.log(max(float(probs[label]), CE_CLAMP))
-
-
-def egt_loss(label: int, probs: Array, probs_lrp: Array, xi: float, lam: float) -> float:
-    """Combined objective: xi * CE(plain) + lam * CE(re-weighted)."""
-    return xi * cross_entropy(label, probs) + lam * cross_entropy(label, probs_lrp)
 
 
 def lrp_weights(rel_norm: Array) -> Array:

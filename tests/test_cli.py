@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egt.cli import build_parser, main
+from egt.cli import build_parser, finite_float, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -121,6 +121,36 @@ class TestConfigValues:
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    # every float flag, as (command, config key); its flag is --<key with '-'>
+    FLOATS = [("gen-data", "min_gap")] + [
+        ("train", key) for key in ("lr", "momentum", "xi", "lam", "beta", "epsilon",
+                                   "alpha", "lr_decay")] + [
+        ("explain", key) for key in ("epsilon", "alpha", "blend")]
+
+    def test_float_table_covers_every_float_flag(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        types = {(name, action.dest): action.type for name, sub in commands.items()
+                 for action in sub._actions if action.type in (float, finite_float)}
+        assert sorted(types) == sorted(self.FLOATS)
+        assert set(types.values()) == {finite_float}
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,key", FLOATS)
+    def test_non_finite_float_exits_1(self, tmp_path, capsys, command, key, value, via):
+        if via == "flag":
+            flag = "--" + key.replace("_", "-")
+            argv, named = [command, f"{flag}={value}"], flag
+        else:
+            # Python's json writes and reads NaN, Infinity and -Infinity
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps({key: float(value)}))
+            argv, named = [command, "--config", str(cfg_path)], repr(key)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
     def test_strings_convert_like_flags(self, corpus, tmp_path):
         cfg_path = tmp_path / "strings.json"

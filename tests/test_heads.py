@@ -44,42 +44,45 @@ class TestPrototypes:
 
 class TestCosineScores:
     def test_hand_value(self):
-        got = cosine_scores(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(got, [1.0 / np.sqrt(2.0)])
+        got = cosine_scores(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(got, [[1.0 / np.sqrt(2.0)]])
 
     def test_range_and_self_similarity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            q = rng.normal(size=8)
+            q = rng.normal(size=(1, 8))
             p = rng.normal(size=(5, 8))
             s = cosine_scores(q, p)
-            assert s.shape == (5,)
+            assert s.shape == (1, 5)
             assert np.all(np.abs(s) <= 1.0 + 1e-12)
-            np.testing.assert_allclose(cosine_scores(q, q[None]), [1.0], atol=1e-12)
+            np.testing.assert_allclose(cosine_scores(q, q), [[1.0]], atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
-        q = rng.normal(size=6)
+        q = rng.normal(size=(1, 6))
         p = rng.normal(size=(3, 6))
         np.testing.assert_allclose(cosine_scores(3.7 * q, p), cosine_scores(q, 0.2 * p))
 
     def test_batched_matches_rows(self):
+        # rows are independent: a batch equals its rows scored as one-row batches
         rng = np.random.default_rng(3)
         qs = rng.normal(size=(4, 6))
         p = rng.normal(size=(3, 6))
         batched = cosine_scores(qs, p)
         for i in range(4):
-            np.testing.assert_allclose(batched[i], cosine_scores(qs[i], p))
+            np.testing.assert_allclose(batched[i:i + 1], cosine_scores(qs[i:i + 1], p))
 
     def test_zero_norm_rejected(self):
         with pytest.raises(NumericError, match="zero-norm"):
-            cosine_scores(np.zeros(4), np.ones((2, 4)))
+            cosine_scores(np.zeros((1, 4)), np.ones((2, 4)))
         with pytest.raises(NumericError, match="zero-norm"):
-            cosine_scores(np.ones(4), np.zeros((2, 4)))
+            cosine_scores(np.ones((1, 4)), np.zeros((2, 4)))
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
-            cosine_scores(np.ones(4), np.ones((2, 5)))
+            cosine_scores(np.ones((1, 4)), np.ones((2, 5)))
+        with pytest.raises(ContractError):
+            cosine_scores(np.ones(4), np.ones((2, 4)))
 
 
 class TestScaledSoftmax:
@@ -244,7 +247,7 @@ class TestRelationHead:
         for i in range(2):
             for k in range(5):
                 pair = np.concatenate([protos[k], qs[i]], axis=0)
-                np.testing.assert_allclose(logits[i, k], head.net.forward(pair)[0],
+                np.testing.assert_allclose(logits[i, k], head.net.forward(pair[None])[0, 0],
                                            rtol=1e-12)
                 np.testing.assert_array_equal(trace.entries[0].input[i * 5 + k], pair)
 

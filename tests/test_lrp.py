@@ -16,62 +16,63 @@ from util_nets import (conservation_net, dense_alpha_oracle,
 
 
 def _run_linear(w, x, bias=None):
+    """A linear layer with one input row ``(1, in)`` and its output row ``(1, out)``."""
     layer = Linear(np.asarray(w, dtype=float),
                    np.zeros(len(w)) if bias is None else np.asarray(bias, dtype=float))
-    x = np.asarray(x, dtype=float)
-    return layer, x, layer.forward(x[None])[0]
+    x = np.asarray(x, dtype=float)[None]
+    return layer, x, layer.forward(x)
 
 
 class TestEpsilonRule:
     def test_hand_example(self):
         layer, x, y = _run_linear([[0.5, 0.25]], [1.0, 2.0])
-        np.testing.assert_allclose(y, [1.0])
-        rel = lrp_epsilon(layer, x, y, np.array([1.0]), epsilon=0.0)
-        np.testing.assert_allclose(rel, [0.5, 0.5])
+        np.testing.assert_allclose(y, [[1.0]])
+        rel = lrp_epsilon(layer, x, y, np.array([[1.0]]), epsilon=0.0)
+        np.testing.assert_allclose(rel, [[0.5, 0.5]])
 
     def test_single_unit_closed_form(self):
         # one input, one output: rel_in = rel_out * y / (y + eps*sign(y))
         for eps in (0.0, 0.001, 0.5):
             for w, xv in [(2.0, 3.0), (-1.5, 0.75)]:
                 layer, x, y = _run_linear([[w]], [xv])
-                rel = lrp_epsilon(layer, x, y, np.array([1.0]), epsilon=eps)
-                sign = 1.0 if y[0] >= 0 else -1.0
-                np.testing.assert_allclose(rel, [y[0] / (y[0] + eps * sign)])
+                rel = lrp_epsilon(layer, x, y, np.array([[1.0]]), epsilon=eps)
+                sign = 1.0 if y[0, 0] >= 0 else -1.0
+                np.testing.assert_allclose(rel, [[y[0, 0] / (y[0, 0] + eps * sign)]])
 
     def test_monotone_shrink_in_epsilon(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             layer = rand_linear(rng, 5, 1, bias=False)
-            x = rng.standard_normal(5)
-            y = layer.forward(x[None])[0]
-            if y[0] <= 0:
+            x = rng.standard_normal((1, 5))
+            y = layer.forward(x)
+            if y[0, 0] <= 0:
                 x, y = -x, -y  # force y > 0 per the stated property
             mags = []
             for eps in (0.0, 0.01, 0.1, 1.0):
-                rel = lrp_epsilon(layer, x, y, np.array([1.0]), epsilon=eps)
+                rel = lrp_epsilon(layer, x, y, np.array([[1.0]]), epsilon=eps)
                 mags.append(np.abs(rel).sum())
             assert all(a >= b - 1e-12 for a, b in zip(mags, mags[1:]))
 
     def test_zero_preactivation_guard(self):
         layer, x, y = _run_linear([[1.0, -1.0]], [1.0, 1.0])
-        assert y[0] == 0.0
-        rel = lrp_epsilon(layer, x, y, np.array([1.0]), epsilon=0.0)
-        np.testing.assert_array_equal(rel, [0.0, 0.0])
+        assert y[0, 0] == 0.0
+        rel = lrp_epsilon(layer, x, y, np.array([[1.0]]), epsilon=0.0)
+        np.testing.assert_array_equal(rel, [[0.0, 0.0]])
 
     def test_sign_zero_is_positive(self):
         # denom at y=0 must be +eps, not -eps
         layer, x, y = _run_linear([[1.0, -1.0]], [1.0, 1.0])
-        rel = lrp_epsilon(layer, x, y, np.array([1.0]), epsilon=0.5)
-        np.testing.assert_allclose(rel, [2.0, -2.0])
+        rel = lrp_epsilon(layer, x, y, np.array([[1.0]]), epsilon=0.5)
+        np.testing.assert_allclose(rel, [[2.0, -2.0]])
 
 
 class TestAlphaRule:
     def test_all_positive_matches_epsilon_zero(self):
         rng = np.random.default_rng(2)
         layer = Linear(rng.uniform(0.1, 1.0, (3, 4)), np.zeros(3))
-        x = rng.uniform(0.1, 1.0, 4)
-        y = layer.forward(x[None])[0]
-        rel_out = rng.uniform(0.0, 1.0, 3)
+        x = rng.uniform(0.1, 1.0, (1, 4))
+        y = layer.forward(x)
+        rel_out = rng.uniform(0.0, 1.0, (1, 3))
         np.testing.assert_allclose(lrp_alpha(layer, x, y, rel_out, alpha=1.0),
                                    lrp_epsilon(layer, x, y, rel_out, epsilon=0.0),
                                    rtol=1e-12)
@@ -80,21 +81,21 @@ class TestAlphaRule:
         rng = np.random.default_rng(3)
         for _ in range(25):
             layer = rand_linear(rng, 6, 4)
-            x = rng.standard_normal(6)
-            y = layer.forward(x[None])[0]
-            rel = lrp_alpha(layer, x, y, rng.uniform(0, 1, 4), alpha=1.0)
+            x = rng.standard_normal((1, 6))
+            y = layer.forward(x)
+            rel = lrp_alpha(layer, x, y, rng.uniform(0, 1, (1, 4)), alpha=1.0)
             assert (rel >= 0).all()
 
     def test_zero_denominator_guard(self):
         layer, x, y = _run_linear([[1.0, -1.0]], [1.0, 1.0])
-        assert y[0] == 0.0
-        rel = lrp_alpha(layer, x, y, np.array([1.0]), alpha=1.0)
-        np.testing.assert_array_equal(rel, [0.0, 0.0])
+        assert y[0, 0] == 0.0
+        rel = lrp_alpha(layer, x, y, np.array([[1.0]]), alpha=1.0)
+        np.testing.assert_array_equal(rel, [[0.0, 0.0]])
 
     def test_alpha_below_one_rejected(self):
         layer, x, y = _run_linear([[1.0]], [1.0])
         with pytest.raises(ConfigError):
-            lrp_alpha(layer, x, y, np.array([1.0]), alpha=0.5)
+            lrp_alpha(layer, x, y, np.array([[1.0]]), alpha=0.5)
         with pytest.raises(ConfigError):
             LrpConfig(alpha=0.5)
 
@@ -102,11 +103,11 @@ class TestAlphaRule:
         rng = np.random.default_rng(4)
         for alpha in (1.0, 1.5, 2.0):
             layer = rand_linear(rng, 5, 3, bias=True)
-            x = rng.standard_normal(5)
-            y = layer.forward(x[None])[0]
-            rel_out = rng.standard_normal(3)
-            got = lrp_alpha(layer, x, y, rel_out, alpha=alpha)
-            want = dense_alpha_oracle(layer.weight, x, y, rel_out, alpha)
+            x = rng.standard_normal((1, 5))
+            y = layer.forward(x)
+            rel_out = rng.standard_normal((1, 3))
+            got = lrp_alpha(layer, x, y, rel_out, alpha=alpha)[0]
+            want = dense_alpha_oracle(layer.weight, x[0], y[0], rel_out[0], alpha)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -118,8 +119,8 @@ class TestConvAgainstUnrolledDense:
         rng = np.random.default_rng(5)
         conv = rand_conv(rng, 2, 3, 2, stride=stride, padding=padding, bias=True)
         in_shape = (2, 4, 4)
-        x = rng.standard_normal(in_shape)
-        y = conv.forward(x[None])[0]
+        x = rng.standard_normal((1,) + in_shape)
+        y = conv.forward(x)
         rel_out = rng.standard_normal(y.shape)
         got = lrp_epsilon(conv, x, y, rel_out, epsilon=0.001)
         weight, _ = unrolled_dense(conv, in_shape)
@@ -131,8 +132,8 @@ class TestConvAgainstUnrolledDense:
         rng = np.random.default_rng(6)
         conv = rand_conv(rng, 2, 2, 3, stride=1, padding=1, bias=True)
         in_shape = (2, 4, 4)
-        x = rng.standard_normal(in_shape)
-        y = conv.forward(x[None])[0]
+        x = rng.standard_normal((1,) + in_shape)
+        y = conv.forward(x)
         rel_out = rng.standard_normal(y.shape)
         got = lrp_alpha(conv, x, y, rel_out, alpha=alpha)
         weight, _ = unrolled_dense(conv, in_shape)
@@ -142,45 +143,45 @@ class TestConvAgainstUnrolledDense:
 
 class TestPassthrough:
     def test_relu_unchanged(self):
-        rel = lrp_passthrough(ReLU(), np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(rel, [1.0, 2.0])
+        rel = lrp_passthrough(ReLU(), np.array([[-1.0, 2.0]]), np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(rel, [[1.0, 2.0]])
 
     def test_flatten_reshapes(self):
-        x = np.zeros((2, 2, 2))
-        rel = lrp_passthrough(Flatten(), x, np.arange(8.0))
-        np.testing.assert_array_equal(rel, np.arange(8.0).reshape(2, 2, 2))
+        x = np.zeros((1, 2, 2, 2))
+        rel = lrp_passthrough(Flatten(), x, np.arange(8.0).reshape(1, 8))
+        np.testing.assert_array_equal(rel, np.arange(8.0).reshape(1, 2, 2, 2))
 
     def test_maxpool_winner(self):
-        x = np.array([[[1.0, 5.0], [2.0, 3.0]]])
-        rel = lrp_passthrough(MaxPool2d(2), x, np.array([[[4.0]]]))
-        np.testing.assert_array_equal(rel, [[[0.0, 4.0], [0.0, 0.0]]])
+        x = np.array([[[[1.0, 5.0], [2.0, 3.0]]]])
+        rel = lrp_passthrough(MaxPool2d(2), x, np.array([[[[4.0]]]]))
+        np.testing.assert_array_equal(rel, [[[[0.0, 4.0], [0.0, 0.0]]]])
 
     def test_maxpool_tie_lowest_index(self):
-        x = np.array([[[7.0, 7.0], [7.0, 7.0]]])
-        rel = lrp_passthrough(MaxPool2d(2), x, np.array([[[4.0]]]))
-        np.testing.assert_array_equal(rel, [[[4.0, 0.0], [0.0, 0.0]]])
+        x = np.array([[[[7.0, 7.0], [7.0, 7.0]]]])
+        rel = lrp_passthrough(MaxPool2d(2), x, np.array([[[[4.0]]]]))
+        np.testing.assert_array_equal(rel, [[[[4.0, 0.0], [0.0, 0.0]]]])
 
     def test_avgpool_equal_inputs(self):
-        x = np.full((1, 2, 2), 3.0)
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[4.0]]]))
-        np.testing.assert_allclose(rel, np.ones((1, 2, 2)))
+        x = np.full((1, 1, 2, 2), 3.0)
+        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[4.0]]]]))
+        np.testing.assert_allclose(rel, np.ones((1, 1, 2, 2)))
 
     def test_avgpool_proportional(self):
-        x = np.array([[[1.0, 3.0], [0.0, 0.0]]])
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[8.0]]]))
-        np.testing.assert_allclose(rel, [[[2.0, 6.0], [0.0, 0.0]]])
+        x = np.array([[[[1.0, 3.0], [0.0, 0.0]]]])
+        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[8.0]]]]))
+        np.testing.assert_allclose(rel, [[[[2.0, 6.0], [0.0, 0.0]]]])
 
     def test_avgpool_zero_sum_window_splits_equally(self):
-        x = np.array([[[1.0, -1.0], [0.0, 0.0]]])
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[4.0]]]))
-        np.testing.assert_allclose(rel, np.full((1, 2, 2), 1.0))
+        x = np.array([[[[1.0, -1.0], [0.0, 0.0]]]])
+        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[4.0]]]]))
+        np.testing.assert_allclose(rel, np.full((1, 1, 2, 2), 1.0))
         assert rel.sum() == pytest.approx(4.0)
 
     def test_avgpool_equal_variant(self):
-        x = np.array([[[1.0, 3.0], [0.0, 4.0]]])
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[8.0]]]),
+        x = np.array([[[[1.0, 3.0], [0.0, 4.0]]]])
+        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[8.0]]]]),
                               avgpool_rule="equal")
-        np.testing.assert_allclose(rel, np.full((1, 2, 2), 2.0))
+        np.testing.assert_allclose(rel, np.full((1, 1, 2, 2), 2.0))
 
 
 class TestLrpBackward:
@@ -188,23 +189,23 @@ class TestLrpBackward:
         rng = np.random.default_rng(7)
         layer = rand_linear(rng, 6, 3, bias=False)
         net = Network((6,), [layer])
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
         out, trace = net.forward_recorded(x)
-        rtrace = lrp_backward(net, trace, np.array([1.0, 2.0, -1.0]),
-                              LrpConfig(epsilon=0.0))
-        assert rtrace.input_relevance.sum() == pytest.approx(2.0, rel=1e-10)
+        rels = lrp_backward(net, trace, np.array([[1.0, 2.0, -1.0]]),
+                            LrpConfig(epsilon=0.0))
+        assert rels[0].sum() == pytest.approx(2.0, rel=1e-10)
 
     def test_conservation_random_nets(self):
         rng = np.random.default_rng(8)
         cfg = LrpConfig(epsilon=0.0, alpha=1.0)
         for _ in range(40):
             net = conservation_net(rng, bias=False)
-            x = rng.standard_normal(net.input_shape)
+            x = rng.standard_normal((1,) + net.input_shape)
             out, trace = net.forward_recorded(x)
             rel_out = rng.standard_normal(out.shape)
-            rtrace = lrp_backward(net, trace, rel_out, cfg)
+            rel_in = lrp_backward(net, trace, rel_out, cfg)[0]
             total = rel_out.sum()
-            assert abs(rtrace.input_relevance.sum() - total) <= 1e-5 * max(abs(total), 1e-12)
+            assert abs(rel_in.sum() - total) <= 1e-5 * max(abs(total), 1e-12)
 
     def test_gradient_times_input_equivalence(self):
         # init relevance with one logit's value: rel_in == x * d(logit)/dx
@@ -212,16 +213,16 @@ class TestLrpBackward:
         cfg = LrpConfig(epsilon=1e-9)
         for _ in range(20):
             net = relu_tower(rng, depth=int(rng.integers(1, 4)), in_dim=int(rng.integers(3, 7)))
-            x = rng.standard_normal(net.input_shape)
+            x = rng.standard_normal((1,) + net.input_shape)
             out, trace = net.forward_recorded(x)
             c = int(rng.integers(0, out.size))
             rel_out = np.zeros_like(out)
-            rel_out[c] = out[c]
-            rtrace = lrp_backward(net, trace, rel_out, cfg)
+            rel_out[0, c] = out[0, c]
+            rel_in = lrp_backward(net, trace, rel_out, cfg)[0]
             cot = np.zeros_like(out)
-            cot[c] = 1.0
+            cot[0, c] = 1.0
             grad_in, _ = net.backward_grad(trace, cot)
-            np.testing.assert_allclose(rtrace.input_relevance, grad_in * x,
+            np.testing.assert_allclose(rel_in, grad_in * x,
                                        rtol=1e-4, atol=1e-10)
 
     def test_gradient_times_input_with_conv_and_pools(self):
@@ -231,20 +232,19 @@ class TestLrpBackward:
         net = Network((2, 6, 6), [rand_conv(rng, 2, 3, 3, padding=1, bias=False), ReLU(),
                                   MaxPool2d(2), Flatten(),
                                   rand_linear(rng, 27, 4, bias=False)])
-        x = rng.standard_normal(net.input_shape)
+        x = rng.standard_normal((1,) + net.input_shape)
         out, trace = net.forward_recorded(x)
         cot = rng.standard_normal(out.shape)
-        rtrace = lrp_backward(net, trace, out * cot, cfg)
+        rel_in = lrp_backward(net, trace, out * cot, cfg)[0]
         grad_in, _ = net.backward_grad(trace, cot)
-        np.testing.assert_allclose(rtrace.input_relevance, grad_in * x,
+        np.testing.assert_allclose(rel_in, grad_in * x,
                                    rtol=1e-4, atol=1e-10)
 
     def test_zero_relevance_stays_zero(self):
         rng = np.random.default_rng(11)
         net = conservation_net(rng)
-        _, trace = net.forward_recorded(rng.standard_normal(net.input_shape))
-        rtrace = lrp_backward(net, trace, np.zeros(net.output_shape))
-        for rel in rtrace.relevances:
+        _, trace = net.forward_recorded(rng.standard_normal((1,) + net.input_shape))
+        for rel in lrp_backward(net, trace, np.zeros((1,) + net.output_shape)):
             assert not rel.any()
 
     def test_trace_shapes_align(self):
@@ -253,24 +253,25 @@ class TestLrpBackward:
                                   AvgPool2d(2), Flatten(), rand_linear(rng, 27, 4)])
         x = rng.standard_normal((3,) + net.input_shape)
         out, trace = net.forward_recorded(x)
-        rtrace = lrp_backward(net, trace, rng.standard_normal(out.shape))
-        for entry, rel in zip(trace.entries, rtrace.relevances):
+        rels = lrp_backward(net, trace, rng.standard_normal(out.shape))
+        assert len(rels) == len(trace.entries) + 1
+        for entry, rel in zip(trace.entries, rels):
             assert rel.shape == entry.input.shape
 
     def test_missing_rule_is_config_error(self):
         rng = np.random.default_rng(13)
         net = Network((1, 4, 4), [rand_conv(rng, 1, 2, 3)])
-        _, trace = net.forward_recorded(rng.standard_normal((1, 4, 4)))
+        _, trace = net.forward_recorded(rng.standard_normal((1, 1, 4, 4)))
         cfg = LrpConfig(rule_map={"linear": "epsilon"})
         with pytest.raises(ConfigError):
-            lrp_backward(net, trace, np.ones(net.output_shape), cfg)
+            lrp_backward(net, trace, np.ones((1,) + net.output_shape), cfg)
 
     def test_relevance_shape_mismatch(self):
         rng = np.random.default_rng(14)
         net = Network((3,), [rand_linear(rng, 3, 2)])
-        _, trace = net.forward_recorded(rng.standard_normal(3))
+        _, trace = net.forward_recorded(rng.standard_normal((1, 3)))
         with pytest.raises(ContractError):
-            lrp_backward(net, trace, np.ones(3))
+            lrp_backward(net, trace, np.ones((1, 3)))
 
 
 class TestNormalizeRelevance:

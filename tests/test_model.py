@@ -33,8 +33,8 @@ class TestBuilders:
         rng = np.random.default_rng(0)
         enc = build_encoder((3, 32, 32), rng)
         assert enc.output_shape == (32, 4, 4)
-        out = enc.forward(rng.normal(size=(3, 32, 32)))
-        assert out.shape == (32, 4, 4)
+        out = enc.forward(rng.normal(size=(1, 3, 32, 32)))
+        assert out.shape == (1, 32, 4, 4)
 
     def test_encoder_width_and_size_options(self):
         rng = np.random.default_rng(1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from egt.errors import ContractError, NumericError
+from egt.lrp import lrp_backward
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU, describe_layer, he_uniform,
                            layer_from_description, sgd_step)
@@ -15,20 +16,20 @@ from util_nets import central_diff, max_rel_err, rand_conv, rand_linear
 class TestForward:
     def test_identity_linear(self):
         net = Network((3,), [Linear(np.eye(3), np.zeros(3))])
-        np.testing.assert_array_equal(net.forward(np.array([1.0, 2.0, 3.0])),
-                                      [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(net.forward(np.array([[1.0, 2.0, 3.0]])),
+                                      [[1.0, 2.0, 3.0]])
 
     def test_relu(self):
         net = Network((3,), [ReLU()])
-        np.testing.assert_array_equal(net.forward(np.array([-1.0, 0.0, 2.0])),
-                                      [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(net.forward(np.array([[-1.0, 0.0, 2.0]])),
+                                      [[0.0, 0.0, 2.0]])
 
     def test_one_by_one_conv(self):
         # weight 2, bias 1 on a 2x2 map of ones -> map of 3s
         conv = Conv2d(np.full((1, 1, 1, 1), 2.0), np.array([1.0]))
         net = Network((1, 2, 2), [conv])
-        np.testing.assert_allclose(net.forward(np.ones((1, 2, 2))),
-                                   np.full((1, 2, 2), 3.0))
+        np.testing.assert_allclose(net.forward(np.ones((1, 1, 2, 2))),
+                                   np.full((1, 1, 2, 2), 3.0))
 
     def test_conv_matches_unrolled_dense(self):
         rng = np.random.default_rng(11)
@@ -37,28 +38,29 @@ class TestForward:
             in_shape = (2, 5, 5)
             from util_nets import unrolled_dense
             weight, bias = unrolled_dense(conv, in_shape)
-            x = rng.standard_normal(in_shape)
+            x = rng.standard_normal((1,) + in_shape)
             got = Network(in_shape, [conv]).forward(x).ravel()
             np.testing.assert_allclose(got, weight @ x.ravel() + bias, rtol=1e-12)
 
     def test_maxpool_avgpool_values(self):
-        x = np.array([[[1.0, 5.0], [2.0, 3.0]]])
-        assert Network((1, 2, 2), [MaxPool2d(2)]).forward(x)[0, 0, 0] == 5.0
-        assert Network((1, 2, 2), [AvgPool2d(2)]).forward(x)[0, 0, 0] == 2.75
+        x = np.array([[[[1.0, 5.0], [2.0, 3.0]]]])
+        assert Network((1, 2, 2), [MaxPool2d(2)]).forward(x)[0, 0, 0, 0] == 5.0
+        assert Network((1, 2, 2), [AvgPool2d(2)]).forward(x)[0, 0, 0, 0] == 2.75
 
     def test_flatten(self):
-        x = np.arange(8.0).reshape(2, 2, 2)
+        x = np.arange(16.0).reshape(2, 2, 2, 2)
         np.testing.assert_array_equal(Network((2, 2, 2), [Flatten()]).forward(x),
-                                      np.arange(8.0))
+                                      np.arange(16.0).reshape(2, 8))
 
     def test_batched_matches_per_sample(self):
+        # rows are independent: a batch equals its rows run as one-row batches
         rng = np.random.default_rng(0)
         net = Network((2, 6, 6), [rand_conv(rng, 2, 3, 3, padding=1), ReLU(),
                                   MaxPool2d(2), Flatten(),
                                   rand_linear(rng, 3 * 9, 4)])
         xs = rng.standard_normal((5, 2, 6, 6))
         batched = net.forward(xs)
-        stacked = np.stack([net.forward(x) for x in xs])
+        stacked = np.concatenate([net.forward(xs[i:i + 1]) for i in range(len(xs))])
         np.testing.assert_allclose(batched, stacked, rtol=1e-12)
 
     def test_shape_chain_error_names_layer(self):
@@ -69,34 +71,47 @@ class TestForward:
     def test_input_shape_mismatch(self):
         net = Network((4,), [Linear(np.ones((3, 4)), np.zeros(3))])
         with pytest.raises(ContractError):
-            net.forward(np.ones(5))
+            net.forward(np.ones((1, 5)))
+
+    def test_unbatched_input_rejected(self):
+        # every entry point takes a leading row axis; one bare sample is refused
+        net = Network((1, 2, 2), [Flatten(), Linear(np.ones((3, 4)), np.zeros(3))])
+        with pytest.raises(ContractError, match=r"\(B, 1, 2, 2\)"):
+            net.forward(np.ones((1, 2, 2)))
+        with pytest.raises(ContractError, match=r"\(B, 1, 2, 2\)"):
+            net.forward_recorded(np.ones((1, 2, 2)))
+        _, trace = net.forward_recorded(np.ones((1, 1, 2, 2)))
+        with pytest.raises(ContractError, match="grad_out shape"):
+            net.backward_grad(trace, np.ones(3))
+        with pytest.raises(ContractError, match="output relevance shape"):
+            lrp_backward(net, trace, np.ones(3))
 
     def test_non_finite_output_rejected(self):
         net = Network((2,), [Linear(np.full((1, 2), 1e308), np.zeros(1))])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            net.forward(np.full(2, 1e308))
+            net.forward(np.full((1, 2), 1e308))
 
 
 class TestBackwardHandValues:
     def test_linear_example(self):
         net = Network((2,), [Linear(np.array([[0.5, 0.25]]), np.zeros(1))])
-        out, trace = net.forward_recorded(np.array([1.0, 2.0]))
-        grad_in, grads = net.backward_grad(trace, np.array([1.0]))
-        np.testing.assert_allclose(grad_in, [0.5, 0.25])
+        out, trace = net.forward_recorded(np.array([[1.0, 2.0]]))
+        grad_in, grads = net.backward_grad(trace, np.array([[1.0]]))
+        np.testing.assert_allclose(grad_in, [[0.5, 0.25]])
         np.testing.assert_allclose(grads[0]["weight"], [[1.0, 2.0]])
         np.testing.assert_allclose(grads[0]["bias"], [1.0])
 
     def test_relu_gating(self):
         net = Network((2,), [ReLU()])
-        _, trace = net.forward_recorded(np.array([-1.0, 2.0]))
-        grad_in, _ = net.backward_grad(trace, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(grad_in, [0.0, 1.0])
+        _, trace = net.forward_recorded(np.array([[-1.0, 2.0]]))
+        grad_in, _ = net.backward_grad(trace, np.array([[1.0, 1.0]]))
+        np.testing.assert_array_equal(grad_in, [[0.0, 1.0]])
 
     def test_zero_cotangent_zero_grads(self):
         rng = np.random.default_rng(3)
         net = Network((3,), [rand_linear(rng, 3, 4), ReLU(), rand_linear(rng, 4, 2)])
-        _, trace = net.forward_recorded(rng.standard_normal(3))
-        grad_in, grads = net.backward_grad(trace, np.zeros(2))
+        _, trace = net.forward_recorded(rng.standard_normal((1, 3)))
+        grad_in, grads = net.backward_grad(trace, np.zeros((1, 2)))
         assert not grad_in.any()
         assert not grads[0]["weight"].any() and not grads[2]["bias"].any()
 
@@ -141,8 +156,8 @@ class TestGradientFiniteDifference:
                                   MaxPool2d(2), rand_conv(rng, 4, 3, 3, padding=1),
                                   ReLU(), AvgPool2d(2), Flatten(),
                                   rand_linear(rng, 3 * 4, 5)])
-        x = rng.standard_normal((2, 8, 8))
-        cot = rng.standard_normal(5)
+        x = rng.standard_normal((1, 2, 8, 8))
+        cot = rng.standard_normal((1, 5))
 
         def loss():
             return float((net.forward(x) * cot).sum())

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from egt.data import LabeledImageSet, sample_episode
+from egt.data import GeneratorSpec, LabeledImageSet, sample_episode
 from egt.errors import ConfigError, ContractError
 from egt.heads import (
+    CosineHead,
     class_prototypes,
     cosine_explain,
     cosine_scores,
@@ -23,7 +24,6 @@ from egt.training import (
     TrainConfig,
     cross_entropy,
     default_loss_weights,
-    egt_loss,
     episode_gradients,
     lrp_weights,
     train,
@@ -121,12 +121,6 @@ class TestOps:
         got = cross_entropy(0, np.array([0.0, 1.0]))
         assert got == pytest.approx(-math.log(1e-12))
 
-    def test_egt_loss_combines(self):
-        p = np.array([0.5, 0.5])
-        p2 = np.array([0.25, 0.75])
-        got = egt_loss(0, p, p2, xi=2.0, lam=1.0)
-        assert got == pytest.approx(2.0 * math.log(2.0) + math.log(4.0))
-
     def test_lrp_weights_range(self):
         rel = np.array([1.0, -1.0, 0.0, 0.25])
         np.testing.assert_allclose(lrp_weights(rel), [2.0, 0.0, 1.0, 1.25])
@@ -163,6 +157,16 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(momentum=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make,field", [
+        (TrainConfig, "lr"), (TrainConfig, "xi"), (TrainConfig, "lam"),
+        (TrainConfig, "momentum"), (TrainConfig, "lr_decay"),
+        (LrpConfig, "epsilon"), (LrpConfig, "alpha"),
+        (GeneratorSpec, "min_channel_gap"), (CosineHead, "beta")])
+    def test_non_finite_float_rejected(self, make, field, value):
+        with pytest.raises(ConfigError, match=field):
+            make(**{field: value})
 
     def test_defaults_valid(self):
         cfg = TrainConfig()
@@ -246,7 +250,7 @@ class TestGradientsAgainstFiniteDifferences:
         init = np.zeros((n * way, 1))
         rows = np.arange(n) * way + winners
         init[rows, 0] = logits0[:, 0].reshape(n, way)[np.arange(n), winners]
-        rel = lrp_backward(model.head.net, trace0, init, lrp_cfg).relevances[0]
+        rel = lrp_backward(model.head.net, trace0, init, lrp_cfg)[0]
         w0 = np.stack([1.0 + normalize_relevance(rel[r]) for r in rows])
 
         def frozen_loss():
