@@ -99,14 +99,36 @@ def _config_value(action: argparse.Action, key: str, value):
     return check(value)
 
 
+# Keys that config files echoed before an option's removal still carry,
+# with the one value the remaining code implements.
+_RETIRED = {"train": {"explain_variant": "query", "exact_weight_grad": False}}
+
+# Numeric settings whose type admits values no run can use:
+# key -> (accepts, what is accepted).
+_RANGES = {
+    "way": (lambda v: v >= 2, "at least 2"),
+    "shot": (lambda v: v >= 1, "at least 1"),
+    "queries": (lambda v: v >= 1, "at least 1"),
+    "episodes": (lambda v: v >= 1, "at least 1"),
+    "hidden": (lambda v: v >= 1, "at least 1"),
+    "widths": (lambda v: min(_parse_ints(v, "widths")) >= 1, "a list of positive ints"),
+    "blend": (lambda v: 0 <= v <= 1, "between 0 and 1"),
+    "limit": (lambda v: v == 0 or v >= 2, "0 (all images) or at least 2"),
+    "seed": (lambda v: v >= 0, "at least 0"),
+}
+
+
 def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
     """Merge flag values over defaults, or load them from --config.
 
-    Loaded values are checked against the flags they stand for.  Keys
-    listed in ``optional`` may resolve to None; every other key must
-    end up with a concrete value.
+    Loaded values are checked against the flags they stand for, and
+    every value against its range in ``_RANGES``.  A retired key loads
+    only with the value its option's removal kept.  Keys listed in
+    ``optional`` may resolve to None; every other key must end up with a
+    concrete value.
     """
     provided = {k: getattr(args, k) for k in defaults}
+    actions = {a.dest: a for a in args.parser._actions}
     if args.config is not None:
         given = [k for k, v in provided.items() if v is not None]
         if given:
@@ -117,10 +139,14 @@ def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object of settings")
         loaded.pop("command", None)
+        for key, kept in _RETIRED.get(args.command, {}).items():
+            shown = json.dumps(loaded.pop(key, kept))
+            if shown != json.dumps(kept):
+                raise ConfigError(f"config key {key!r}: the option was removed and only "
+                                  f"{json.dumps(kept)} remains, got {shown}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
-        actions = {a.dest: a for a in args.parser._actions}
         params = dict(defaults)
         params.update({k: _config_value(actions[k], k, v) for k, v in loaded.items()})
     else:
@@ -130,6 +156,12 @@ def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
                if v is None and k not in optional]
     if missing:
         raise ConfigError(f"missing required settings: {sorted(missing)}")
+    for key in sorted(params.keys() & _RANGES.keys()):
+        accepts, what = _RANGES[key]
+        if not accepts(params[key]):
+            name = (f"config key {key!r}" if args.config is not None
+                    else f"argument {actions[key].option_strings[0]}")
+            raise ConfigError(f"{name}: must be {what}, got {params[key]!r}")
     return params
 
 
@@ -190,7 +222,6 @@ def _train_config(params: dict, head_kind: str) -> TrainConfig:
         episodes_per_epoch=int(params["episodes_per_epoch"]),
         lr_decay=float(params["lr_decay"]),
         lr_decay_every=int(params["lr_decay_every"]),
-        stop_gradient_through_weights=not bool(params["exact_weight_grad"]),
         lrp=lrp_cfg)
 
 
@@ -200,8 +231,7 @@ def _cmd_train(args) -> int:
                 "episodes_per_epoch": 100, "lr": 1e-3, "momentum": 0.9,
                 "xi": None, "lam": None, "beta": None, "epsilon": 0.001,
                 "alpha": 1.0, "lr_decay": 0.5, "lr_decay_every": 40,
-                "seed": 0, "widths": "8,16,32", "hidden": 64,
-                "explain_variant": "query", "exact_weight_grad": False}
+                "seed": 0, "widths": "8,16,32", "hidden": 64}
     params = _resolve_params(args, defaults, optional=("xi", "lam", "beta"))
     _require_dir(params["out"], "output")
 
@@ -215,7 +245,6 @@ def _cmd_train(args) -> int:
         params["head"], data.image_shape, rng_model,
         widths=_parse_ints(params["widths"], "widths"),
         beta=None if params["beta"] is None else float(params["beta"]),
-        explain_variant=str(params["explain_variant"]),
         hidden=int(params["hidden"]))
     params["beta"] = model.head.beta
 
@@ -386,10 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int)
     tr.add_argument("--widths")
     tr.add_argument("--hidden", type=int)
-    tr.add_argument("--explain-variant", dest="explain_variant",
-                    choices=["query", "both-normalized"])
-    tr.add_argument("--exact-weight-grad", dest="exact_weight_grad",
-                    action="store_const", const=True)
     tr.set_defaults(func=_cmd_train)
 
     ev = commands.add_parser("eval",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -127,14 +128,19 @@ def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
     """Accuracy over freshly sampled episodes with a 95% interval.
 
     Episodes are drawn from ``rng`` in the same order whatever
-    ``workers`` is, so the result does not depend on it.  The serial
-    path samples each episode just before scoring it and holds one at a
-    time; the parallel path samples all of them up front and splits only
-    the scoring work into chunks.
+    ``workers`` is, so the result does not depend on it.  The pool runs
+    at most ``min(workers, cpu count, episodes)`` processes; one
+    process means no pool.  The serial path samples each episode just
+    before scoring it and holds one at a time; the parallel path samples
+    all of them up front and splits only the scoring work into chunks.
+    ``config["workers"]`` records the processes used.
     """
     if episodes < 1:
         raise ContractError("need at least one evaluation episode")
-    if workers <= 1:
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1, episodes)
+    if workers == 1:
         accs = [episode_accuracy(model, sample_episode(data, way, shot, n_query, rng),
                                  transductive) for _ in range(episodes)]
     else:

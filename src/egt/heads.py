@@ -11,12 +11,12 @@ Both heads speak one protocol, shared by ``model.probs_from_maps``
 * :func:`lrp_through_head` carries it across the head onto the
   processed classifier input f_p, for one target class per query.
 
-The cosine head scores the flattened maps by cosine similarity and
-starts from the log-odds ratio against chance level (a non-parametric
-classifier has no logits); its f_p is the query vector.  The relation
-head scores each channel-wise concatenated (prototype, query) pair with
-a small trained network whose raw logits double as the relevance
-initialization; its f_p is the pair.
+The cosine head scores the flattened maps by cosine similarity, starts
+from the log-odds against chance (it has no logits) and explains with
+one rule, epsilon over the terms q_i * phat_i; its f_p is the query
+vector.  The relation head scores each channel-wise concatenated
+(prototype, query) pair with a small trained network whose raw logits
+double as the relevance initialization; its f_p is the pair.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ Array = np.ndarray
 
 PROB_CLAMP_HIGH = 1.0 - 1e-7
 PROB_CLAMP_LOW = 1e-12
-
-COSINE_EXPLAIN_VARIANTS = ("query", "both-normalized")
 
 
 def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
@@ -102,17 +100,13 @@ def relation_pairs(protos: Array, query_maps: Array) -> Array:
 
 
 def cosine_explain(query_feat: Array, proto: Array, relevance: float,
-                   epsilon: float, variant: str = "query") -> Array:
+                   epsilon: float) -> Array:
     """Epsilon rule over one cosine similarity's contribution terms.
 
     The target-class similarity is treated as a linear form over the
     contributions q_i * phat_i (prototype normalized, the query-norm
-    factor held constant).  ``variant="both-normalized"`` instead uses
-    contributions of the fully normalized product qhat_i * phat_i; it
-    is exposed for experimentation without a correctness claim.
+    factor held constant).
     """
-    if variant not in COSINE_EXPLAIN_VARIANTS:
-        raise ConfigError(f"unknown cosine explain variant {variant!r}")
     q = np.asarray(query_feat, dtype=np.float64)
     p = np.asarray(proto, dtype=np.float64)
     if q.shape != p.shape:
@@ -120,14 +114,7 @@ def cosine_explain(query_feat: Array, proto: Array, relevance: float,
     pn = np.linalg.norm(p)
     if pn == 0:
         raise NumericError("zero-norm prototype in cosine explanation")
-    phat = p / pn
-    if variant == "both-normalized":
-        qn = np.linalg.norm(q)
-        if qn == 0:
-            raise NumericError("zero-norm query in cosine explanation")
-        contrib = (q / qn) * phat
-    else:
-        contrib = q * phat
+    contrib = q * (p / pn)
     total = contrib.sum()
     denom = total + epsilon * (1.0 if total >= 0 else -1.0)
     if denom == 0.0:
@@ -140,14 +127,11 @@ class CosineHead:
     """Non-parametric prototype head: cosine scores, beta-scaled softmax."""
 
     beta: float = 7.0
-    explain_variant: str = "query"
     kind: str = "cosine"
 
     def __post_init__(self) -> None:
         if not 0 < self.beta < math.inf:
             raise ConfigError(f"beta must be positive and finite, got {self.beta}")
-        if self.explain_variant not in COSINE_EXPLAIN_VARIANTS:
-            raise ConfigError(f"unknown cosine explain variant {self.explain_variant!r}")
 
     def scores(self, protos: Array, query_maps: Array) -> tuple[Array, None]:
         """Cosine similarity of the flattened maps: ``[n, K]``, no trace."""
@@ -210,8 +194,7 @@ def lrp_through_head(head, protos: Array, query_maps: Array, trace: ForwardTrace
     if isinstance(head, CosineHead):
         q, p = np.asarray(query_maps), np.asarray(protos)
         return np.stack([
-            cosine_explain(q[i].reshape(-1), p[t].reshape(-1), relevance_init[i, t],
-                           cfg.epsilon, head.explain_variant)
+            cosine_explain(q[i].reshape(-1), p[t].reshape(-1), relevance_init[i, t], cfg.epsilon)
             for i, t in enumerate(targets)])
     if isinstance(head, RelationHead):
         rows = np.arange(n) * way + targets

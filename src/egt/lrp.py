@@ -41,7 +41,6 @@ from .tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, Linear,
 Array = np.ndarray
 
 _PARAM_RULES = ("epsilon", "alpha")
-_AVGPOOL_RULES = ("proportional", "equal")
 
 
 def default_rule_map() -> dict[str, str]:
@@ -55,7 +54,6 @@ class LrpConfig:
     epsilon: float = 0.001
     alpha: float = 1.0
     rule_map: dict[str, str] = field(default_factory=default_rule_map)
-    avgpool_rule: str = "proportional"
 
     def __post_init__(self) -> None:
         if not 0 <= self.epsilon < math.inf:
@@ -67,8 +65,6 @@ class LrpConfig:
                 raise ConfigError(f"rule_map keys must be linear/conv2d, got {kind!r}")
             if rule not in _PARAM_RULES:
                 raise ConfigError(f"unknown relevance rule {rule!r} for {kind!r}")
-        if self.avgpool_rule not in _AVGPOOL_RULES:
-            raise ConfigError(f"unknown avgpool rule {self.avgpool_rule!r}")
 
     def rule_for(self, kind: str) -> str:
         try:
@@ -90,9 +86,23 @@ def _adjoint(layer: Linear | Conv2d, s: Array, in_shape: tuple[int, ...],
     return layer.grad_input(s, in_shape, weight=weight)
 
 
+def _check_rows(layer, x: Array, *outs: Array) -> None:
+    """Refuse ``x`` unless it is rows ``(B, *in_shape)``, ``outs`` unless ``(B, *out_shape)``."""
+    try:
+        if x.ndim < 2:
+            raise ContractError("no row axis")
+        rows = (x.shape[0],) + layer.out_shape(x.shape[1:])
+    except ContractError as err:
+        raise ContractError(f"{layer.kind} input {x.shape} is not rows (B, ...): {err}") from None
+    if any(out.shape != rows for out in outs):
+        raise ContractError(f"{layer.kind} output shapes {[out.shape for out in outs]} "
+                            f"must all be {rows} for input {x.shape}")
+
+
 def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
                 epsilon: float) -> Array:
     """Epsilon rule for a linear map (dense or convolutional)."""
+    _check_rows(layer, x, y, rel_out)
     if not epsilon >= 0:
         raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
     denom = y + epsilon * np.where(y >= 0, 1.0, -1.0)
@@ -103,6 +113,7 @@ def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
 def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
               alpha: float) -> Array:
     """Alpha rule with sign-split contributions and recorded denominators."""
+    _check_rows(layer, x, y, rel_out)
     if not alpha >= 1:
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
     xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
@@ -115,9 +126,9 @@ def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
     return alpha * pos - (alpha - 1.0) * neg
 
 
-def lrp_passthrough(layer, x: Array, rel_out: Array, *,
-                    avgpool_rule: str = "proportional") -> Array:
+def lrp_passthrough(layer, x: Array, rel_out: Array) -> Array:
     """Relevance through parameter-free layers."""
+    _check_rows(layer, x, rel_out)
     if isinstance(layer, ReLU):
         return rel_out.copy()
     if isinstance(layer, Flatten):
@@ -126,16 +137,10 @@ def lrp_passthrough(layer, x: Array, rel_out: Array, *,
         return layer.backward(x, rel_out)[0]
     if not isinstance(layer, AvgPool2d):
         raise ConfigError(f"layer kind {layer.kind!r} has no pass-through rule")
-    if avgpool_rule not in _AVGPOOL_RULES:
-        raise ConfigError(f"unknown avgpool rule {avgpool_rule!r}")
-    k2 = layer.kernel * layer.kernel
     win_x = layer.windows(x)
-    if avgpool_rule == "equal":
-        ratio = np.full_like(win_x, 1.0 / k2)
-    else:
-        sums = win_x.sum(axis=2, keepdims=True)
-        ratio = _safe_div(win_x, sums, sums != 0)
-        ratio += (sums == 0) * (1.0 / k2)
+    sums = win_x.sum(axis=2, keepdims=True)
+    ratio = _safe_div(win_x, sums, sums != 0)
+    ratio += (sums == 0) * (1.0 / (layer.kernel * layer.kernel))
     return _fold(ratio * rel_out[:, :, None], layer.kernel, layer.kernel,
                  layer.stride, *x.shape[2:])
 
@@ -166,7 +171,7 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
             else:
                 r = lrp_alpha(layer, entry.input, entry.output, r, cfg.alpha)
         else:
-            r = lrp_passthrough(layer, entry.input, r, avgpool_rule=cfg.avgpool_rule)
+            r = lrp_passthrough(layer, entry.input, r)
         relevances[i] = r
     if not np.isfinite(r).all():
         raise NumericError("relevance pass produced non-finite values")

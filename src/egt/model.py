@@ -8,7 +8,7 @@ into a vector; the relation head keeps the map and scores concatenated
 Checkpoint layout (EGT1):
 
     EGT1\n
-    head kind=<cosine|relation> beta=<float> [variant=<name>]\n
+    head kind=<cosine|relation> beta=<float>\n
     encoder input=<CxHxW>\n
     layer <description>\n          (one per encoder layer)
     relation input=<CxHxW>\n       (relation head only)
@@ -17,7 +17,8 @@ Checkpoint layout (EGT1):
     <raw little-endian float32 parameter blocks>
 
 Parameter blocks follow header order: encoder layers first, then
-relation layers, weight before bias within a layer.
+relation layers, weight before bias within a layer.  Older head lines
+may end in ``variant=query``, the one explanation rule; it still loads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataFormatError, parse_dims, parse_fields
 from .heads import (
-    COSINE_EXPLAIN_VARIANTS,
     CosineHead,
     RelationHead,
     class_prototypes,
@@ -128,13 +128,11 @@ def build_relation_net(pair_shape: tuple[int, int, int], rng: np.random.Generato
 
 def build_model(head_kind: str, in_shape: tuple[int, int, int],
                 rng: np.random.Generator, widths: tuple[int, ...] = DEFAULT_WIDTHS,
-                beta: float | None = None, explain_variant: str = "query",
-                hidden: int = 64) -> FewShotModel:
+                beta: float | None = None, hidden: int = 64) -> FewShotModel:
     encoder = build_encoder(in_shape, rng, widths)
     c, h, w = encoder.output_shape
     if head_kind == "cosine":
-        head = CosineHead(beta=7.0 if beta is None else beta,
-                          explain_variant=explain_variant)
+        head = CosineHead(beta=7.0 if beta is None else beta)
     elif head_kind == "relation":
         net = build_relation_net((2 * c, h, w), rng, hidden=hidden)
         head = RelationHead(net, beta=1.0 if beta is None else beta)
@@ -211,7 +209,7 @@ def save_model(model: FewShotModel, path: str) -> None:
     lines = []
     head = model.head
     if isinstance(head, CosineHead):
-        lines.append(f"head kind=cosine beta={head.beta!r} variant={head.explain_variant}")
+        lines.append(f"head kind=cosine beta={head.beta!r}")
     elif isinstance(head, RelationHead):
         lines.append(f"head kind=relation beta={head.beta!r}")
     else:
@@ -242,13 +240,10 @@ def _parse_head_line(line: str, offset: int):
     kind, beta = kv["kind"], kv["beta"]
     if not (np.isfinite(beta) and beta > 0):
         raise DataFormatError(f"head beta must be positive and finite, got {beta}", offset)
-    if kind == "cosine":
-        variant = kv.get("variant", "query")
-        if variant not in COSINE_EXPLAIN_VARIANTS:
-            raise DataFormatError(f"unknown cosine explain variant {variant!r}", offset)
-        return kind, beta, variant
-    if kind == "relation":
-        return kind, beta, None
+    if kv.get("variant", "query") != "query":
+        raise DataFormatError(f"removed explain variant {kv['variant']!r}", offset)
+    if kind in ("cosine", "relation"):
+        return kind, beta
     raise DataFormatError(f"unknown head kind {kind!r}", offset)
 
 
@@ -273,7 +268,7 @@ def load_model(path: str) -> FewShotModel:
     if not lines:
         raise DataFormatError("checkpoint header is empty")
     offset = len(CHECKPOINT_MAGIC)
-    kind, beta, variant = _parse_head_line(lines[0], offset)
+    kind, beta = _parse_head_line(lines[0], offset)
 
     sections: list[tuple[str, tuple[int, ...], list[Layer]]] = []
     current: list[Layer] | None = None
@@ -331,7 +326,7 @@ def load_model(path: str) -> FewShotModel:
                               offset=start + 4 * int(bad[0]))
 
     if kind == "cosine":
-        head: CosineHead | RelationHead = CosineHead(beta=beta, explain_variant=variant)
+        head: CosineHead | RelationHead = CosineHead(beta=beta)
     else:
         head = RelationHead(nets[1], beta=beta)
     return FewShotModel(nets[0], head)

@@ -16,10 +16,9 @@ probability is at least 1/K.  Every weight therefore lies in [1, 2].
 Negative relevance, and so a weight below 1, can only come from the
 relation head, whose LRP pass runs through signed network weights.
 
-The explanation weights are treated as constants during the backward
-pass by default (stop-gradient); the exact derivative through the
-weights is available for the cosine head via
-``stop_gradient_through_weights=False``.
+The explanation weights are constants in the backward pass
+(stop-gradient): the re-weighted loss reaches the encoder only through
+the features it multiplies, never through the explanation itself.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from .errors import ConfigError, ContractError
 
 # cosine_explain and lrp_backward are not called here; benchmarks/spans.py wraps them here.
 from .heads import (
-    PROB_CLAMP_HIGH,
-    PROB_CLAMP_LOW,
     CosineHead,
     RelationHead,
     class_prototypes,
@@ -77,7 +74,6 @@ class TrainConfig:
     episodes_per_epoch: int = 100
     lr_decay: float = 0.5
     lr_decay_every: int = 40
-    stop_gradient_through_weights: bool = True
     lrp: LrpConfig = field(default_factory=LrpConfig)
 
     def __post_init__(self) -> None:
@@ -166,57 +162,6 @@ def _cosine_branch(v: Array, protos: Array, grads: Array, scores: Array,
     return dv, dp
 
 
-def _log_odds_slope(p: float) -> float:
-    """d/dp of log(p / (1 - p) * (K - 1)) inside the clamp window, else 0."""
-    if p <= PROB_CLAMP_LOW or p >= PROB_CLAMP_HIGH:
-        return 0.0
-    return 1.0 / (p * (1.0 - p))
-
-
-def _cosine_weight_path(q: Array, protos: Array, pn: Array, u: Array, pr: Array,
-                        c: int, rc: float, rel: Array, g_qw: Array, epsilon: float,
-                        beta: float) -> tuple[Array, Array]:
-    """Exact gradient contribution through the explanation weights.
-
-    Adds the terms that the stop-gradient treatment drops: the loss also
-    depends on q and the prototypes through w = 1 + rel/max|rel|, where
-    rel is the epsilon-rule explanation of the winning cosine score and
-    ``rc`` is the winner's log-odds relevance init.  ``g_qw`` is
-    dLoss/d(q * w).  Returns extra gradients for q and for the prototype
-    matrix.
-    """
-    dq = np.zeros_like(q)
-    dp = np.zeros_like(protos)
-    if not np.any(rel):
-        return dq, dp
-    phat = protos[c] / pn[c]
-    z = q * phat
-    total = z.sum()
-    denom = total + epsilon * (1.0 if total >= 0 else -1.0)
-    if denom == 0.0:
-        return dq, dp
-    j = int(np.argmax(np.abs(rel)))
-    peak = abs(rel[j])
-    sgn = 1.0 if rel[j] >= 0 else -1.0
-    h = g_qw * q
-    t = h.copy()
-    t[j] -= (h @ rel) * sgn / peak
-    t /= peak
-    # rel = R_c * z / denom with denom = sum(z) + eps*sign
-    d_rc = (t @ z) / denom
-    dz = rc * (t / denom - (t @ z) / denom ** 2)
-    dq += dz * phat
-    dphat = dz * q
-    dp[c] += dphat / pn[c] - ((dphat @ protos[c]) / pn[c] ** 3) * protos[c]
-    # R_c path: relevance init is the log odds of the winning probability.
-    d_prc = d_rc * _log_odds_slope(float(pr[c]))
-    du = d_prc * beta * pr[c] * (np.eye(pr.shape[0])[c] - pr)
-    gq_u, gp_u = _cosine_branch(q[None], protos, du[None], u[None])
-    dq += gq_u[0]
-    dp += gp_u
-    return dq, dp
-
-
 def _merge_param_grads(a, b):
     if a is None:
         return b
@@ -262,20 +207,6 @@ def _cosine_step(head: CosineHead, proto_maps: Array, qmaps: Array, y: Array,
             gq2, gp2 = _cosine_branch(reweighted, protos, g2, scores_lrp)
             d_fq += weights * gq2
             d_protos += gp2
-            if not cfg.stop_gradient_through_weights:
-                if head.explain_variant != "query":
-                    raise ConfigError(
-                        "exact weight gradients are only implemented for the "
-                        "'query' explain variant")
-                pn = np.linalg.norm(protos, axis=1)
-                for i in range(n):
-                    c = int(winners[i])
-                    dq_x, dp_x = _cosine_weight_path(
-                        feats_q[i], protos, pn, scores[i], probs[i], c,
-                        rel_init[i, c], rels[i], gq2[i], cfg.lrp.epsilon,
-                        head.beta)
-                    d_fq[i] += dq_x
-                    d_protos += dp_x
     return (probs, probs_lrp, d_protos.reshape(proto_maps.shape),
             d_fq.reshape(qmaps.shape), None)
 
@@ -309,10 +240,6 @@ def _relation_step(head: RelationHead, protos: Array, qmaps: Array, y: Array,
         scores_lrp = logits2[:, 0].reshape(n, way)
         probs_lrp = scaled_softmax(scores_lrp, head.beta)
         if cfg.lam != 0.0:
-            if not cfg.stop_gradient_through_weights:
-                raise ConfigError(
-                    "exact weight gradients are not implemented for the "
-                    "relation head; keep stop_gradient_through_weights=True")
             g2 = _softmax_ce_grads(probs_lrp, y, head.beta, cfg.lam / n)
             gin2, pg2 = rnet.backward_grad(rtrace2, g2.reshape(n * way, 1))
             d_flat += (gin2.reshape(pairs.shape) * weights[:, None]).reshape(flat.shape)

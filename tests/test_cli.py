@@ -27,6 +27,29 @@ def _hash(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _settings(command, corpus, run_dir, out):
+    """Small valid settings for ``command``, keyed like its config file."""
+    data = str(corpus / "dark.egtd")
+    checkpoint = str(run_dir / "model.egt1")
+    return {"out": str(out), **{
+        "gen-data": {"classes": 3, "per_class": 6, "height": 16, "width": 16},
+        "train": {"data": str(corpus / "bright.egtd"), "way": 3, "shot": 2,
+                  "queries": 6, "epochs": 0, "widths": "4,8", "hidden": 8},
+        "eval": {"checkpoint": checkpoint, "data": data, "way": 3, "shot": 2,
+                 "queries": 6, "episodes": 2},
+        "explain": {"checkpoint": checkpoint, "data": data, "way": 3, "shot": 2,
+                    "queries": 6, "targets": "predicted"},
+        "stats": {"checkpoint": checkpoint, "data": data, "limit": 2},
+    }[command]}
+
+
+def _argv(command, settings):
+    argv = [command]
+    for key, value in settings.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
@@ -103,8 +126,6 @@ class TestConfigValues:
         "int-from-bad-string": ("train", {"way": "abc"}, "'way'"),
         "eval-int-from-bad-string": ("eval", {"episodes": "x"}, "'episodes'"),
         "float-from-bad-string": ("train", {"lr": "x"}, "'lr'"),
-        "const-flag-from-string": ("train", {"exact_weight_grad": "false"},
-                                   "'exact_weight_grad'"),
         "eval-const-flag-from-string": ("eval", {"transductive": "no"}, "'transductive'"),
         "float-for-int": ("train", {"epochs": 1.7}, "'epochs'"),
         "bool-for-int": ("train", {"way": True}, "'way'"),
@@ -152,16 +173,53 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
+    # name -> (command, settings that override the valid ones, key out of range)
+    OUT_OF_RANGE = {
+        "eval-way-1": ("eval", {"way": 1}, "way"),
+        "explain-shot-0": ("explain", {"shot": 0}, "shot"),
+        "eval-episodes-0": ("eval", {"episodes": 0}, "episodes"),
+        "explain-blend-above-1": ("explain", {"blend": 1.5}, "blend"),
+        "relation-hidden-0": ("train", {"head": "relation", "hidden": 0}, "hidden"),
+        "widths-with-0": ("train", {"widths": "0,8"}, "widths"),
+        "stats-limit-negative": ("stats", {"limit": -1}, "limit"),
+        "stats-limit-1": ("stats", {"limit": 1}, "limit"),
+        "eval-seed-negative": ("eval", {"seed": -1}, "seed"),
+    }
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_exits_1(self, corpus, run_dir, tmp_path, capsys, case, via):
+        command, override, key = self.OUT_OF_RANGE[case]
+        settings = {**_settings(command, corpus, run_dir, tmp_path), **override}
+        if via == "flag":
+            argv, named = _argv(command, settings), "--" + key
+        else:
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps(settings))
+            argv, named = [command, "--config", str(cfg_path)], repr(key)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "explain", "stats"])
+    def test_echo_keys_are_the_flags(self, corpus, run_dir, tmp_path, command):
+        # a setting left in a command's defaults after its flag is gone
+        # would show up in the echo but not in the parser
+        assert main(_argv(command, _settings(command, corpus, run_dir, tmp_path))) == 0
+        echoed = json.loads((tmp_path / f"{command}.config.json").read_text())
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+        dests = set(vars(sub.parse_args([]))) - {"config", "parser", "func"}
+        assert set(echoed) - {"command"} == dests
+
     def test_strings_convert_like_flags(self, corpus, tmp_path):
         cfg_path = tmp_path / "strings.json"
         cfg_path.write_text(json.dumps({
             "data": str(corpus / "bright.egtd"), "out": str(tmp_path),
             "way": "3", "shot": "2", "queries": "6", "epochs": "0", "lr": "1e-2",
-            "widths": "4,8", "exact_weight_grad": True}))
+            "widths": "4,8"}))
         assert main(["train", "--config", str(cfg_path)]) == 0
         cfg = json.loads((tmp_path / "train.config.json").read_text())
         assert (cfg["way"], cfg["epochs"], cfg["lr"]) == (3, 0, 0.01)
-        assert cfg["exact_weight_grad"] is True
 
 
 class TestTrain:
@@ -191,6 +249,30 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert _hash(tmp_path / "model.egt1") == _hash(run_dir / "model.egt1")
         assert _hash(tmp_path / "train_log.csv") == _hash(run_dir / "train_log.csv")
+
+    def test_config_with_retired_keys_reruns(self, run_dir, tmp_path):
+        # train.config.json files written while --explain-variant and
+        # --exact-weight-grad existed carry both keys at their defaults
+        cfg = json.loads((run_dir / "train.config.json").read_text())
+        assert "explain_variant" not in cfg and "exact_weight_grad" not in cfg
+        cfg.update(out=str(tmp_path), explain_variant="query", exact_weight_grad=False)
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert _hash(tmp_path / "train_log.csv") == _hash(run_dir / "train_log.csv")
+        assert _hash(tmp_path / "model.egt1") == _hash(run_dir / "model.egt1")
+
+    @pytest.mark.parametrize("key,value", [("exact_weight_grad", True),
+                                           ("explain_variant", "both-normalized")])
+    def test_retired_option_value_exits_1(self, run_dir, tmp_path, capsys, key, value):
+        cfg = json.loads((run_dir / "train.config.json").read_text())
+        cfg.update({"out": str(tmp_path), key: value})
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and "removed" in err
+        assert not (tmp_path / "train_log.csv").exists()
 
     def test_baseline_mode_zeroes_lam(self, corpus, tmp_path):
         code = main(["train", "--data", str(corpus / "bright.egtd"),
@@ -284,6 +366,8 @@ class TestEval:
         "bare-encoder-line": lambda h, p: (re.sub(rb"encoder [^\n]*", b"encoder", h, count=1), p),
         "payload-not-whole-floats": lambda h, p: (h, p + b"\x00\x00"),
         "all-nan-payload": lambda h, p: (h, np.full(len(p) // 4, np.nan, "<f4").tobytes()),
+        "retired-explain-variant": lambda h, p: (
+            re.sub(rb"(head [^\n]*)", rb"\1 variant=both-normalized", h, count=1), p),
     }
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import egt.evaluation
 from egt.data import LabeledImageSet, sample_episode
 from egt.errors import ConfigError, ContractError, DataFormatError
 from egt.evaluation import (
@@ -91,6 +92,47 @@ class TestEvaluate:
         model = _tiny_model(seed=12)
         report = evaluate(model, data, 3, 2, 6, 1, np.random.default_rng(13))
         assert report.degenerate and report.ci95 == 0.0
+
+    # (workers asked for, cpu count, episodes) -> processes used
+    POOL_SIZES = {(4, 2, 10): 2, (2, 8, 10): 2, (6, 8, 3): 3,
+                  (1, 8, 10): 1, (64, None, 10): 1}
+
+    @pytest.mark.parametrize("asked,cpus,episodes", sorted(POOL_SIZES, key=str))
+    def test_pool_is_bounded(self, monkeypatch, asked, cpus, episodes):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(egt.evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(egt.evaluation.os, "cpu_count", lambda: cpus)
+        data = _toy_set([6] * 8, seed=8)
+        model = _tiny_model(seed=9)
+        report = evaluate(model, data, 3, 2, 6, episodes, np.random.default_rng(10),
+                          workers=asked)
+        used = self.POOL_SIZES[(asked, cpus, episodes)]
+        assert report.config["workers"] == used
+        assert sizes == ([] if used == 1 else [used])
+        serial = evaluate(model, data, 3, 2, 6, episodes, np.random.default_rng(10))
+        np.testing.assert_array_equal(report.accuracies, serial.accuracies)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            evaluate(_tiny_model(seed=9), _toy_set([6] * 8, seed=8), 3, 2, 6, 2,
+                     np.random.default_rng(10), workers=workers)
 
     def test_config_echo(self):
         data = _toy_set([6] * 8, seed=14)

@@ -204,17 +204,6 @@ class TestCosineExplain:
         b = cosine_explain(q, 10.0 * p, 1.3, epsilon=0.01)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
-    def test_both_normalized_variant(self):
-        q = np.array([3.0, 4.0])
-        p = np.array([0.0, 1.0])
-        rel = cosine_explain(q, p, 1.0, epsilon=0.0, variant="both-normalized")
-        # Contributions of qhat * phat sum to the cosine itself.
-        np.testing.assert_allclose(rel, [0.0, 1.0])
-
-    def test_unknown_variant(self):
-        with pytest.raises(ConfigError, match="variant"):
-            cosine_explain(np.ones(2), np.ones(2), 1.0, 0.0, variant="raw")
-
     def test_zero_prototype_rejected(self):
         with pytest.raises(NumericError):
             cosine_explain(np.ones(3), np.zeros(3), 1.0, 0.0)
@@ -293,8 +282,6 @@ class TestHeadOutputs:
     def test_cosine_head_validation(self):
         with pytest.raises(ConfigError):
             CosineHead(beta=-1.0)
-        with pytest.raises(ConfigError):
-            CosineHead(explain_variant="bogus")
 
     def test_relation_head_output(self):
         rng = np.random.default_rng(12)

@@ -177,11 +177,43 @@ class TestPassthrough:
         np.testing.assert_allclose(rel, np.full((1, 1, 2, 2), 1.0))
         assert rel.sum() == pytest.approx(4.0)
 
-    def test_avgpool_equal_variant(self):
-        x = np.array([[[[1.0, 3.0], [0.0, 4.0]]]])
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[8.0]]]]),
-                              avgpool_rule="equal")
-        np.testing.assert_allclose(rel, np.full((1, 1, 2, 2), 2.0))
+
+class TestRowLayout:
+    """Each per-layer rule takes rows ``(B, ...)`` that agree on B."""
+
+    RULES = {
+        "epsilon": lambda layer, x, y, r: lrp_epsilon(layer, x, y, r, 0.01),
+        "alpha": lambda layer, x, y, r: lrp_alpha(layer, x, y, r, 2.0),
+        "passthrough": lambda layer, x, y, r: lrp_passthrough(layer, x, r),
+    }
+    DENSE = (lambda rng: rand_linear(rng, 6, 3), (6,))
+    CONV = (lambda rng: rand_conv(rng, 2, 3, 3, padding=1), (2, 5, 5))
+    # (rule, layer kind) -> (layer factory, input row shape)
+    CASES = {
+        ("epsilon", "linear"): DENSE, ("epsilon", "conv2d"): CONV,
+        ("alpha", "linear"): DENSE, ("alpha", "conv2d"): CONV,
+        ("passthrough", "relu"): (lambda rng: ReLU(), (4,)),
+        ("passthrough", "flatten"): (lambda rng: Flatten(), (2, 2, 2)),
+        ("passthrough", "maxpool2d"): (lambda rng: MaxPool2d(2), (2, 4, 4)),
+        ("passthrough", "avgpool2d"): (lambda rng: AvgPool2d(2), (2, 4, 4)),
+    }
+
+    @pytest.mark.parametrize("layout", ["unbatched", "rows-mismatch"])
+    @pytest.mark.parametrize("rule,kind", sorted(CASES))
+    def test_bad_layout_raises_contract_error(self, rule, kind, layout):
+        rng = np.random.default_rng(40)
+        make, row_shape = self.CASES[rule, kind]
+        layer = make(rng)
+        x = rng.uniform(size=(3,) + row_shape)
+        y = layer.forward(x)
+        r = rng.standard_normal(y.shape)
+        assert self.RULES[rule](layer, x, y, r).shape == x.shape
+        if layout == "unbatched":
+            x, y, r = x[0], y[0], r[0]
+        else:
+            r = r[:2]
+        with pytest.raises(ContractError):
+            self.RULES[rule](layer, x, y, r)
 
 
 class TestLrpBackward:

@@ -154,13 +154,36 @@ class TestCheckpoint:
 
     def test_head_meta_survives(self, tmp_path):
         rng = np.random.default_rng(11)
-        model = build_model("cosine", (1, 16, 16), rng, widths=(4, 8),
-                            beta=3.25, explain_variant="both-normalized")
+        model = build_model("cosine", (1, 16, 16), rng, widths=(4, 8), beta=3.25)
         path = str(tmp_path / "m.egt1")
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.head.beta == 3.25
-        assert loaded.head.explain_variant == "both-normalized"
+
+    def test_checkpoint_with_query_variant_loads(self, tmp_path):
+        # checkpoints written while the explain variant was an option name
+        # it on the head line; "query" is the rule that remains
+        rng = np.random.default_rng(14)
+        model = build_model("cosine", (1, 16, 16), rng, widths=(4, 8), beta=3.25)
+        path = tmp_path / "m.egt1"
+        save_model(model, str(path))
+        raw = path.read_bytes()
+        head = b"head kind=cosine beta=3.25\n"
+        assert head in raw
+        path.write_bytes(raw.replace(head, b"head kind=cosine beta=3.25 variant=query\n"))
+        loaded = load_model(str(path))
+        assert isinstance(loaded.head, CosineHead) and loaded.head.beta == 3.25
+        want = _param_blob(model).astype("<f4").astype(np.float64)
+        np.testing.assert_array_equal(_param_blob(loaded), want)
+        support = rng.uniform(size=(4, 1, 16, 16))
+        query = rng.uniform(size=(3, 1, 16, 16))
+        labels = np.array([0, 0, 1, 1])
+        for net in model.networks():
+            for _, layer in net.param_layers():
+                layer.weight[...] = layer.weight.astype("<f4")
+                layer.bias[...] = layer.bias.astype("<f4")
+        np.testing.assert_array_equal(episode_probs(loaded, support, labels, 2, query),
+                                      episode_probs(model, support, labels, 2, query))
 
     def test_loaded_model_predicts_identically_to_f4_copy(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -172,7 +172,6 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.epochs == 100 and cfg.episodes_per_epoch == 100
         assert cfg.lr_decay_every == 40 and cfg.lr_decay == 0.5
-        assert cfg.stop_gradient_through_weights
 
 
 class TestExplanationBranchIsSideEffectFree:
@@ -269,48 +268,6 @@ class TestGradientsAgainstFiniteDifferences:
         got = _flat_grads(model, enc_grads, rel_grads)
         want = _fd_grads(model, frozen_loss)
         np.testing.assert_allclose(got, want, rtol=2e-4, atol=1e-8)
-
-    def test_cosine_exact_weight_gradient(self):
-        model = _tiny_model("cosine", seed=10)
-        ep = _episode(seed=11)
-        cfg = TrainConfig(way=3, shot=2, n_query=4, xi=0.4, lam=1.0,
-                          stop_gradient_through_weights=False)
-
-        def full_loss():
-            fq, protos = _cosine_parts(model, ep)
-            probs = scaled_softmax(cosine_scores(fq, protos), model.head.beta)
-            rel_init = relevance_init_nonparametric(probs)
-            qw = np.empty_like(fq)
-            for i in range(fq.shape[0]):
-                c = int(np.argmax(probs[i]))
-                r = cosine_explain(fq[i], protos[c], rel_init[i, c], cfg.lrp.epsilon)
-                qw[i] = fq[i] * (1.0 + normalize_relevance(r))
-            probs2 = scaled_softmax(cosine_scores(qw, protos), model.head.beta)
-            return (cfg.xi * _mean_ce(probs, ep.query_local)
-                    + cfg.lam * _mean_ce(probs2, ep.query_local))
-
-        _, enc_grads, _ = episode_gradients(model, ep, cfg)
-        got = _flat_grads(model, enc_grads, None)
-        want = _fd_grads(model, full_loss)
-        np.testing.assert_allclose(got, want, rtol=5e-4, atol=1e-7)
-
-    def test_exact_weight_gradient_differs_from_stopgrad(self):
-        model = _tiny_model("cosine", seed=12)
-        ep = _episode(seed=13)
-        base = dict(way=3, shot=2, n_query=4, xi=0.4, lam=1.0)
-        _, g_stop, _ = episode_gradients(model, ep, TrainConfig(**base))
-        _, g_full, _ = episode_gradients(
-            model, ep, TrainConfig(**base, stop_gradient_through_weights=False))
-        a = _flat_grads(model, g_stop, None)
-        b = _flat_grads(model, g_full, None)
-        assert np.max(np.abs(a - b)) > 1e-9
-
-    def test_relation_rejects_exact_weight_gradient(self):
-        model = _tiny_model("relation", seed=14, hidden=4)
-        cfg = TrainConfig(way=3, shot=2, n_query=4,
-                          stop_gradient_through_weights=False)
-        with pytest.raises(ConfigError, match="relation"):
-            episode_gradients(model, _episode(seed=15), cfg)
 
 
 class TestTrainingDynamics:
