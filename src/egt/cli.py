@@ -5,6 +5,11 @@ echoes its fully resolved parameters to ``<out>/<command>.config.json``;
 re-running with ``--config <that file>`` (and no other flags) repeats
 the run bit-exactly.
 
+Each setting is declared once, in :data:`SETTINGS`: its kind, default
+and range there give the command its flag ``--<key with - for _>``,
+check and convert ``--config`` values, and fill in what a run leaves
+out.  Adding a setting means adding one entry there.
+
 Exit codes: 0 success, 1 usage or configuration problem, 2 missing or
 malformed data, 3 numeric failure.
 """
@@ -40,11 +45,6 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _require_dir(path: str, what: str) -> None:
-    if not os.path.isdir(path):
-        raise FileNotFoundError(f"{what} directory {path!r} does not exist")
-
-
 def finite_float(text) -> float:
     """A float flag's value: ``nan``, ``inf`` and out-of-range numbers are refused."""
     try:
@@ -56,24 +56,83 @@ def finite_float(text) -> float:
     return value
 
 
-def _config_value(action: argparse.Action, key: str, value):
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in str(text).split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} list {text!r}: {exc}") from exc
+
+
+REQUIRED = object()
+"""The default of a setting that has none: every run must give it."""
+
+
+def _at_least(n: int) -> tuple:
+    return (lambda v: v >= n, f"at least {n}")
+
+
+# Settings several commands share.
+_PATH = (str, REQUIRED, None)
+_INPUTS = {"checkpoint": _PATH, "data": _PATH, "out": _PATH}
+_EPISODE = {"way": (int, 5, _at_least(2)), "shot": (int, 5, _at_least(1)),
+            "queries": (int, 16, _at_least(1))}
+_SEED = {"seed": (int, 0, _at_least(0))}
+_LRP = {"epsilon": (finite_float, 0.001, None), "alpha": (finite_float, 1.0, None)}
+_RESOLVED_BY_TRAIN = (finite_float, None, None)
+
+# command -> key -> (kind, default, range).  A kind is a type, a tuple of
+# choices, bool for an on/off flag or list for one or more strings.  A
+# default of None leaves the setting unset until the command resolves it.
+# A range is (accepts, what is accepted) or None.
+SETTINGS = {
+    "gen-data": {
+        "out": _PATH, "classes": (int, 20, None), "per_class": (int, 60, None),
+        "height": (int, 32, None), "width": (int, 32, None),
+        "domains": (str, "bright,dark", None), **_SEED,
+        "min_gap": (finite_float, 0.05, None), "max_primitives": (int, 3, None)},
+    "train": {
+        "data": _PATH, "out": _PATH, "mode": (("egt", "baseline"), "egt", None),
+        "head": (("cosine", "relation"), "cosine", None), **_EPISODE,
+        "epochs": (int, 100, None), "episodes_per_epoch": (int, 100, None),
+        "lr": (finite_float, 1e-3, None), "momentum": (finite_float, 0.9, None),
+        "xi": _RESOLVED_BY_TRAIN, "lam": _RESOLVED_BY_TRAIN, "beta": _RESOLVED_BY_TRAIN,
+        **_LRP, "lr_decay": (finite_float, 0.5, None), "lr_decay_every": (int, 40, None),
+        **_SEED, "widths": (str, "8,16,32", (lambda v: min(_parse_ints(v, "widths")) >= 1,
+                                             "a list of positive ints")),
+        "hidden": (int, 64, _at_least(1))},
+    "eval": {  # "data" keeps its place in _INPUTS but takes one or more files
+        **_INPUTS, "data": (list, REQUIRED, None), **_EPISODE,
+        "episodes": (int, 2000, _at_least(1)), **_SEED,
+        "transductive": (bool, False, None), "iterations": (int, 2, None),
+        "candidates": (str, "4,8", None), "workers": (int, 1, None)},
+    "explain": {
+        **_INPUTS, **_EPISODE, **_SEED, "query": (int, 0, None),
+        "targets": (("all", "predicted"), "all", None), **_LRP,
+        "blend": (finite_float, 0.6, (lambda v: 0 <= v <= 1, "between 0 and 1"))},
+    "stats": {
+        **_INPUTS,
+        "limit": (int, 0, (lambda v: v == 0 or v >= 2, "0 (all images) or at least 2"))},
+}
+
+
+def _config_value(kind, key: str, value):
     """One ``--config`` value, checked and converted like its flag's value.
 
-    A string goes through the flag's ``type``; any other value must have
+    A string goes through the setting's type; any other value must have
     that type already (an int passes for a float, a bool never passes
-    for a number).  Numbers for a float flag go through its type as
+    for a number).  Numbers for a float setting go through its type as
     well, so ``NaN`` and ``Infinity``, which Python's ``json`` accepts,
-    are refused like ``--lr nan``.  ``store_const`` flags take a JSON
-    boolean, a ``nargs="+"`` flag also takes a list, and ``choices``
-    apply.
+    are refused like ``--lr nan``.  An on/off flag takes a JSON boolean,
+    a list setting also takes a list, and choices apply.
     """
     if value is None:
         return None
-    if action.nargs == 0:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
-    kind = action.type or str
+    many, choices = kind is list, kind if isinstance(kind, tuple) else None
+    kind = str if many or choices else kind
     number = kind is finite_float
     allowed = (str, int, float) if number else (str, kind)
 
@@ -89,12 +148,12 @@ def _config_value(action: argparse.Action, key: str, value):
             except ValueError:
                 raise ConfigError(f"config key {key!r}: invalid {kind.__name__} "
                                   f"value {v!r}") from None
-        if action.choices is not None and v not in action.choices:
+        if choices is not None and v not in choices:
             raise ConfigError(f"config key {key!r}: invalid choice {v!r} "
-                              f"(choose from {', '.join(map(repr, action.choices))})")
+                              f"(choose from {', '.join(map(repr, choices))})")
         return v
 
-    if action.nargs == "+" and isinstance(value, list) and value:
+    if many and isinstance(value, list) and value:
         return [check(v) for v in value]
     return check(value)
 
@@ -103,34 +162,18 @@ def _config_value(action: argparse.Action, key: str, value):
 # with the one value the remaining code implements.
 _RETIRED = {"train": {"explain_variant": "query", "exact_weight_grad": False}}
 
-# Numeric settings whose type admits values no run can use:
-# key -> (accepts, what is accepted).
-_RANGES = {
-    "way": (lambda v: v >= 2, "at least 2"),
-    "shot": (lambda v: v >= 1, "at least 1"),
-    "queries": (lambda v: v >= 1, "at least 1"),
-    "episodes": (lambda v: v >= 1, "at least 1"),
-    "hidden": (lambda v: v >= 1, "at least 1"),
-    "widths": (lambda v: min(_parse_ints(v, "widths")) >= 1, "a list of positive ints"),
-    "blend": (lambda v: 0 <= v <= 1, "between 0 and 1"),
-    "limit": (lambda v: v == 0 or v >= 2, "0 (all images) or at least 2"),
-    "seed": (lambda v: v >= 0, "at least 0"),
-}
 
+def _resolve_params(args) -> dict:
+    """Merge flag values over the command's defaults, or load them from --config.
 
-def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
-    """Merge flag values over defaults, or load them from --config.
-
-    Loaded values are checked against the flags they stand for, and
-    every value against its range in ``_RANGES``.  A retired key loads
-    only with the value its option's removal kept.  Keys listed in
-    ``optional`` may resolve to None; every other key must end up with a
-    concrete value.
+    Loaded values are checked against the settings they stand for, and
+    every value against its range.  A retired key loads only with the
+    value its option's removal kept.  Settings whose default is None may
+    stay unset; every other setting must end up with a concrete value.
     """
-    provided = {k: getattr(args, k) for k in defaults}
-    actions = {a.dest: a for a in args.parser._actions}
+    table = SETTINGS[args.command]
+    given = {k: v for k, v in vars(args).items() if k in table and v is not None}
     if args.config is not None:
-        given = [k for k, v in provided.items() if v is not None]
         if given:
             raise ConfigError(
                 f"--config replaces all other flags; drop {sorted(given)}")
@@ -138,114 +181,75 @@ def _resolve_params(args, defaults: dict, optional: tuple = ()) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object of settings")
-        loaded.pop("command", None)
+        command = loaded.pop("command", args.command)
+        if command != args.command:
+            raise ConfigError(f"config file is for command {command!r}, "
+                              f"not {args.command!r}")
         for key, kept in _RETIRED.get(args.command, {}).items():
             shown = json.dumps(loaded.pop(key, kept))
             if shown != json.dumps(kept):
                 raise ConfigError(f"config key {key!r}: the option was removed and only "
                                   f"{json.dumps(kept)} remains, got {shown}")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(table)
         if unknown:
             raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
-        params = dict(defaults)
-        params.update({k: _config_value(actions[k], k, v) for k, v in loaded.items()})
-    else:
-        params = dict(defaults)
-        params.update({k: v for k, v in provided.items() if v is not None})
+        given = {k: _config_value(table[k][0], k, v) for k, v in loaded.items()}
+    params = {k: default for k, (_, default, _) in table.items()}
+    params.update(given)
     missing = [k for k, v in params.items()
-               if v is None and k not in optional]
+               if v is REQUIRED or (v is None and table[k][1] is not None)]
     if missing:
         raise ConfigError(f"missing required settings: {sorted(missing)}")
-    for key in sorted(params.keys() & _RANGES.keys()):
-        accepts, what = _RANGES[key]
-        if not accepts(params[key]):
+    for key in sorted(params):
+        check = table[key][2]
+        if check is not None and not check[0](params[key]):
             name = (f"config key {key!r}" if args.config is not None
-                    else f"argument {actions[key].option_strings[0]}")
-            raise ConfigError(f"{name}: must be {what}, got {params[key]!r}")
+                    else f"argument --{key.replace('_', '-')}")
+            raise ConfigError(f"{name}: must be {check[1]}, got {params[key]!r}")
     return params
 
 
-def _echo_config(out_dir: str, command: str, params: dict) -> None:
-    payload = {"command": command}
-    payload.update(params)
-    with open(os.path.join(out_dir, f"{command}.config.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in str(text).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} list {text!r}: {exc}") from exc
-
-
-def _cmd_gen_data(args) -> int:
-    defaults = {"out": None, "classes": 20, "per_class": 60, "height": 32,
-                "width": 32, "domains": "bright,dark", "seed": 0,
-                "min_gap": 0.05, "max_primitives": 3}
-    params = _resolve_params(args, defaults)
-    _require_dir(params["out"], "output")
+def _cmd_gen_data(params: dict) -> None:
     spec = GeneratorSpec(
-        classes=int(params["classes"]),
-        images_per_class=int(params["per_class"]),
-        height=int(params["height"]), width=int(params["width"]),
-        domains=tuple(str(params["domains"]).split(",")),
-        max_primitives=int(params["max_primitives"]),
-        min_channel_gap=float(params["min_gap"]))
-    sets = gen_synthetic_domains(spec, seed=int(params["seed"]))
-    for data in sets:
+        classes=params["classes"], images_per_class=params["per_class"],
+        height=params["height"], width=params["width"],
+        domains=tuple(params["domains"].split(",")),
+        max_primitives=params["max_primitives"], min_channel_gap=params["min_gap"])
+    for data in gen_synthetic_domains(spec, seed=params["seed"]):
         path = os.path.join(params["out"], f"{data.domain_tag}.egtd")
         save_dataset(data, path)
         print(f"wrote {path}: {data.images.shape[0]} images, "
               f"{data.n_classes} classes, domain={data.domain_tag}")
-    _echo_config(params["out"], "gen-data", params)
-    return EXIT_OK
 
 
-def _train_config(params: dict, head_kind: str) -> TrainConfig:
+def _train_config(params: dict) -> TrainConfig:
     baseline = params["mode"] == "baseline"
-    xi, lam = default_loss_weights(head_kind, int(params["shot"]), baseline)
+    xi, lam = default_loss_weights(params["head"], params["shot"], baseline)
     if params["xi"] is not None:
-        xi = float(params["xi"])
+        xi = params["xi"]
     if params["lam"] is not None:
-        lam = float(params["lam"])
+        lam = params["lam"]
     if baseline and lam != 0.0:
         raise ConfigError("baseline mode requires lam=0")
-    lrp_cfg = LrpConfig(epsilon=float(params["epsilon"]),
-                        alpha=float(params["alpha"]))
     return TrainConfig(
-        way=int(params["way"]), shot=int(params["shot"]),
-        n_query=int(params["queries"]), xi=xi, lam=lam,
-        lr=float(params["lr"]), momentum=float(params["momentum"]),
-        epochs=int(params["epochs"]),
-        episodes_per_epoch=int(params["episodes_per_epoch"]),
-        lr_decay=float(params["lr_decay"]),
-        lr_decay_every=int(params["lr_decay_every"]),
-        lrp=lrp_cfg)
+        way=params["way"], shot=params["shot"], n_query=params["queries"],
+        xi=xi, lam=lam, lr=params["lr"], momentum=params["momentum"],
+        epochs=params["epochs"], episodes_per_epoch=params["episodes_per_epoch"],
+        lr_decay=params["lr_decay"], lr_decay_every=params["lr_decay_every"],
+        lrp=LrpConfig(epsilon=params["epsilon"], alpha=params["alpha"]))
 
 
-def _cmd_train(args) -> int:
-    defaults = {"data": None, "out": None, "mode": "egt", "head": "cosine",
-                "way": 5, "shot": 5, "queries": 16, "epochs": 100,
-                "episodes_per_epoch": 100, "lr": 1e-3, "momentum": 0.9,
-                "xi": None, "lam": None, "beta": None, "epsilon": 0.001,
-                "alpha": 1.0, "lr_decay": 0.5, "lr_decay_every": 40,
-                "seed": 0, "widths": "8,16,32", "hidden": 64}
-    params = _resolve_params(args, defaults, optional=("xi", "lam", "beta"))
-    _require_dir(params["out"], "output")
-
+def _cmd_train(params: dict) -> None:
     data = load_dataset(params["data"])
-    cfg = _train_config(params, params["head"])
+    cfg = _train_config(params)
     params["xi"], params["lam"] = cfg.xi, cfg.lam
 
-    rng_model = np.random.default_rng([int(params["seed"]), 0])
-    rng_episodes = np.random.default_rng([int(params["seed"]), 1])
+    rng_model = np.random.default_rng([params["seed"], 0])
+    rng_episodes = np.random.default_rng([params["seed"], 1])
     model = build_model(
         params["head"], data.image_shape, rng_model,
         widths=_parse_ints(params["widths"], "widths"),
-        beta=None if params["beta"] is None else float(params["beta"]),
-        hidden=int(params["hidden"]))
+        beta=params["beta"], hidden=params["hidden"])
     params["beta"] = model.head.beta
 
     def stream():
@@ -257,7 +261,6 @@ def _cmd_train(args) -> int:
     ckpt_path = os.path.join(params["out"], "model.egt1")
     rows = train(model, stream(), cfg, log_path=log_path,
                  checkpoint_path=ckpt_path)
-    _echo_config(params["out"], "train", params)
     if rows:
         tail = rows[-min(len(rows), cfg.episodes_per_epoch):]
         acc = float(np.mean([r["acc"] for r in tail]))
@@ -265,31 +268,28 @@ def _cmd_train(args) -> int:
         print(f"trained {len(rows)} episodes; last epoch mean "
               f"acc={acc:.4f} loss={loss:.4f}")
     print(f"wrote {ckpt_path} and {log_path}")
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    defaults = {"checkpoint": None, "data": None, "out": None, "way": 5,
-                "shot": 5, "queries": 16, "episodes": 2000, "seed": 0,
-                "transductive": False, "iterations": 2, "candidates": "4,8",
-                "workers": 1}
-    params = _resolve_params(args, defaults)
-    _require_dir(params["out"], "output")
+def _cmd_eval(params: dict) -> None:
+    paths = (params["data"] if isinstance(params["data"], list)
+             else params["data"].split(","))
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ConfigError(f"more than one --data file has the stem {stem!r}; "
+                              f"each would write eval_{stem}.csv")
     model = load_model(params["checkpoint"])
     trans = None
     if params["transductive"]:
         trans = TransductiveConfig(
-            iterations=int(params["iterations"]),
+            iterations=params["iterations"],
             candidates_per_iter=_parse_ints(params["candidates"], "candidates"))
-    paths = (params["data"] if isinstance(params["data"], list)
-             else str(params["data"]).split(","))
-    for path in paths:
+    for path, stem in zip(paths, stems):
         data = load_dataset(path)
-        rng = np.random.default_rng([int(params["seed"]), 2])
-        report = evaluate(model, data, int(params["way"]), int(params["shot"]),
-                          int(params["queries"]), int(params["episodes"]), rng,
-                          transductive=trans, workers=int(params["workers"]))
-        stem = os.path.splitext(os.path.basename(path))[0]
+        rng = np.random.default_rng([params["seed"], 2])
+        report = evaluate(model, data, params["way"], params["shot"],
+                          params["queries"], params["episodes"], rng,
+                          transductive=trans, workers=params["workers"])
         csv_path = os.path.join(params["out"], f"eval_{stem}.csv")
         with open(csv_path, "w") as fh:
             fh.write("episode,acc\n")
@@ -299,27 +299,18 @@ def _cmd_eval(args) -> int:
         print(f"{stem}: acc={report.mean:.4f} +-{report.ci95:.4f} "
               f"over {report.episodes} episodes{flag}; wrote {csv_path}")
     params["data"] = ",".join(paths)
-    _echo_config(params["out"], "eval", params)
-    return EXIT_OK
 
 
-def _cmd_explain(args) -> int:
-    defaults = {"checkpoint": None, "data": None, "out": None, "way": 5,
-                "shot": 5, "queries": 16, "seed": 0, "query": 0,
-                "targets": "all", "epsilon": 0.001, "alpha": 1.0,
-                "blend": 0.6}
-    params = _resolve_params(args, defaults)
-    _require_dir(params["out"], "output")
+def _cmd_explain(params: dict) -> None:
     model = load_model(params["checkpoint"])
     data = load_dataset(params["data"])
-    rng = np.random.default_rng([int(params["seed"]), 3])
-    episode = sample_episode(data, int(params["way"]), int(params["shot"]),
-                             int(params["queries"]), rng)
-    q = int(params["query"])
+    rng = np.random.default_rng([params["seed"], 3])
+    episode = sample_episode(data, params["way"], params["shot"],
+                             params["queries"], rng)
+    q = params["query"]
     if not 0 <= q < episode.n_query:
         raise ConfigError(f"query index {q} outside 0..{episode.n_query - 1}")
-    lrp_cfg = LrpConfig(epsilon=float(params["epsilon"]),
-                        alpha=float(params["alpha"]))
+    lrp_cfg = LrpConfig(epsilon=params["epsilon"], alpha=params["alpha"])
     query_image = episode.query_images[q]
     result = explain_input(model, episode.support_images, episode.support_local,
                            episode.way, query_image, lrp_cfg=lrp_cfg)
@@ -329,24 +320,18 @@ def _cmd_explain(args) -> int:
         rel = result.input_relevance[target]
         base = os.path.join(params["out"], f"query{q}_class{target}")
         render_heatmap(rel, base + ".ppm", underlay=query_image,
-                       alpha=float(params["blend"]))
+                       alpha=params["blend"])
         np.save(base + ".npy", rel)
     probs = ", ".join(f"{p:.4f}" for p in result.probabilities)
     print(f"query {q}: true class {int(episode.query_local[q])}, "
           f"predicted {predicted}, probs [{probs}]")
     print(f"wrote {len(targets)} heatmap(s) to {params['out']}")
-    _echo_config(params["out"], "explain", params)
-    return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
-    defaults = {"checkpoint": None, "data": None, "out": None, "limit": 0}
-    params = _resolve_params(args, defaults)
-    _require_dir(params["out"], "output")
+def _cmd_stats(params: dict) -> None:
     model = load_model(params["checkpoint"])
     data = load_dataset(params["data"])
-    limit = int(params["limit"]) or None
-    stats = dataset_feature_stats(model, data, limit=limit)
+    stats = dataset_feature_stats(model, data, limit=params["limit"] or None)
     stem = os.path.splitext(os.path.basename(params["data"]))[0]
     csv_path = os.path.join(params["out"], f"stats_{stem}.csv")
     with open(csv_path, "w") as fh:
@@ -363,104 +348,36 @@ def _cmd_stats(args) -> int:
     print(f"{stem}: n={len(stats)} mean_s2={s2.mean():.6f} "
           f"mean_qdiff={qd.mean():.6f}")
     print(f"wrote {csv_path} and {summary_path}")
-    _echo_config(params["out"], "stats", params)
-    return EXIT_OK
-
-
-def _add_config_flag(sub) -> None:
-    sub.add_argument("--config", help="JSON file with all settings "
-                     "(mutually exclusive with other flags)")
-    sub.set_defaults(parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="egt",
                         description="Explanation-guided few-shot training")
     commands = parser.add_subparsers(dest="command")
-
-    gen = commands.add_parser("gen-data",
-                              help="render the synthetic multi-domain corpus")
-    _add_config_flag(gen)
-    gen.add_argument("--out")
-    gen.add_argument("--classes", type=int)
-    gen.add_argument("--per-class", dest="per_class", type=int)
-    gen.add_argument("--height", type=int)
-    gen.add_argument("--width", type=int)
-    gen.add_argument("--domains")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--min-gap", dest="min_gap", type=finite_float)
-    gen.add_argument("--max-primitives", dest="max_primitives", type=int)
-    gen.set_defaults(func=_cmd_gen_data)
-
-    tr = commands.add_parser("train", help="train a few-shot model")
-    _add_config_flag(tr)
-    tr.add_argument("--data")
-    tr.add_argument("--out")
-    tr.add_argument("--mode", choices=["egt", "baseline"])
-    tr.add_argument("--head", choices=["cosine", "relation"])
-    tr.add_argument("--way", type=int)
-    tr.add_argument("--shot", type=int)
-    tr.add_argument("--queries", type=int)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--episodes-per-epoch", dest="episodes_per_epoch", type=int)
-    tr.add_argument("--lr", type=finite_float)
-    tr.add_argument("--momentum", type=finite_float)
-    tr.add_argument("--xi", type=finite_float)
-    tr.add_argument("--lam", type=finite_float)
-    tr.add_argument("--beta", type=finite_float)
-    tr.add_argument("--epsilon", type=finite_float)
-    tr.add_argument("--alpha", type=finite_float)
-    tr.add_argument("--lr-decay", dest="lr_decay", type=finite_float)
-    tr.add_argument("--lr-decay-every", dest="lr_decay_every", type=int)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--widths")
-    tr.add_argument("--hidden", type=int)
-    tr.set_defaults(func=_cmd_train)
-
-    ev = commands.add_parser("eval",
-                             help="episodic accuracy with confidence interval")
-    _add_config_flag(ev)
-    ev.add_argument("--checkpoint")
-    ev.add_argument("--data", nargs="+")
-    ev.add_argument("--out")
-    ev.add_argument("--way", type=int)
-    ev.add_argument("--shot", type=int)
-    ev.add_argument("--queries", type=int)
-    ev.add_argument("--episodes", type=int)
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--transductive", action="store_const", const=True)
-    ev.add_argument("--iterations", type=int)
-    ev.add_argument("--candidates")
-    ev.add_argument("--workers", type=int)
-    ev.set_defaults(func=_cmd_eval)
-
-    ex = commands.add_parser("explain", help="render query heatmaps")
-    _add_config_flag(ex)
-    ex.add_argument("--checkpoint")
-    ex.add_argument("--data")
-    ex.add_argument("--out")
-    ex.add_argument("--way", type=int)
-    ex.add_argument("--shot", type=int)
-    ex.add_argument("--queries", type=int)
-    ex.add_argument("--seed", type=int)
-    ex.add_argument("--query", type=int)
-    ex.add_argument("--targets", choices=["all", "predicted"])
-    ex.add_argument("--epsilon", type=finite_float)
-    ex.add_argument("--alpha", type=finite_float)
-    ex.add_argument("--blend", type=finite_float)
-    ex.set_defaults(func=_cmd_explain)
-
-    st = commands.add_parser(
-        "stats", help="per-image feature spread statistics",
-        description="Per-image feature spread statistics s2 and qdiff.  The values "
-                    "are in embedding units and are not scale-normalized: scaling a "
-                    "feature map by a scales s2 by a**2 and qdiff by a.")
-    _add_config_flag(st)
-    st.add_argument("--checkpoint")
-    st.add_argument("--data")
-    st.add_argument("--out")
-    st.add_argument("--limit", type=int)
-    st.set_defaults(func=_cmd_stats)
+    for name, func, summary in (
+            ("gen-data", _cmd_gen_data, "render the synthetic multi-domain corpus"),
+            ("train", _cmd_train, "train a few-shot model"),
+            ("eval", _cmd_eval, "episodic accuracy with confidence interval"),
+            ("explain", _cmd_explain, "render query heatmaps"),
+            ("stats", _cmd_stats, "per-image feature spread statistics")):
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--config", help="JSON file with all settings "
+                         "(mutually exclusive with other flags)")
+        for key, (kind, _, _) in SETTINGS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_const", const=True)
+            elif kind is list:
+                sub.add_argument(flag, nargs="+")
+            elif isinstance(kind, tuple):
+                sub.add_argument(flag, choices=kind)
+            else:
+                sub.add_argument(flag, type=kind)
+        sub.set_defaults(func=func)
+    commands.choices["stats"].description = (
+        "Per-image feature spread statistics s2 and qdiff.  The values "
+        "are in embedding units and are not scale-normalized: scaling a "
+        "feature map by a scales s2 by a**2 and qdiff by a.")
     return parser
 
 
@@ -471,7 +388,14 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_help()
             return EXIT_USAGE
-        return args.func(args)
+        params = _resolve_params(args)
+        if not os.path.isdir(params["out"]):
+            raise FileNotFoundError(f"output directory {params['out']!r} does not exist")
+        args.func(params)
+        with open(os.path.join(params["out"], f"{args.command}.config.json"), "w") as fh:
+            json.dump({"command": args.command, **params}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return EXIT_OK
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

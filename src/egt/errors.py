@@ -41,13 +41,15 @@ def parse_dims(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split("x"))
 
 
-def parse_fields(tokens: list[str], schema: dict, offset: int | None) -> dict:
+def parse_fields(tokens: list[str], schema: dict, offset: int | None,
+                 optional: tuple = ()) -> dict:
     """Parse ``key=value`` header tokens into a dict.
 
     Every key of ``schema`` is required, and its value is converted by
-    the callable it maps to; other keys are kept as strings.  A token
-    without ``=``, a repeated key, a missing required key, or a value
-    its converter rejects raises :class:`DataFormatError` at ``offset``.
+    the callable it maps to; keys in ``optional`` may appear and are
+    kept as strings.  A token without ``=``, a repeated, unknown or
+    missing key, or a value its converter rejects raises
+    :class:`DataFormatError` at ``offset``.
     """
     fields: dict = {}
     for token in tokens:
@@ -57,6 +59,9 @@ def parse_fields(tokens: list[str], schema: dict, offset: int | None) -> dict:
         if parts[0] in fields:
             raise DataFormatError(f"header key {parts[0]!r} is repeated", offset)
         fields[parts[0]] = parts[1]
+    unknown = sorted(fields.keys() - schema.keys() - set(optional))
+    if unknown:
+        raise DataFormatError(f"header has unknown keys {unknown}", offset)
     missing = sorted(schema.keys() - fields.keys())
     if missing:
         raise DataFormatError(f"header is missing keys {missing}", offset)

@@ -122,6 +122,12 @@ def cosine_explain(query_feat: Array, proto: Array, relevance: float,
     return float(relevance) * contrib / denom
 
 
+def _check_beta(beta: float) -> None:
+    """The softmax scale of every head: positive and finite."""
+    if not 0 < beta < math.inf:
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
+
+
 @dataclass
 class CosineHead:
     """Non-parametric prototype head: cosine scores, beta-scaled softmax."""
@@ -130,8 +136,7 @@ class CosineHead:
     kind: str = "cosine"
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta < math.inf:
-            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
+        _check_beta(self.beta)
 
     def scores(self, protos: Array, query_maps: Array) -> tuple[Array, None]:
         """Cosine similarity of the flattened maps: ``[n, K]``, no trace."""
@@ -149,6 +154,9 @@ class RelationHead:
     net: Network
     beta: float = 1.0
     kind: str = "relation"
+
+    def __post_init__(self) -> None:
+        _check_beta(self.beta)
 
     def scores(self, protos: Array, query_maps: Array) -> tuple[Array, ForwardTrace]:
         """Logits ``[n, K]`` from one recorded pass over the n*K pairs.

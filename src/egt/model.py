@@ -19,6 +19,7 @@ Checkpoint layout (EGT1):
 Parameter blocks follow header order: encoder layers first, then
 relation layers, weight before bias within a layer.  Older head lines
 may end in ``variant=query``, the one explanation rule; it still loads.
+Any other key a header line's schema does not name is refused.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _parse_head_line(line: str, offset: int):
     tag, *tokens = line.split() or [""]
     if tag != "head":
         raise DataFormatError(f"expected head line, got {line!r}", offset)
-    kv = parse_fields(tokens, {"kind": str, "beta": float}, offset)
+    kv = parse_fields(tokens, {"kind": str, "beta": float}, offset, optional=("variant",))
     kind, beta = kv["kind"], kv["beta"]
     if not (np.isfinite(beta) and beta > 0):
         raise DataFormatError(f"head beta must be positive and finite, got {beta}", offset)

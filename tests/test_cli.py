@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egt.cli import build_parser, finite_float, main
+from egt.cli import REQUIRED, SETTINGS, _config_value, build_parser, finite_float, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -211,6 +211,47 @@ class TestConfigValues:
         dests = set(vars(sub.parse_args([]))) - {"config", "parser", "func"}
         assert set(echoed) - {"command"} == dests
 
+    @pytest.mark.parametrize("command,key", [(c, k) for c in SETTINGS for k in SETTINGS[c]])
+    def test_setting_default_fits_the_setting(self, command, key):
+        kind, default, check = SETTINGS[command][key]
+        if default is REQUIRED:
+            return
+        if default is None:
+            assert key in ("xi", "lam", "beta"), "only the train-resolved keys start unset"
+            return
+        # the default loads unchanged as a config value of the setting
+        loaded = _config_value(kind, key, default)
+        assert (type(loaded), loaded) == (type(default), default)
+        assert check is None or check[0](default)
+
+    def test_config_for_another_command_exits_1(self, run_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({
+            "command": "train", "checkpoint": str(run_dir / "model.egt1"),
+            "data": json.loads((run_dir / "train.config.json").read_text())["data"],
+            "out": str(tmp_path)}))
+        assert main(["stats", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'train'" in err and "'stats'" in err
+        assert not list(tmp_path.glob("stats_*"))
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("beta", [0, -1])
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_non_positive_beta_exits_1(self, corpus, run_dir, tmp_path, capsys,
+                                       head, beta, via):
+        settings = {**_settings("train", corpus, run_dir, tmp_path),
+                    "head": head, "beta": beta}
+        if via == "flag":
+            argv = _argv("train", settings)
+        else:
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps(settings))
+            argv = ["train", "--config", str(cfg_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beta" in err and "Traceback" not in err
+
     def test_strings_convert_like_flags(self, corpus, tmp_path):
         cfg_path = tmp_path / "strings.json"
         cfg_path.write_text(json.dumps({
@@ -315,6 +356,19 @@ class TestEval:
             assert lines[0] == "episode,acc"
             assert len(lines) == 1 + 8
 
+    def test_datasets_with_one_stem_exit_1(self, corpus, run_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        shutil.copy(corpus / "dark.egtd", other / "dark.egtd")
+        code = main(["eval", "--checkpoint", str(run_dir / "model.egt1"),
+                     "--data", str(corpus / "dark.egtd"), str(other / "dark.egtd"),
+                     "--out", str(tmp_path), "--way", "3", "--shot", "2",
+                     "--queries", "6", "--episodes", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'dark'" in err
+        assert not (tmp_path / "eval_dark.csv").exists()
+
     def test_accuracies_parse_back(self, corpus, run_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(run_dir / "model.egt1"),
                      "--data", str(corpus / "bright.egtd"),
@@ -368,6 +422,12 @@ class TestEval:
         "all-nan-payload": lambda h, p: (h, np.full(len(p) // 4, np.nan, "<f4").tobytes()),
         "retired-explain-variant": lambda h, p: (
             re.sub(rb"(head [^\n]*)", rb"\1 variant=both-normalized", h, count=1), p),
+        "unknown-head-key": lambda h, p: (
+            re.sub(rb"(head [^\n]*)", rb"\1 bogus=1", h, count=1), p),
+        "unknown-encoder-key": lambda h, p: (
+            re.sub(rb"(encoder [^\n]*)", rb"\1 junk=2", h, count=1), p),
+        "unknown-layer-key": lambda h, p: (
+            h.replace(b"layer relu\n", b"layer relu extra=3\n", 1), p),
     }
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))

@@ -285,6 +285,8 @@ class TestDatasetIo:
         (b"EGTD classes=2 classes=2 per_class=1,1 shape=1x2x2 domain=x", "repeated"),
         (b"EGTD classes=2 per_class=1,1 shape=1x2x2 domain=x stray", "key=value"),
         (b"EGTD classes=two per_class=1,1 shape=1x2x2 domain=x", "classes='two'"),
+        (b"EGTD classes=2 per_class=1,1 shape=1x2x2 domain=x bogus=1",
+         r"unknown keys \['bogus'\] \(byte offset 0\)"),
     ])
     def test_malformed_manifest_tokens(self, tmp_path, manifest, message):
         path = tmp_path / "d.egtd"

@@ -283,6 +283,11 @@ class TestHeadOutputs:
         with pytest.raises(ConfigError):
             CosineHead(beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+    def test_relation_head_validation(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            RelationHead(_relation_net(np.random.default_rng(0), 2, 2), beta=beta)
+
     def test_relation_head_output(self):
         rng = np.random.default_rng(12)
         head = RelationHead(_relation_net(rng, 6, 2))
