@@ -169,7 +169,8 @@ def _resolve_params(args) -> dict:
     Loaded values are checked against the settings they stand for, and
     every value against its range.  A retired key loads only with the
     value its option's removal kept.  Settings whose default is None may
-    stay unset; every other setting must end up with a concrete value.
+    stay unset, also through a JSON ``null``; every other setting must end
+    up with a concrete value, so ``null`` is refused for it.
     """
     table = SETTINGS[args.command]
     given = {k: v for k, v in vars(args).items() if k in table and v is not None}
@@ -193,11 +194,13 @@ def _resolve_params(args) -> dict:
         unknown = set(loaded) - set(table)
         if unknown:
             raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
+        for key in sorted(loaded):
+            if loaded[key] is None and table[key][1] is not None:
+                raise ConfigError(f"config key {key!r} must not be null")
         given = {k: _config_value(table[k][0], k, v) for k, v in loaded.items()}
     params = {k: default for k, (_, default, _) in table.items()}
     params.update(given)
-    missing = [k for k, v in params.items()
-               if v is REQUIRED or (v is None and table[k][1] is not None)]
+    missing = [k for k, v in params.items() if v is REQUIRED]
     if missing:
         raise ConfigError(f"missing required settings: {sorted(missing)}")
     for key in sorted(params):
@@ -271,8 +274,9 @@ def _cmd_train(params: dict) -> None:
 
 
 def _cmd_eval(params: dict) -> None:
-    paths = (params["data"] if isinstance(params["data"], list)
-             else params["data"].split(","))
+    # A config echoed before the list form holds the files comma-joined.
+    paths = params["data"] = (params["data"] if isinstance(params["data"], list)
+                              else params["data"].split(","))
     stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
     for stem in stems:
         if stems.count(stem) > 1:
@@ -298,7 +302,6 @@ def _cmd_eval(params: dict) -> None:
         flag = " (degenerate: single episode)" if report.degenerate else ""
         print(f"{stem}: acc={report.mean:.4f} +-{report.ci95:.4f} "
               f"over {report.episodes} episodes{flag}; wrote {csv_path}")
-    params["data"] = ",".join(paths)
 
 
 def _cmd_explain(params: dict) -> None:

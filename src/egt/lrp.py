@@ -7,7 +7,12 @@ Two rules redistribute relevance through parameterized layers:
 * alpha rule: ``rel_in[i] = sum_j rel_out[j] * (alpha * z_ij^+ / y_j^+
   - (alpha-1) * z_ij^- / y_j^-)`` where ``(.)^+ = max(., 0)``,
   ``(.)^- = min(., 0)`` and ``y_j`` is the recorded pre-activation.
-  Any term whose denominator is zero contributes zero.
+  Any term whose denominator is zero contributes zero.  At ``alpha = 1``
+  on an input without negative entries (images in [0, 1], relu maps and
+  their pools: every conv input of both networks) this is the z+ rule,
+  ``rel_in = x * (W^+)^T (rel_out / y^+)``, and :func:`lrp_alpha` runs
+  that one fold instead of four, since the other three only add zeros.
+  Its zeros are all ``+0.0``.
 
 Bias terms sit inside ``y_j`` but never receive an input share: bias
 relevance is absorbed.  Conservation is therefore exact only on
@@ -116,11 +121,15 @@ def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
     _check_rows(layer, x, y, rel_out)
     if not alpha >= 1:
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
-    xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
     sp = _safe_div(rel_out, y, y > 0)
-    sn = _safe_div(rel_out, y, y < 0)
-    wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
+    wp = np.maximum(layer.weight, 0.0)
     in_shape = x.shape[1:]
+    if alpha == 1 and not (x < 0).any():
+        # z+ rule: the three other folds only add zeros; + 0.0 maps -0.0 to +0.0.
+        return x * _adjoint(layer, sp, in_shape, wp) + 0.0
+    xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
+    sn = _safe_div(rel_out, y, y < 0)
+    wn = np.minimum(layer.weight, 0.0)
     pos = xp * _adjoint(layer, sp, in_shape, wp) + xn * _adjoint(layer, sp, in_shape, wn)
     neg = xp * _adjoint(layer, sn, in_shape, wn) + xn * _adjoint(layer, sn, in_shape, wp)
     return alpha * pos - (alpha - 1.0) * neg

@@ -44,6 +44,7 @@ from .tensornet import (
     Flatten,
     ForwardTrace,
     Layer,
+    LayerTrace,
     Linear,
     MaxPool2d,
     Network,
@@ -177,7 +178,10 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     query) pair and the query half is what continues into the encoder.
     ``query_image`` is one image ``(C, H, W)``, run as a one-row batch;
     the result's arrays carry no row axis.  ``targets`` defaults to
-    every class.
+    every class.  The head pass runs once per target; the encoder pass
+    runs once for all of them, on the query's trace repeated to one row
+    per target, and each row equals that target's one-row pass bit for
+    bit.
     """
     lrp_cfg = LrpConfig() if lrp_cfg is None else lrp_cfg
     smaps = model.encode(support_images)
@@ -187,16 +191,18 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     probs = scaled_softmax(scores, model.head.beta)
     rel_init = model.head.relevance_init(scores, probs)
 
-    feature_rel: dict[int, Array] = {}
-    input_rel: dict[int, Array] = {}
-    for target in range(way) if targets is None else targets:
-        rel = lrp_through_head(model.head, protos, qmaps, trace, rel_init,
-                               [int(target)], lrp_cfg)
-        feature_rel[int(target)] = rel[0]
-        # f_p ends with the query map for both heads: it is the whole
-        # cosine vector and the second channel half of a relation pair.
-        map_rel = rel.reshape(-1)[-qmaps.size:].reshape(qmaps.shape)
-        input_rel[int(target)] = lrp_backward(model.encoder, qtrace, map_rel, lrp_cfg)[0][0]
+    targets = [int(t) for t in (range(way) if targets is None else targets)]
+    feature_rel = {t: lrp_through_head(model.head, protos, qmaps, trace, rel_init,
+                                       [t], lrp_cfg)[0] for t in targets}
+    # f_p ends with the query map for both heads: it is the whole cosine
+    # vector and the second channel half of a relation pair.
+    map_rel = np.reshape([feature_rel[t].reshape(-1)[-qmaps.size:] for t in targets],
+                         (len(targets),) + qmaps.shape[1:])
+    tiled = ForwardTrace([LayerTrace(np.repeat(e.input, len(targets), 0),
+                                     np.repeat(e.output, len(targets), 0))
+                          for e in qtrace.entries])
+    rows = lrp_backward(model.encoder, tiled, map_rel, lrp_cfg)[0]
+    input_rel = dict(zip(targets, rows))
     return ExplainResult(scores=scores[0], probabilities=probs[0],
                          relevance_init=rel_init[0],
                          feature_relevance=feature_rel, input_relevance=input_rel)

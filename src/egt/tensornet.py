@@ -198,7 +198,7 @@ class Conv2d(Layer):
         c, h, wd = in_shape
         _, _, kh, kw = w.shape
         p = self.padding
-        dcols = np.matmul(w.reshape(o, -1).T, grad_out.reshape(b, o, -1))
+        dcols = np.matmul(w.reshape(o, -1).T, grad_out.reshape(b, o, oh * ow))
         dxp = _fold(dcols.reshape(b, c, kh * kw, oh, ow), kh, kw, self.stride,
                     h + 2 * p, wd + 2 * p)
         return dxp if p == 0 else dxp[:, :, p:-p, p:-p]

@@ -252,6 +252,28 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "beta" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,key", [("train", "way"), ("train", "lr"),
+                                             ("eval", "data"), ("explain", "blend"),
+                                             ("stats", "limit")])
+    def test_null_for_a_set_setting_exits_1(self, corpus, run_dir, tmp_path, capsys,
+                                            command, key):
+        settings = {**_settings(command, corpus, run_dir, tmp_path), key: None}
+        cfg_path = tmp_path / "null.json"
+        cfg_path.write_text(json.dumps(settings))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and "null" in err
+        assert "missing" not in err
+
+    def test_null_leaves_train_resolved_keys_unset(self, corpus, run_dir, tmp_path):
+        settings = {**_settings("train", corpus, run_dir, tmp_path),
+                    "xi": None, "lam": None, "beta": None}
+        cfg_path = tmp_path / "null.json"
+        cfg_path.write_text(json.dumps(settings))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        echoed = json.loads((tmp_path / "train.config.json").read_text())
+        assert all(isinstance(echoed[k], float) for k in ("xi", "lam", "beta"))
+
     def test_strings_convert_like_flags(self, corpus, tmp_path):
         cfg_path = tmp_path / "strings.json"
         cfg_path.write_text(json.dumps({
@@ -368,6 +390,43 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'dark'" in err
         assert not (tmp_path / "eval_dark.csv").exists()
+
+    def _eval_echo(self, corpus, run_dir, out, *paths):
+        assert main(["eval", "--checkpoint", str(run_dir / "model.egt1"),
+                     "--data", *map(str, paths), "--out", str(out), "--way", "3",
+                     "--shot", "2", "--queries", "6", "--episodes", "3"]) == 0
+        return json.loads((out / "eval.config.json").read_text())
+
+    def _rerun(self, cfg, tmp_path):
+        again = tmp_path / "again"
+        again.mkdir()
+        cfg_path = tmp_path / "re.json"
+        cfg_path.write_text(json.dumps({**cfg, "out": str(again)}))
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        return again
+
+    def test_data_path_with_comma_reruns(self, corpus, run_dir, tmp_path):
+        odd = tmp_path / "comma"
+        odd.mkdir()
+        shutil.copy(corpus / "dark.egtd", odd / "da,rk.egtd")
+        cfg = self._eval_echo(corpus, run_dir, tmp_path, odd / "da,rk.egtd",
+                              corpus / "bright.egtd")
+        assert cfg["data"] == [str(odd / "da,rk.egtd"), str(corpus / "bright.egtd")]
+        again = self._rerun(cfg, tmp_path)
+        for stem in ("da,rk", "bright"):
+            assert _hash(again / f"eval_{stem}.csv") == _hash(tmp_path / f"eval_{stem}.csv")
+        assert json.loads((again / "eval.config.json").read_text())["data"] == cfg["data"]
+
+    def test_comma_joined_data_echo_reruns(self, corpus, run_dir, tmp_path):
+        # eval echoed its --data files as one comma-joined string before
+        # it wrote a list; such a file still reruns
+        paths = [corpus / "bright.egtd", corpus / "dark.egtd"]
+        cfg = self._eval_echo(corpus, run_dir, tmp_path, *paths)
+        again = self._rerun({**cfg, "data": ",".join(cfg["data"])}, tmp_path)
+        for stem in ("bright", "dark"):
+            assert _hash(again / f"eval_{stem}.csv") == _hash(tmp_path / f"eval_{stem}.csv")
+        assert json.loads((again / "eval.config.json").read_text())["data"] == list(
+            map(str, paths))
 
     def test_accuracies_parse_back(self, corpus, run_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(run_dir / "model.egt1"),

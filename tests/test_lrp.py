@@ -10,7 +10,7 @@ from egt.lrp import (LrpConfig, lrp_alpha, lrp_backward, lrp_epsilon,
                      lrp_passthrough, normalize_relevance)
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU)
-from util_nets import (conservation_net, dense_alpha_oracle,
+from util_nets import (conservation_net, count_grad_input, dense_alpha_oracle,
                        dense_epsilon_oracle, rand_conv, rand_linear,
                        relu_tower, unrolled_dense)
 
@@ -109,6 +109,76 @@ class TestAlphaRule:
             got = lrp_alpha(layer, x, y, rel_out, alpha=alpha)[0]
             want = dense_alpha_oracle(layer.weight, x[0], y[0], rel_out[0], alpha)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _four_fold(layer, x, y, rel_out, alpha):
+    """The alpha rule with all four sign-split folds, written out in full."""
+    def adjoint(s, w):
+        return s @ w if isinstance(layer, Linear) else layer.grad_input(s, x.shape[1:], weight=w)
+    xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
+    sp = np.divide(rel_out, y, out=np.zeros_like(rel_out), where=y > 0)
+    sn = np.divide(rel_out, y, out=np.zeros_like(rel_out), where=y < 0)
+    wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
+    pos = xp * adjoint(sp, wp) + xn * adjoint(sp, wn)
+    neg = xp * adjoint(sn, wn) + xn * adjoint(sn, wp)
+    return alpha * pos - (alpha - 1.0) * neg
+
+
+def _post_relu_case(rng, kind):
+    """A layer, non-negative rows with exact zeros (as after a relu), and its output."""
+    if kind == "linear":
+        layer, x = rand_linear(rng, 6, 4), rng.standard_normal((3, 6))
+    else:
+        layer, x = rand_conv(rng, 2, 3, 3, padding=1), rng.standard_normal((3, 2, 4, 4))
+    x = np.maximum(x, 0.0)
+    return layer, x, layer.forward(x)
+
+
+class TestAlphaShortcut:
+    """At alpha 1 on non-negative inputs ``lrp_alpha`` runs one fold (the z+ rule)."""
+
+    @pytest.mark.parametrize("kind", ["linear", "conv2d"])
+    def test_equals_four_folds_on_non_negative_relevance(self, kind):
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            layer, x, y = _post_relu_case(rng, kind)
+            rel_out = np.maximum(rng.standard_normal(y.shape), 0.0)
+            got = lrp_alpha(layer, x, y, rel_out, alpha=1.0)
+            want = _four_fold(layer, x, y, rel_out, 1.0)
+            assert (got == 0).any()
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("kind", ["linear", "conv2d"])
+    def test_equals_four_folds_on_signed_relevance(self, kind):
+        # Equal values; where the value is zero the four folds may end at
+        # -0.0 and the shortcut always ends at +0.0.
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            layer, x, y = _post_relu_case(rng, kind)
+            rel_out = rng.standard_normal(y.shape)
+            got = lrp_alpha(layer, x, y, rel_out, alpha=1.0)
+            want = _four_fold(layer, x, y, rel_out, 1.0)
+            np.testing.assert_array_equal(got, want)
+            nonzero = got != 0
+            np.testing.assert_array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
+            assert not np.signbit(got[~nonzero]).any()
+
+    # (alpha, signed input, folds): only alpha 1 on x >= 0 takes the shortcut
+    @pytest.mark.parametrize("alpha,signed,folds", [(1.0, False, 1), (2.0, False, 4),
+                                                    (1.0, True, 4), (2.0, True, 4)])
+    def test_folds_per_conv(self, monkeypatch, alpha, signed, folds):
+        rng = np.random.default_rng(43)
+        layer, x, _ = _post_relu_case(rng, "conv2d")
+        if signed:
+            x = x - 0.5
+        y = layer.forward(x)
+        rel_out = rng.standard_normal(y.shape)
+        calls = count_grad_input(monkeypatch)
+        got = lrp_alpha(layer, x, y, rel_out, alpha=alpha)
+        assert len(calls) == folds
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, _four_fold(layer, x, y, rel_out, alpha))
 
 
 class TestConvAgainstUnrolledDense:

@@ -10,13 +10,16 @@ from egt.model import (
     build_model,
     build_relation_net,
     episode_probs,
+    explain_input,
     load_model,
     probs_from_maps,
     save_model,
 )
+from egt import model as model_module
+from egt.lrp import LrpConfig, lrp_backward
 from egt.tensornet import Network
 
-from util_nets import FUZZ_BYTES, loads_or_fails_cleanly
+from util_nets import FUZZ_BYTES, count_grad_input, loads_or_fails_cleanly
 
 
 def _param_blob(model):
@@ -304,3 +307,45 @@ class TestExplainInput:
             assert res.feature_relevance[target].shape == (16, 4, 4)
             assert res.input_relevance[target].shape == (1, 16, 16)
         assert res.probabilities.shape == (3,)
+
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_batched_encoder_pass_matches_per_target(self, head, monkeypatch):
+        rng = np.random.default_rng(23)
+        model = build_model(head, (1, 16, 16), rng, widths=(4, 8), hidden=8)
+        support, local = self._support(rng)
+        query = rng.uniform(size=(1, 16, 16))
+        passes = []
+
+        def recorded(net, *args, **kwargs):
+            passes.append(net)
+            return lrp_backward(net, *args, **kwargs)
+        monkeypatch.setattr(model_module, "lrp_backward", recorded)
+        res = explain_input(model, support, local, 3, query, targets=[2, 0])
+        assert [net is model.encoder for net in passes] == [True]
+        assert sorted(res.input_relevance) == [0, 2]
+        qmaps, qtrace = model.encode_recorded(query[None])
+        for t in (2, 0):
+            map_rel = res.feature_relevance[t].reshape(-1)[-qmaps.size:].reshape(qmaps.shape)
+            want = lrp_backward(model.encoder, qtrace, map_rel, LrpConfig())[0][0]
+            np.testing.assert_array_equal(res.input_relevance[t], want)
+            assert res.input_relevance[t].tobytes() == want.tobytes()
+
+    def test_no_targets_explains_nothing(self):
+        rng = np.random.default_rng(24)
+        model = build_model("cosine", (1, 16, 16), rng, widths=(4, 8))
+        support, local = self._support(rng)
+        res = explain_input(model, support, local, 3, rng.uniform(size=(1, 16, 16)),
+                            targets=[])
+        assert res.input_relevance == {} and res.feature_relevance == {}
+
+    def test_default_path_folds_once_per_conv(self, monkeypatch):
+        # Five targets through a 3-conv encoder: one batched pass, and the
+        # alpha-1 shortcut on the encoder's non-negative conv inputs.
+        rng = np.random.default_rng(25)
+        model = build_model("cosine", (1, 16, 16), rng)
+        support, local = self._support(rng, way=5)
+        query = rng.uniform(size=(1, 16, 16))
+        calls = count_grad_input(monkeypatch)
+        res = explain_input(model, support, local, 5, query)
+        assert sorted(res.input_relevance) == [0, 1, 2, 3, 4]
+        assert len(calls) == 3

@@ -139,3 +139,15 @@ def loads_or_fails_cleanly(load, path, cases):
         except (DataFormatError, ContractError):
             pass
     return loaded
+
+
+def count_grad_input(monkeypatch) -> list:
+    """Count ``Conv2d.grad_input`` calls: one entry per call in the returned list."""
+    calls = []
+    real = Conv2d.grad_input
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(Conv2d, "grad_input", counted)
+    return calls
