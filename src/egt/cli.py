@@ -334,6 +334,9 @@ def _cmd_explain(params: dict) -> None:
 def _cmd_stats(params: dict) -> None:
     model = load_model(params["checkpoint"])
     data = load_dataset(params["data"])
+    if len(data.images) < 2:
+        raise DataFormatError(f"stats needs at least 2 images for a spread; "
+                              f"{params['data']} holds {len(data.images)}")
     stats = dataset_feature_stats(model, data, limit=params["limit"] or None)
     stem = os.path.splitext(os.path.basename(params["data"]))[0]
     csv_path = os.path.join(params["out"], f"stats_{stem}.csv")

@@ -67,6 +67,14 @@ class FewShotModel:
     encoder: Network
     head: CosineHead | RelationHead
 
+    def __post_init__(self) -> None:
+        if isinstance(self.head, RelationHead):
+            c, *rest = self.encoder.output_shape
+            if self.head.net.input_shape != (2 * c, *rest):
+                raise ContractError(
+                    f"relation net input {self.head.net.input_shape} cannot pair "
+                    f"encoder maps {self.encoder.output_shape}")
+
     @property
     def head_kind(self) -> str:
         return self.head.kind
@@ -178,10 +186,10 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     query) pair and the query half is what continues into the encoder.
     ``query_image`` is one image ``(C, H, W)``, run as a one-row batch;
     the result's arrays carry no row axis.  ``targets`` defaults to
-    every class.  The head pass runs once per target; the encoder pass
-    runs once for all of them, on the query's trace repeated to one row
-    per target, and each row equals that target's one-row pass bit for
-    bit.
+    every class.  The head scores the query once; the head and encoder
+    relevance passes each run once for all targets, on the query's
+    traces repeated to one copy per target, and each row equals that
+    target's one-query pass bit for bit.
     """
     lrp_cfg = LrpConfig() if lrp_cfg is None else lrp_cfg
     smaps = model.encode(support_images)
@@ -192,20 +200,28 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     rel_init = model.head.relevance_init(scores, probs)
 
     targets = [int(t) for t in (range(way) if targets is None else targets)]
-    feature_rel = {t: lrp_through_head(model.head, protos, qmaps, trace, rel_init,
-                                       [t], lrp_cfg)[0] for t in targets}
+    reps = len(targets)
+    rels = lrp_through_head(model.head, protos, np.repeat(qmaps, reps, 0),
+                            _tile_trace(trace, reps), np.repeat(rel_init, reps, 0),
+                            targets, lrp_cfg)
     # f_p ends with the query map for both heads: it is the whole cosine
     # vector and the second channel half of a relation pair.
-    map_rel = np.reshape([feature_rel[t].reshape(-1)[-qmaps.size:] for t in targets],
-                         (len(targets),) + qmaps.shape[1:])
-    tiled = ForwardTrace([LayerTrace(np.repeat(e.input, len(targets), 0),
-                                     np.repeat(e.output, len(targets), 0))
-                          for e in qtrace.entries])
-    rows = lrp_backward(model.encoder, tiled, map_rel, lrp_cfg)[0]
-    input_rel = dict(zip(targets, rows))
+    map_rel = np.reshape([r.reshape(-1)[-qmaps.size:] for r in rels],
+                         (reps,) + qmaps.shape[1:])
+    rows = lrp_backward(model.encoder, _tile_trace(qtrace, reps), map_rel, lrp_cfg)[0]
     return ExplainResult(scores=scores[0], probabilities=probs[0],
                          relevance_init=rel_init[0],
-                         feature_relevance=feature_rel, input_relevance=input_rel)
+                         feature_relevance=dict(zip(targets, rels)),
+                         input_relevance=dict(zip(targets, rows)))
+
+
+def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
+    """``trace`` repeated ``reps`` times along its rows: row ``t*B + b`` is row ``b``."""
+    if trace is None:
+        return None
+    return ForwardTrace([LayerTrace(*(np.tile(a, (reps,) + (1,) * (a.ndim - 1))
+                                      for a in (e.input, e.output)))
+                         for e in trace.entries])
 
 
 def _shape_token(shape: tuple[int, ...]) -> str:
@@ -332,8 +348,8 @@ def load_model(path: str) -> FewShotModel:
         raise DataFormatError("checkpoint holds non-finite parameters",
                               offset=start + 4 * int(bad[0]))
 
-    if kind == "cosine":
-        head: CosineHead | RelationHead = CosineHead(beta=beta)
-    else:
-        head = RelationHead(nets[1], beta=beta)
-    return FewShotModel(nets[0], head)
+    try:
+        head = CosineHead(beta=beta) if kind == "cosine" else RelationHead(nets[1], beta=beta)
+        return FewShotModel(nets[0], head)
+    except ContractError as exc:
+        raise DataFormatError(f"checkpoint relation section does not fit: {exc}") from exc

@@ -1,13 +1,16 @@
 """Episodic training with explanation-guided feature re-weighting.
 
-Each episode runs four stages: (1) a plain prediction for every query,
-(2) an explanation of the winning class whose normalized relevance
-becomes a per-feature weight w = 1 + R/max|R| in [0, 2], (3) a second
-prediction from the re-weighted features, and (4) a combined loss
-xi * CE(plain) + lambda * CE(re-weighted).  Features with positive
-relevance for the predicted class are amplified and features with
-negative relevance are damped, so the gradient pressure concentrates
-on evidence the classifier itself considers relevant.
+Each episode runs one step for either head, over the head protocol of
+:mod:`egt.heads`: (1) a plain prediction for every query, (2) an
+explanation of the winning class whose normalized relevance becomes a
+per-feature weight w = 1 + R/max|R| in [0, 2] on the head's input f_p,
+(3) a second prediction from the re-weighted f_p, and (4) a combined
+loss xi * CE(plain) + lambda * CE(re-weighted), whose gradient the head
+carries back to the prototype and query maps (``head.backward``).
+Features with positive relevance for the predicted class are amplified
+and features with negative relevance are damped, so the gradient
+pressure concentrates on evidence the classifier itself considers
+relevant.
 
 With the cosine head no feature is ever damped: encoder features are
 >= 0 (ReLU, then average pooling), so every contribution q_i * phat_i
@@ -31,10 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-# cosine_explain and lrp_backward are not called here; benchmarks/spans.py wraps them here.
+# cosine_explain, cosine_scores, lrp_backward: not called here; benchmarks/spans.py wraps them here.
 from .heads import (
-    CosineHead,
-    RelationHead,
     class_prototypes,
     cosine_explain,
     cosine_scores,
@@ -120,16 +121,6 @@ def lrp_weights(rel_norm: Array) -> Array:
     return 1.0 + r
 
 
-def weighted_features(features: Array, weights: Array) -> Array:
-    """Element-wise feature re-weighting; shapes must match exactly."""
-    f = np.asarray(features, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if f.shape != w.shape:
-        raise ContractError(
-            f"feature shape {f.shape} does not match weight shape {w.shape}")
-    return f * w
-
-
 def _softmax_ce_grads(probs: Array, labels: Array, beta: float, coef: float) -> Array:
     """d(coef * sum_i CE_i)/d(scores): beta * (p - onehot), clamp-aware.
 
@@ -144,140 +135,46 @@ def _softmax_ce_grads(probs: Array, labels: Array, beta: float, coef: float) -> 
     return g
 
 
-def _cosine_branch(v: Array, protos: Array, grads: Array, scores: Array,
-                   ) -> tuple[Array, Array]:
-    """Gradients of sum(grads * scores) through cosine similarity.
-
-    v: [n, D] query-side rows, protos: [K, D], grads: [n, K] upstream
-    dLoss/dscore, scores: [n, K] the cosine values.  Returns the
-    gradient wrt v rows and wrt the prototype rows.
-    """
-    vn = np.linalg.norm(v, axis=1)
-    pn = np.linalg.norm(protos, axis=1)
-    gu = grads * scores
-    dv = ((grads / pn[None, :]) @ protos) / vn[:, None]
-    dv -= (gu.sum(axis=1) / vn ** 2)[:, None] * v
-    dp = ((grads / vn[:, None]).T @ v) / pn[:, None]
-    dp -= (gu.sum(axis=0) / pn ** 2)[:, None] * protos
-    return dv, dp
-
-
-def _merge_param_grads(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    merged = []
-    for ga, gb in zip(a, b):
-        if ga is None and gb is None:
-            merged.append(None)
-        else:
-            merged.append({k: ga[k] + gb[k] for k in ga})
-    return merged
-
-
-def _cosine_step(head: CosineHead, proto_maps: Array, qmaps: Array, y: Array,
-                 cfg: TrainConfig, enable_lrp: bool):
-    """Cosine head's part of an episode; see :func:`episode_gradients`."""
-    way, n = proto_maps.shape[0], qmaps.shape[0]
-    protos = proto_maps.reshape(way, -1)
-    feats_q = qmaps.reshape(n, -1)
-    scores = cosine_scores(feats_q, protos)
-    probs = scaled_softmax(scores, head.beta)
-
-    d_fq = np.zeros_like(feats_q)
-    d_protos = np.zeros_like(protos)
-    if cfg.xi != 0.0:
-        g1 = _softmax_ce_grads(probs, y, head.beta, cfg.xi / n)
-        gq, gp = _cosine_branch(feats_q, protos, g1, scores)
-        d_fq += gq
-        d_protos += gp
-
-    probs_lrp = None
-    if enable_lrp:
-        rel_init = head.relevance_init(scores, probs)
-        winners = np.argmax(probs, axis=1)
-        rels = lrp_through_head(head, protos, feats_q, None, rel_init, winners, cfg.lrp)
-        weights = np.array([lrp_weights(normalize_relevance(r)) for r in rels])
-        reweighted = weighted_features(feats_q, weights)
-        scores_lrp = cosine_scores(reweighted, protos)
-        probs_lrp = scaled_softmax(scores_lrp, head.beta)
-        if cfg.lam != 0.0:
-            g2 = _softmax_ce_grads(probs_lrp, y, head.beta, cfg.lam / n)
-            gq2, gp2 = _cosine_branch(reweighted, protos, g2, scores_lrp)
-            d_fq += weights * gq2
-            d_protos += gp2
-    return (probs, probs_lrp, d_protos.reshape(proto_maps.shape),
-            d_fq.reshape(qmaps.shape), None)
-
-
-def _relation_step(head: RelationHead, protos: Array, qmaps: Array, y: Array,
-                   cfg: TrainConfig, enable_lrp: bool):
-    """Relation head's part of an episode; see :func:`episode_gradients`."""
-    rnet = head.net
-    n, way = qmaps.shape[0], protos.shape[0]
-    scores, rtrace = head.scores(protos, qmaps)
-    flat = rtrace.entries[0].input
-    pairs = flat.reshape((n, way) + flat.shape[1:])
-    probs = scaled_softmax(scores, head.beta)
-
-    d_flat = np.zeros_like(flat)
-    rel_grads = None
-    if cfg.xi != 0.0:
-        g1 = _softmax_ce_grads(probs, y, head.beta, cfg.xi / n)
-        gin, pg = rnet.backward_grad(rtrace, g1.reshape(n * way, 1))
-        d_flat += gin
-        rel_grads = pg
-
-    probs_lrp = None
-    if enable_lrp:
-        rel_init = head.relevance_init(scores, probs)
-        winners = np.argmax(probs, axis=1)
-        rels = lrp_through_head(head, protos, qmaps, rtrace, rel_init, winners, cfg.lrp)
-        weights = np.array([lrp_weights(normalize_relevance(r)) for r in rels])
-        flat2 = (pairs * weights[:, None]).reshape(flat.shape)
-        logits2, rtrace2 = rnet.forward_recorded(flat2)
-        scores_lrp = logits2[:, 0].reshape(n, way)
-        probs_lrp = scaled_softmax(scores_lrp, head.beta)
-        if cfg.lam != 0.0:
-            g2 = _softmax_ce_grads(probs_lrp, y, head.beta, cfg.lam / n)
-            gin2, pg2 = rnet.backward_grad(rtrace2, g2.reshape(n * way, 1))
-            d_flat += (gin2.reshape(pairs.shape) * weights[:, None]).reshape(flat.shape)
-            rel_grads = _merge_param_grads(rel_grads, pg2)
-
-    d_pairs = d_flat.reshape(pairs.shape)
-    channels = protos.shape[1]
-    return (probs, probs_lrp, d_pairs[:, :, :channels].sum(axis=0),
-            d_pairs[:, :, channels:].sum(axis=1), rel_grads)
-
-
 def episode_gradients(model: FewShotModel, episode, cfg: TrainConfig,
                       enable_lrp: bool = True):
     """Loss report plus parameter gradients, without applying an update.
 
-    The episode skeleton for both heads.  The head step returns the
-    plain and re-weighted probabilities (``None`` without LRP), the
-    gradients for the prototype and query maps, and the relation-net
-    gradients (``None`` for the cosine head).
+    The one EGT step for every head: the plain pass (with ``xi`` > 0)
+    and the re-weighted pass (with LRP and ``lam`` > 0) each add their
+    CE gradient through ``head.backward``.  The relation-net gradients
+    are ``None`` for the cosine head, and without a pass.
     """
     if episode.way != cfg.way:
         raise ContractError(
             f"episode way {episode.way} does not match config way {cfg.way}")
-    if isinstance(model.head, CosineHead):
-        head_step = _cosine_step
-    elif isinstance(model.head, RelationHead):
-        head_step = _relation_step
-    else:
-        raise ConfigError(f"unknown head {type(model.head).__name__!r}")
+    head = model.head
     images = np.concatenate([episode.support_images, episode.query_images], axis=0)
     maps, trace = model.encode_recorded(images)
     n_support = episode.support_images.shape[0]
     s_local, y = episode.support_local, episode.query_local
     protos = class_prototypes(maps[:n_support], s_local, episode.way)
-    probs, probs_lrp, d_protos, d_q, rel_grads = head_step(
-        model.head, protos, maps[n_support:], y, cfg, enable_lrp)
+    qmaps = maps[n_support:]
+    n = qmaps.shape[0]
+    scores, head_trace = head.scores(protos, qmaps)
+    probs = scaled_softmax(scores, head.beta)
+    passes = []
+    if cfg.xi != 0.0:
+        passes.append((None, scores, head_trace,
+                       _softmax_ce_grads(probs, y, head.beta, cfg.xi / n)))
 
-    n = probs.shape[0]
+    probs_lrp = None
+    if enable_lrp:
+        rel_init = head.relevance_init(scores, probs)
+        rels = lrp_through_head(head, protos, qmaps, head_trace, rel_init,
+                                np.argmax(probs, axis=1), cfg.lrp)
+        weights = np.array([lrp_weights(normalize_relevance(r)) for r in rels])
+        scores_lrp, trace_lrp = head.scores(protos, qmaps, weights)
+        probs_lrp = scaled_softmax(scores_lrp, head.beta)
+        if cfg.lam != 0.0:
+            passes.append((weights, scores_lrp, trace_lrp,
+                           _softmax_ce_grads(probs_lrp, y, head.beta, cfg.lam / n)))
+    d_protos, d_q, rel_grads = head.backward(protos, qmaps, passes)
+
     ce_plain = np.array([cross_entropy(y[i], probs[i]) for i in range(n)])
     accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
     if probs_lrp is None:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from egt.cli import REQUIRED, SETTINGS, _config_value, build_parser, finite_float, main
+from egt.data import LabeledImageSet, load_dataset, save_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -562,6 +563,18 @@ class TestStats:
         summary_row = (tmp_path / "stats_dark_summary.csv").read_text()
         std_s2 = float(summary_row.strip().split("\n")[1].split(",")[2])
         assert std_s2 == pytest.approx(s2.std(ddof=1), rel=1e-12)
+
+
+    def test_single_image_dataset_exits_2(self, corpus, run_dir, tmp_path, capsys):
+        data = load_dataset(str(corpus / "dark.egtd"))
+        one = tmp_path / "one.egtd"
+        save_dataset(LabeledImageSet(data.images[:1], data.labels[:1], "one"), str(one))
+        code = main(["stats", "--checkpoint", str(run_dir / "model.egt1"),
+                     "--data", str(one), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds 1" in err
+        assert not (tmp_path / "stats_one_summary.csv").exists()
 
 
 class TestTopLevel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from egt.errors import ConfigError, DataFormatError
+from egt import heads as heads_module
 from egt.heads import CosineHead, RelationHead, scaled_softmax
 from egt.model import (
     build_encoder,
@@ -17,7 +18,7 @@ from egt.model import (
 )
 from egt import model as model_module
 from egt.lrp import LrpConfig, lrp_backward
-from egt.tensornet import Network
+from egt.tensornet import Flatten, Linear, Network
 
 from util_nets import FUZZ_BYTES, count_grad_input, loads_or_fails_cleanly
 
@@ -201,6 +202,22 @@ class TestCheckpoint:
         x = rng.normal(size=(2, 1, 16, 16))
         np.testing.assert_array_equal(loaded.encode(x), model.encode(x))
 
+    @pytest.mark.parametrize("net", [
+        pytest.param(lambda rng: build_relation_net((18, 2, 2), rng, hidden=4),
+                     id="unpaired-input"),
+        pytest.param(lambda rng: Network((16, 2, 2), [Flatten(), Linear.he_init(64, 2, rng)]),
+                     id="two-logits")])
+    def test_relation_section_that_cannot_pair_rejected(self, net, tmp_path):
+        # encoder maps are 8x2x2, so a usable relation net reads 16x2x2 pairs
+        # and emits one logit; save_model writes whatever net the head holds
+        rng = np.random.default_rng(16)
+        model = build_model("relation", (1, 8, 8), rng, widths=(4, 8), hidden=4)
+        model.head.net = net(rng)
+        path = str(tmp_path / "m.egt1")
+        save_model(model, path)
+        with pytest.raises(DataFormatError, match="relation section"):
+            load_model(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.egt1"
         path.write_bytes(b"PNG1\njunk")
@@ -320,11 +337,15 @@ class TestExplainInput:
             passes.append(net)
             return lrp_backward(net, *args, **kwargs)
         monkeypatch.setattr(model_module, "lrp_backward", recorded)
+        monkeypatch.setattr(heads_module, "lrp_backward", recorded)
         res = explain_input(model, support, local, 3, query, targets=[2, 0])
-        assert [net is model.encoder for net in passes] == [True]
+        # one relation-net pass for both targets, then one encoder pass
+        assert passes == ([] if head == "cosine" else [model.head.net]) + [model.encoder]
         assert sorted(res.input_relevance) == [0, 2]
         qmaps, qtrace = model.encode_recorded(query[None])
         for t in (2, 0):
+            single = explain_input(model, support, local, 3, query, targets=[t])
+            assert res.feature_relevance[t].tobytes() == single.feature_relevance[t].tobytes()
             map_rel = res.feature_relevance[t].reshape(-1)[-qmaps.size:].reshape(qmaps.shape)
             want = lrp_backward(model.encoder, qtrace, map_rel, LrpConfig())[0][0]
             np.testing.assert_array_equal(res.input_relevance[t], want)
@@ -332,11 +353,12 @@ class TestExplainInput:
 
     def test_no_targets_explains_nothing(self):
         rng = np.random.default_rng(24)
-        model = build_model("cosine", (1, 16, 16), rng, widths=(4, 8))
-        support, local = self._support(rng)
-        res = explain_input(model, support, local, 3, rng.uniform(size=(1, 16, 16)),
-                            targets=[])
-        assert res.input_relevance == {} and res.feature_relevance == {}
+        for head in ("cosine", "relation"):
+            model = build_model(head, (1, 16, 16), rng, widths=(4, 8), hidden=8)
+            support, local = self._support(rng)
+            res = explain_input(model, support, local, 3, rng.uniform(size=(1, 16, 16)),
+                                targets=[])
+            assert res.input_relevance == {} and res.feature_relevance == {}
 
     def test_default_path_folds_once_per_conv(self, monkeypatch):
         # Five targets through a 3-conv encoder: one batched pass, and the

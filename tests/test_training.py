@@ -17,6 +17,7 @@ from egt.heads import (
     cosine_scores,
     relevance_init_nonparametric,
     scaled_softmax,
+    weighted_features,
 )
 from egt.lrp import LrpConfig, lrp_backward, normalize_relevance
 from egt.model import build_model, load_model
@@ -29,7 +30,6 @@ from egt.training import (
     train,
     train_episode,
     train_episode_plain,
-    weighted_features,
 )
 
 
@@ -202,11 +202,20 @@ class TestExplanationBranchIsSideEffectFree:
         assert not np.array_equal(res.probs_lrp, res.probs)
 
 
+# Both passes, the re-weighted pass only (the cosine EGT default), and the
+# plain pass only: every number of passes a head's backward accumulates.
+LOSS_MIXES = pytest.mark.parametrize("xi,lam", [
+    pytest.param(0.7, 1.3, id="both-passes"),
+    pytest.param(0.0, 1.0, id="reweighted-only"),
+    pytest.param(1.0, 0.0, id="plain-only")])
+
+
 class TestGradientsAgainstFiniteDifferences:
-    def test_cosine_stop_gradient(self):
+    @LOSS_MIXES
+    def test_cosine_stop_gradient(self, xi, lam):
         model = _tiny_model("cosine", seed=5)
         ep = _episode(seed=6)
-        cfg = TrainConfig(way=3, shot=2, n_query=4, xi=0.7, lam=1.3)
+        cfg = TrainConfig(way=3, shot=2, n_query=4, xi=xi, lam=lam)
         w0 = _cosine_weights(model, ep, cfg)
 
         def frozen_loss():
@@ -222,10 +231,11 @@ class TestGradientsAgainstFiniteDifferences:
         want = _fd_grads(model, frozen_loss)
         np.testing.assert_allclose(got, want, rtol=2e-4, atol=1e-8)
 
-    def test_relation_stop_gradient(self):
+    @LOSS_MIXES
+    def test_relation_stop_gradient(self, xi, lam):
         model = _tiny_model("relation", seed=8, hidden=4)
         ep = _episode(seed=9)
-        cfg = TrainConfig(way=3, shot=2, n_query=4, xi=1.0, lam=0.8)
+        cfg = TrainConfig(way=3, shot=2, n_query=4, xi=xi, lam=lam)
         lrp_cfg = cfg.lrp
 
         def pair_tensor():
