@@ -104,7 +104,7 @@ SETTINGS = {
         **_INPUTS, "data": (list, REQUIRED, None), **_EPISODE,
         "episodes": (int, 2000, _at_least(1)), **_SEED,
         "transductive": (bool, False, None), "iterations": (int, 2, None),
-        "candidates": (str, "4,8", None), "workers": (int, 1, None)},
+        "candidates": (str, "4,8", None)},
     "explain": {
         **_INPUTS, **_EPISODE, **_SEED, "query": (int, 0, None),
         "targets": (("all", "predicted"), "all", None), **_LRP,
@@ -160,7 +160,8 @@ def _config_value(kind, key: str, value):
 
 # Keys that config files echoed before an option's removal still carry,
 # with the one value the remaining code implements.
-_RETIRED = {"train": {"explain_variant": "query", "exact_weight_grad": False}}
+_RETIRED = {"train": {"explain_variant": "query", "exact_weight_grad": False},
+            "eval": {"workers": 1}}
 
 
 def _resolve_params(args) -> dict:
@@ -293,7 +294,7 @@ def _cmd_eval(params: dict) -> None:
         rng = np.random.default_rng([params["seed"], 2])
         report = evaluate(model, data, params["way"], params["shot"],
                           params["queries"], params["episodes"], rng,
-                          transductive=trans, workers=params["workers"])
+                          transductive=trans)
         csv_path = os.path.join(params["out"], f"eval_{stem}.csv")
         with open(csv_path, "w") as fh:
             fh.write("episode,acc\n")

@@ -76,6 +76,8 @@ class Episode:
 
     ``classes`` keeps the sampled order; local labels are positions in
     that array.  Queries are grouped class-major in the same order.
+    ``support_rows`` and ``query_rows`` are the images' row indices in
+    the dataset they were sampled from.
     """
 
     way: int
@@ -86,6 +88,8 @@ class Episode:
     support_labels: Array
     query_images: Array
     query_labels: Array
+    support_rows: Array
+    query_rows: Array
     support_local: Array = field(init=False)
     query_local: Array = field(init=False)
 
@@ -134,7 +138,8 @@ def sample_episode(data: LabeledImageSet, way: int, shot: int, n_query: int,
     return Episode(
         way=way, shot=shot, n_query=n_query, classes=np.asarray(chosen),
         support_images=data.images[s_idx], support_labels=data.labels[s_idx],
-        query_images=data.images[q_idx], query_labels=data.labels[q_idx])
+        query_images=data.images[q_idx], query_labels=data.labels[q_idx],
+        support_rows=s_idx, query_rows=q_idx)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +10,7 @@ import numpy as np
 from .data import Episode, LabeledImageSet, sample_episode
 from .errors import ConfigError, ContractError
 from .heads import class_prototypes
-from .model import FewShotModel, episode_probs, probs_from_maps
+from .model import FewShotModel, probs_from_maps
 
 Array = np.ndarray
 
@@ -56,31 +54,27 @@ class TransductiveConfig:
             raise ConfigError(f"candidate counts must be nondecreasing, got {cand}")
 
 
-def transductive_infer(model: FewShotModel, episode: Episode,
-                       cfg: TransductiveConfig = TransductiveConfig(),
+def transductive_infer(model: FewShotModel, support_maps: Array, support_local: Array,
+                       way: int, query_maps: Array, cfg: TransductiveConfig,
                        return_history: bool = False):
-    """Self-augmenting inference: absorb confident queries as pseudo-support.
+    """Self-augmenting inference on encoded maps: absorb confident queries
+    as pseudo-support.
 
     Each round rebuilds prototypes from the grown support pool, then
     moves the globally most confident unabsorbed queries (top
     ``candidates_per_iter[t]`` by predicted-class probability, ties
     broken by query index) into the pool under their predicted labels.
-    The episode itself is never modified; absorbed queries keep getting
-    re-scored and the final argmax decides every query.
+    The inputs are never modified; absorbed queries keep getting
+    re-scored and the final argmax decides every query.  With zero
+    rounds this is the plain argmax over the support prototypes.
     """
-    smaps = model.encode(episode.support_images)
-    qmaps = model.encode(episode.query_images)
-    pool_maps = [m for m in smaps]
-    pool_labels = list(episode.support_local)
-    n = qmaps.shape[0]
-    absorbed = np.zeros(n, dtype=bool)
+    pool_maps, pool_labels = support_maps, np.asarray(support_local)
+    absorbed = np.zeros(query_maps.shape[0], dtype=bool)
     history = []
     for t in range(cfg.iterations):
-        protos = class_prototypes(np.stack(pool_maps), np.array(pool_labels),
-                                  episode.way)
-        probs = probs_from_maps(model, protos, qmaps)
+        probs = probs_from_maps(model, class_prototypes(pool_maps, pool_labels, way),
+                                query_maps)
         confidence = probs.max(axis=1)
-        predictions = probs.argmax(axis=1)
         remaining = np.flatnonzero(~absorbed)
         want = cfg.candidates_per_iter[t]
         take = min(want, remaining.size)
@@ -90,74 +84,59 @@ def transductive_infer(model: FewShotModel, episode: Episode,
                 f"clamping candidate count {want} -> {take}")
         order = remaining[np.argsort(-confidence[remaining], kind="stable")]
         chosen = order[:take]
-        for i in chosen:
-            absorbed[i] = True
-            pool_maps.append(qmaps[i])
-            pool_labels.append(int(predictions[i]))
-        history.append({"round": t, "absorbed": [int(i) for i in chosen],
+        absorbed[chosen] = True
+        pool_maps = np.concatenate([pool_maps, query_maps[chosen]])
+        pool_labels = np.concatenate([pool_labels, probs.argmax(axis=1)[chosen]])
+        history.append({"round": t, "absorbed": chosen.tolist(),
                         "support_size": len(pool_maps)})
-    protos = class_prototypes(np.stack(pool_maps), np.array(pool_labels),
-                              episode.way)
-    final = probs_from_maps(model, protos, qmaps).argmax(axis=1)
+    final = probs_from_maps(model, class_prototypes(pool_maps, pool_labels, way),
+                            query_maps).argmax(axis=1)
     if return_history:
         return final, history
     return final
 
 
-def episode_accuracy(model: FewShotModel, episode: Episode,
+def episode_accuracy(model: FewShotModel, episode: Episode, maps: Array,
                      transductive: TransductiveConfig | None = None) -> float:
-    if transductive is not None:
-        predictions = transductive_infer(model, episode, transductive)
-    else:
-        probs = episode_probs(model, episode.support_images,
-                              episode.support_local, episode.way,
-                              episode.query_images)
-        predictions = probs.argmax(axis=1)
+    """Query accuracy of one episode, scored from ``maps``, a table of
+    encoder outputs indexed by dataset row that holds the episode's rows;
+    no transductive config means zero rounds."""
+    predictions = transductive_infer(
+        model, maps[episode.support_rows], episode.support_local, episode.way,
+        maps[episode.query_rows], transductive or TransductiveConfig(0, ()))
     return float(np.mean(predictions == episode.query_local))
-
-
-def _accuracy_chunk(args) -> list[float]:
-    model, episodes, transductive = args
-    return [episode_accuracy(model, ep, transductive) for ep in episodes]
 
 
 def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
              n_query: int, episodes: int, rng: np.random.Generator,
-             transductive: TransductiveConfig | None = None,
-             workers: int = 1) -> EvalReport:
+             transductive: TransductiveConfig | None = None) -> EvalReport:
     """Accuracy over freshly sampled episodes with a 95% interval.
 
-    Episodes are drawn from ``rng`` in the same order whatever
-    ``workers`` is, so the result does not depend on it.  The pool runs
-    at most ``min(workers, cpu count, episodes)`` processes; one
-    process means no pool.  The serial path samples each episode just
-    before scoring it and holds one at a time; the parallel path samples
-    all of them up front and splits only the scoring work into chunks.
-    ``config["workers"]`` records the processes used.
+    Each episode is sampled just before it is scored, and each dataset
+    image is encoded at most once per call: an episode's rows that no
+    earlier episode encoded go through the encoder together (at most
+    ``way * shot + n_query`` rows) into a per-call table of maps, from
+    which the episode is scored.  The encoder maps every row the same way
+    whatever batch it comes in, so the accuracies are those of encoding
+    each episode afresh.
     """
     if episodes < 1:
         raise ContractError("need at least one evaluation episode")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1, episodes)
-    if workers == 1:
-        accs = [episode_accuracy(model, sample_episode(data, way, shot, n_query, rng),
-                                 transductive) for _ in range(episodes)]
-    else:
-        drawn = [sample_episode(data, way, shot, n_query, rng)
-                 for _ in range(episodes)]
-        chunks = [drawn[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_accuracy_chunk,
-                                  [(model, chunk, transductive) for chunk in chunks]))
-        accs = [0.0] * episodes
-        for lane, part in enumerate(parts):
-            for j, acc in enumerate(part):
-                accs[lane + j * workers] = acc
+    maps = np.empty((len(data.images), *model.encoder.output_shape))
+    done = np.zeros(len(data.images), dtype=bool)
+    accs = []
+    for _ in range(episodes):
+        episode = sample_episode(data, way, shot, n_query, rng)
+        rows = np.concatenate([episode.support_rows, episode.query_rows])
+        new = rows[~done[rows]]
+        if new.size:
+            maps[new] = model.encode(data.images[new])
+            done[new] = True
+        accs.append(episode_accuracy(model, episode, maps, transductive))
     mean, ci95, degenerate = confidence_interval(accs)
     config = {"way": way, "shot": shot, "n_query": n_query,
               "episodes": episodes, "domain": data.domain_tag,
-              "transductive": transductive is not None, "workers": workers}
+              "transductive": transductive is not None}
     if transductive is not None:
         config["iterations"] = transductive.iterations
         config["candidates_per_iter"] = list(transductive.candidates_per_iter)
@@ -201,13 +180,15 @@ def feature_stats(feature_map: Array) -> FeatureStats:
     return FeatureStats(channel_quantiles=pooled, s2=s2, qdiff=qdiff)
 
 
+_STATS_BATCH = 64  # images per encoder call
+
+
 def dataset_feature_stats(model: FewShotModel, data: LabeledImageSet,
-                          limit: int | None = None,
-                          batch: int = 64) -> list[FeatureStats]:
+                          limit: int | None = None) -> list[FeatureStats]:
     """Per-image feature statistics over (a prefix of) a dataset."""
     count = data.images.shape[0] if limit is None else min(limit, data.images.shape[0])
     stats: list[FeatureStats] = []
-    for start in range(0, count, batch):
-        maps = model.encode(data.images[start:min(start + batch, count)])
+    for start in range(0, count, _STATS_BATCH):
+        maps = model.encode(data.images[start:min(start + _STATS_BATCH, count)])
         stats.extend(feature_stats(m) for m in maps)
     return stats

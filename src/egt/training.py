@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 
 # cosine_explain, cosine_scores, lrp_backward: not called here; benchmarks/spans.py wraps them here.
 from .heads import (
@@ -228,7 +228,9 @@ def train(model: FewShotModel, episodes: Iterator, cfg: TrainConfig,
 
     The learning rate is multiplied by ``cfg.lr_decay`` every
     ``cfg.lr_decay_every`` epochs.  The checkpoint is rewritten after
-    each epoch so an interrupted run keeps its last completed epoch.
+    each epoch so an interrupted run keeps its last completed epoch.  A
+    :class:`NumericError` in a step is raised again with the step named,
+    as ``epoch E step S: <message>``.
     """
     step_fn = train_episode_plain if plain else train_episode
     rows: list[dict] = []
@@ -241,8 +243,10 @@ def train(model: FewShotModel, episodes: Iterator, cfg: TrainConfig,
             if epoch > 1 and cfg.lr_decay_every > 0 and (epoch - 1) % cfg.lr_decay_every == 0:
                 lr *= cfg.lr_decay
             for step in range(1, cfg.episodes_per_epoch + 1):
-                episode = next(episodes)
-                res = step_fn(model, episode, cfg, lr=lr)
+                try:
+                    res = step_fn(model, next(episodes), cfg, lr=lr)
+                except NumericError as exc:
+                    raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
                 row = {"epoch": epoch, "step": step,
                        "loss_plain": res.loss_plain, "loss_lrp": res.loss_lrp,
                        "loss_total": res.loss_total, "acc": res.accuracy}

@@ -344,7 +344,10 @@ class TestCriterion9TransductiveMechanics:
         }
 
         cfg = TransductiveConfig(iterations=2, candidates_per_iter=(4, 8))
-        preds, history = transductive_infer(model, episode, cfg,
+        smaps = model.encode(episode.support_images)
+        qmaps = model.encode(episode.query_images)
+        preds, history = transductive_infer(model, smaps, episode.support_local,
+                                            episode.way, qmaps, cfg,
                                             return_history=True)
         sizes = [h["support_size"] for h in history]
         growth_ok = sizes == [29, 37]
@@ -358,8 +361,8 @@ class TestCriterion9TransductiveMechanics:
                                         episode.support_local, episode.way,
                                         episode.query_images), axis=1)
         zero_iter = transductive_infer(
-            model, episode, TransductiveConfig(iterations=0,
-                                               candidates_per_iter=()))
+            model, smaps, episode.support_local, episode.way, qmaps,
+            TransductiveConfig(iterations=0, candidates_per_iter=()))
         zero_ok = np.array_equal(plain, zero_iter)
 
         _report(9, "transductive support 25->29->37, episode untouched, "

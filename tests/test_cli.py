@@ -314,29 +314,46 @@ class TestTrain:
         assert _hash(tmp_path / "model.egt1") == _hash(run_dir / "model.egt1")
         assert _hash(tmp_path / "train_log.csv") == _hash(run_dir / "train_log.csv")
 
-    def test_config_with_retired_keys_reruns(self, run_dir, tmp_path):
-        # train.config.json files written while --explain-variant and
-        # --exact-weight-grad existed carry both keys at their defaults
-        cfg = json.loads((run_dir / "train.config.json").read_text())
-        assert "explain_variant" not in cfg and "exact_weight_grad" not in cfg
-        cfg.update(out=str(tmp_path), explain_variant="query", exact_weight_grad=False)
-        cfg_path = tmp_path / "old.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        assert _hash(tmp_path / "train_log.csv") == _hash(run_dir / "train_log.csv")
-        assert _hash(tmp_path / "model.egt1") == _hash(run_dir / "model.egt1")
+    # command -> the keys its config files carried, at their defaults, before
+    # --explain-variant and --exact-weight-grad (train) and --workers (eval)
+    # were removed
+    OLD_KEYS = {"train": {"explain_variant": "query", "exact_weight_grad": False},
+                "eval": {"workers": 1}}
+
+    def test_config_with_retired_keys_reruns(self, corpus, run_dir, tmp_path):
+        eval_dir = tmp_path / "eval"
+        eval_dir.mkdir()
+        assert main(_argv("eval", _settings("eval", corpus, run_dir, eval_dir))) == 0
+        # command -> (directory of a run, its outputs)
+        runs = {"train": (run_dir, ["train_log.csv", "model.egt1"]),
+                "eval": (eval_dir, ["eval_dark.csv"])}
+        for command, (done, outputs) in runs.items():
+            cfg = json.loads((done / f"{command}.config.json").read_text())
+            assert not set(self.OLD_KEYS[command]) & set(cfg)
+            again = tmp_path / f"{command}-again"
+            again.mkdir()
+            cfg_path = tmp_path / f"old-{command}.json"
+            cfg_path.write_text(json.dumps({**cfg, "out": str(again),
+                                            **self.OLD_KEYS[command]}))
+            assert main([command, "--config", str(cfg_path)]) == 0
+            for name in outputs:
+                assert _hash(again / name) == _hash(done / name), (command, name)
 
     @pytest.mark.parametrize("key,value", [("exact_weight_grad", True),
-                                           ("explain_variant", "both-normalized")])
-    def test_retired_option_value_exits_1(self, run_dir, tmp_path, capsys, key, value):
-        cfg = json.loads((run_dir / "train.config.json").read_text())
-        cfg.update({"out": str(tmp_path), key: value})
+                                           ("explain_variant", "both-normalized"),
+                                           ("workers", 2)])
+    def test_retired_option_value_exits_1(self, corpus, run_dir, tmp_path, capsys,
+                                          key, value):
+        command = next(c for c, keys in self.OLD_KEYS.items() if key in keys)
+        out = tmp_path / "out"
+        out.mkdir()
         cfg_path = tmp_path / "old.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(cfg_path)]) == 1
+        cfg_path.write_text(json.dumps({**_settings(command, corpus, run_dir, out),
+                                        key: value}))
+        assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err and "removed" in err
-        assert not (tmp_path / "train_log.csv").exists()
+        assert not list(out.iterdir())
 
     def test_baseline_mode_zeroes_lam(self, corpus, tmp_path):
         code = main(["train", "--data", str(corpus / "bright.egtd"),

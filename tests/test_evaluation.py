@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import egt.evaluation
-from egt.data import LabeledImageSet, sample_episode
+from egt.data import GeneratorSpec, LabeledImageSet, gen_synthetic_domains, sample_episode
 from egt.errors import ConfigError, ContractError, DataFormatError
 from egt.evaluation import (
     EvalReport,
@@ -21,7 +20,7 @@ from egt.evaluation import (
     transductive_infer,
 )
 from egt.heatmap import read_ppm, relevance_to_rgb, render_heatmap, write_ppm
-from egt.model import build_model
+from egt.model import build_model, episode_probs
 
 
 def _toy_set(counts, channels=1, side=8, seed=0):
@@ -79,60 +78,11 @@ class TestEvaluate:
         np.testing.assert_array_equal(a.accuracies, b.accuracies)
         assert a.mean == b.mean and a.ci95 == b.ci95
 
-    def test_workers_do_not_change_results(self):
-        data = _toy_set([6] * 8, seed=8)
-        model = _tiny_model(seed=9)
-        serial = evaluate(model, data, 3, 2, 6, 10, np.random.default_rng(10))
-        parallel = evaluate(model, data, 3, 2, 6, 10, np.random.default_rng(10),
-                            workers=2)
-        np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
-
     def test_single_episode_flagged(self):
         data = _toy_set([6] * 8, seed=11)
         model = _tiny_model(seed=12)
         report = evaluate(model, data, 3, 2, 6, 1, np.random.default_rng(13))
         assert report.degenerate and report.ci95 == 0.0
-
-    # (workers asked for, cpu count, episodes) -> processes used
-    POOL_SIZES = {(4, 2, 10): 2, (2, 8, 10): 2, (6, 8, 3): 3,
-                  (1, 8, 10): 1, (64, None, 10): 1}
-
-    @pytest.mark.parametrize("asked,cpus,episodes", sorted(POOL_SIZES, key=str))
-    def test_pool_is_bounded(self, monkeypatch, asked, cpus, episodes):
-        sizes = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(egt.evaluation, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(egt.evaluation.os, "cpu_count", lambda: cpus)
-        data = _toy_set([6] * 8, seed=8)
-        model = _tiny_model(seed=9)
-        report = evaluate(model, data, 3, 2, 6, episodes, np.random.default_rng(10),
-                          workers=asked)
-        used = self.POOL_SIZES[(asked, cpus, episodes)]
-        assert report.config["workers"] == used
-        assert sizes == ([] if used == 1 else [used])
-        serial = evaluate(model, data, 3, 2, 6, episodes, np.random.default_rng(10))
-        np.testing.assert_array_equal(report.accuracies, serial.accuracies)
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ConfigError, match="workers"):
-            evaluate(_tiny_model(seed=9), _toy_set([6] * 8, seed=8), 3, 2, 6, 2,
-                     np.random.default_rng(10), workers=workers)
 
     def test_config_echo(self):
         data = _toy_set([6] * 8, seed=14)
@@ -144,12 +94,92 @@ class TestEvaluate:
         assert report.config["candidates_per_iter"] == [2]
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    """A small corpus at the gate's image size, for the encoder's own shapes."""
+    spec = GeneratorSpec(classes=7, images_per_class=14, height=16, width=16,
+                         domains=("dark",))
+    (data,) = gen_synthetic_domains(spec, seed=41)
+    return data
+
+
+def _gate_model(head):
+    return build_model(head, (3, 16, 16), np.random.default_rng([42, 0]))
+
+
+def _encoded(model, ep):
+    """An episode's leading arguments of ``transductive_infer``, encoded afresh."""
+    return (model.encode(ep.support_images), ep.support_local, ep.way,
+            model.encode(ep.query_images))
+
+
+class TestEmbeddingTable:
+    """``evaluate`` scores episodes from a per-call table of encoder rows."""
+
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_encoder_rows_do_not_depend_on_batch(self, corpus, head):
+        model = _gate_model(head)
+        batch = model.encode(corpus.images)
+        single = np.concatenate([model.encode(img[None]) for img in corpus.images])
+        assert np.array_equal(single, batch)
+
+    @pytest.mark.parametrize("transductive", [None, TransductiveConfig(2, (4, 8))],
+                             ids=["plain", "transductive"])
+    def test_each_row_encoded_once_in_episode_sized_calls(self, monkeypatch,
+                                                          transductive):
+        data = _toy_set([9] * 7, seed=43)
+        model = _tiny_model(seed=44)
+        row_of = {img.tobytes(): i for i, img in enumerate(data.images)}
+        calls = []
+        encode = model.encode
+
+        def counting(images):
+            calls.append([row_of[img.tobytes()] for img in images])
+            return encode(images)
+        monkeypatch.setattr(model, "encode", counting)
+        evaluate(model, data, 5, 5, 16, 60, np.random.default_rng(45), transductive)
+        encoded = [row for call in calls for row in call]
+        assert len(encoded) == len(set(encoded)) == len(data.images)
+        assert max(map(len, calls)) <= 5 * 5 + 16
+
+    @pytest.mark.parametrize("transductive", [None, TransductiveConfig(2, (4, 8))],
+                             ids=["plain", "transductive"])
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_accuracies_match_encoding_each_episode(self, corpus, head, transductive):
+        model = _gate_model(head)
+        report = evaluate(model, corpus, 5, 5, 16, 12, np.random.default_rng(46),
+                          transductive)
+        rng = np.random.default_rng(46)
+        want = []
+        for _ in range(12):
+            ep = sample_episode(corpus, 5, 5, 16, rng)
+            if transductive is None:
+                preds = episode_probs(model, ep.support_images, ep.support_local,
+                                      ep.way, ep.query_images).argmax(axis=1)
+            else:
+                preds = transductive_infer(model, *_encoded(model, ep), transductive)
+            want.append(float(np.mean(preds == ep.query_local)))
+        assert report.accuracies.tolist() == want
+
+    def test_episode_accuracy_reads_the_table(self, corpus):
+        model = _gate_model("cosine")
+        ep = sample_episode(corpus, 5, 5, 16, np.random.default_rng(47))
+        maps = np.full((len(corpus.images),) + model.encoder.output_shape, np.nan)
+        rows = np.concatenate([ep.support_rows, ep.query_rows])
+        maps[rows] = model.encode(corpus.images[rows])
+        probs = episode_probs(model, ep.support_images, ep.support_local, ep.way,
+                              ep.query_images)
+        assert episode_accuracy(model, ep, maps) == float(
+            np.mean(probs.argmax(axis=1) == ep.query_local))
+
+
 class TestTransductive:
     def test_support_pool_growth(self):
         data = _toy_set([12] * 7, seed=17)
         model = _tiny_model(seed=18)
         ep = sample_episode(data, 5, 5, 16, np.random.default_rng(19))
-        preds, history = transductive_infer(model, ep, TransductiveConfig(2, (4, 8)),
+        preds, history = transductive_infer(model, *_encoded(model, ep),
+                                            TransductiveConfig(2, (4, 8)),
                                             return_history=True)
         assert [h["support_size"] for h in history] == [29, 37]
         assert preds.shape == (16,)
@@ -160,27 +190,26 @@ class TestTransductive:
         data = _toy_set([8] * 6, seed=20)
         model = _tiny_model(seed=21)
         ep = sample_episode(data, 3, 2, 6, np.random.default_rng(22))
-        before = (ep.support_images.copy(), ep.query_images.copy(),
-                  ep.support_local.copy())
-        transductive_infer(model, ep, TransductiveConfig(2, (2, 3)))
-        np.testing.assert_array_equal(ep.support_images, before[0])
-        np.testing.assert_array_equal(ep.query_images, before[1])
-        np.testing.assert_array_equal(ep.support_local, before[2])
+        args = _encoded(model, ep)
+        before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        transductive_infer(model, *args, TransductiveConfig(2, (2, 3)))
+        for got, want in zip(args, before):
+            np.testing.assert_array_equal(got, want)
 
     def test_candidate_clamp_warns(self):
         data = _toy_set([8] * 6, seed=23)
         model = _tiny_model(seed=24)
         ep = sample_episode(data, 3, 2, 4, np.random.default_rng(25))
         with pytest.warns(UserWarning, match="clamping"):
-            preds = transductive_infer(model, ep, TransductiveConfig(2, (3, 9)))
+            preds = transductive_infer(model, *_encoded(model, ep),
+                                       TransductiveConfig(2, (3, 9)))
         assert preds.shape == (4,)
 
     def test_zero_iterations_is_plain_argmax(self):
         data = _toy_set([8] * 6, seed=26)
         model = _tiny_model(seed=27)
         ep = sample_episode(data, 3, 2, 6, np.random.default_rng(28))
-        preds = transductive_infer(model, ep, TransductiveConfig(0, ()))
-        from egt.model import episode_probs
+        preds = transductive_infer(model, *_encoded(model, ep), TransductiveConfig(0, ()))
         probs = episode_probs(model, ep.support_images, ep.support_local,
                               ep.way, ep.query_images)
         np.testing.assert_array_equal(preds, probs.argmax(axis=1))
@@ -199,15 +228,10 @@ class TestTransductive:
         rng = np.random.default_rng(29)
         support = rng.uniform(size=(4, 1, 8, 8)).astype(np.float32)
         query = np.repeat(rng.uniform(size=(1, 1, 8, 8)), 6, axis=0).astype(np.float32)
-        from egt.data import Episode
-        ep = Episode(way=2, shot=2, n_query=6,
-                     classes=np.array([0, 1]),
-                     support_images=support,
-                     support_labels=np.array([0, 0, 1, 1]),
-                     query_images=query,
-                     query_labels=np.array([0, 0, 0, 1, 1, 1]))
         model = _tiny_model(seed=30)
-        _, history = transductive_infer(model, ep, TransductiveConfig(1, (3,)),
+        support, query = model.encode(support), model.encode(query)
+        _, history = transductive_infer(model, support, np.array([0, 0, 1, 1]), 2,
+                                        query, TransductiveConfig(1, (3,)),
                                         return_history=True)
         assert history[0]["absorbed"] == [0, 1, 2]
 

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from egt.data import GeneratorSpec, LabeledImageSet, sample_episode
-from egt.errors import ConfigError, ContractError
+import egt.training
+from egt.cli import main
+from egt.data import GeneratorSpec, LabeledImageSet, sample_episode, save_dataset
+from egt.errors import ConfigError, ContractError, NumericError
 from egt.heads import (
     CosineHead,
     class_prototypes,
@@ -382,3 +384,31 @@ class TestTrainLoop:
                [r["loss_total"] for r in runs[1][0]]
         for pa, pb in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_numeric_error_names_the_step_and_keeps_last_epoch(self, tmp_path,
+                                                               monkeypatch, capsys):
+        data_path = str(tmp_path / "toy.egtd")
+        save_dataset(_toy_set([8] * 4, seed=34), data_path)
+
+        def run(out, epochs):
+            out.mkdir()
+            return main(["train", "--data", data_path, "--out", str(out),
+                         "--way", "3", "--shot", "2", "--queries", "4",
+                         "--epochs", str(epochs), "--episodes-per-epoch", "4",
+                         "--widths", "2", "--seed", "35"])
+
+        assert run(tmp_path / "clean", 1) == 0
+        calls = []
+        step = egt.training.train_episode
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4 + 3:
+                raise NumericError("embedding has zero norm")
+            return step(*args, **kwargs)
+        monkeypatch.setattr(egt.training, "train_episode", failing)
+        capsys.readouterr()
+        assert run(tmp_path / "failed", 3) == 3
+        assert capsys.readouterr().err == "error: epoch 2 step 3: embedding has zero norm\n"
+        assert ((tmp_path / "failed" / "model.egt1").read_bytes()
+                == (tmp_path / "clean" / "model.egt1").read_bytes())
