@@ -77,7 +77,7 @@ _INPUTS = {"checkpoint": _PATH, "data": _PATH, "out": _PATH}
 _EPISODE = {"way": (int, 5, _at_least(2)), "shot": (int, 5, _at_least(1)),
             "queries": (int, 16, _at_least(1))}
 _SEED = {"seed": (int, 0, _at_least(0))}
-_LRP = {"epsilon": (finite_float, 0.001, None), "alpha": (finite_float, 1.0, None)}
+_LRP = {"epsilon": (finite_float, 0.001, None)}
 _RESOLVED_BY_TRAIN = (finite_float, None, None)
 
 # command -> key -> (kind, default, range).  A kind is a type, a tuple of
@@ -160,8 +160,8 @@ def _config_value(kind, key: str, value):
 
 # Keys that config files echoed before an option's removal still carry,
 # with the one value the remaining code implements.
-_RETIRED = {"train": {"explain_variant": "query", "exact_weight_grad": False},
-            "eval": {"workers": 1}}
+_RETIRED = {"train": {"explain_variant": "query", "exact_weight_grad": False, "alpha": 1.0},
+            "eval": {"workers": 1}, "explain": {"alpha": 1.0}}
 
 
 def _resolve_params(args) -> dict:
@@ -240,7 +240,7 @@ def _train_config(params: dict) -> TrainConfig:
         xi=xi, lam=lam, lr=params["lr"], momentum=params["momentum"],
         epochs=params["epochs"], episodes_per_epoch=params["episodes_per_epoch"],
         lr_decay=params["lr_decay"], lr_decay_every=params["lr_decay_every"],
-        lrp=LrpConfig(epsilon=params["epsilon"], alpha=params["alpha"]))
+        lrp=LrpConfig(epsilon=params["epsilon"]))
 
 
 def _cmd_train(params: dict) -> None:
@@ -314,7 +314,7 @@ def _cmd_explain(params: dict) -> None:
     q = params["query"]
     if not 0 <= q < episode.n_query:
         raise ConfigError(f"query index {q} outside 0..{episode.n_query - 1}")
-    lrp_cfg = LrpConfig(epsilon=params["epsilon"], alpha=params["alpha"])
+    lrp_cfg = LrpConfig(epsilon=params["epsilon"])
     query_image = episode.query_images[q]
     result = explain_input(model, episode.support_images, episode.support_local,
                            episode.way, query_image, lrp_cfg=lrp_cfg)

@@ -380,8 +380,8 @@ def save_dataset(data: LabeledImageSet, path: str) -> None:
               f"shape={c}x{h}x{w} domain={tag}\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(images.astype("<f4").tobytes())
-        fh.write(labels.astype("<i4").tobytes())
+        images.astype("<f4", copy=False).tofile(fh)
+        labels.astype("<i4", copy=False).tofile(fh)
 
 
 def load_dataset(path: str) -> LabeledImageSet:
@@ -411,15 +411,16 @@ def load_dataset(path: str) -> LabeledImageSet:
     n_images = sum(per_class)
     img_bytes = n_images * shape[0] * shape[1] * shape[2] * 4
     lbl_bytes = n_images * 4
-    body = raw[newline + 1:]
-    if len(body) < img_bytes + lbl_bytes:
+    body = len(raw) - (newline + 1)
+    if body < img_bytes + lbl_bytes:
         raise DataFormatError("dataset payload is truncated", offset=len(raw))
-    if len(body) > img_bytes + lbl_bytes:
+    if body > img_bytes + lbl_bytes:
         raise DataFormatError("dataset payload has trailing bytes",
                               offset=newline + 1 + img_bytes + lbl_bytes)
-    images = np.frombuffer(body[:img_bytes], dtype="<f4").reshape(
+    # views into ``raw``, then one copy each: no other full copy of the payload
+    images = np.frombuffer(raw, "<f4", img_bytes // 4, newline + 1).reshape(
         (n_images,) + shape).astype(np.float32)
-    labels = np.frombuffer(body[img_bytes:], dtype="<i4").astype(np.int32)
+    labels = np.frombuffer(raw, "<i4", n_images, newline + 1 + img_bytes).astype(np.int32)
     expected = np.repeat(np.arange(n_classes, dtype=np.int32), per_class)
     if not np.array_equal(labels, expected):
         raise DataFormatError("labels do not match the class-major manifest",

@@ -64,6 +64,9 @@ def transductive_infer(model: FewShotModel, support_maps: Array, support_local: 
     moves the globally most confident unabsorbed queries (top
     ``candidates_per_iter[t]`` by predicted-class probability, ties
     broken by query index) into the pool under their predicted labels.
+    A tie is an exactly equal confidence: identical query maps need not
+    tie, since the BLAS product in the scores may round a row differently
+    by its position in the batch.
     The inputs are never modified; absorbed queries keep getting
     re-scored and the final argmax decides every query.  With zero
     rounds this is the plain argmax over the support prototypes.

@@ -19,10 +19,11 @@ f_p is the processed classifier input of a query: what the head scores.
 
 The cosine head scores the flattened maps by cosine similarity, starts
 from the log-odds against chance (it has no logits) and explains with
-one rule, epsilon over the terms q_i * phat_i; its f_p is the query
-vector ``[D]``.  The relation head scores each channel-wise concatenated
-(prototype, query) pair with a small trained network whose raw logits
-double as the relevance initialization; its f_p is the pair
+one rule, epsilon over the terms q_i * phat_i, on all query rows at
+once; its f_p is the query vector ``[D]``.  The relation head scores
+each channel-wise concatenated (prototype, query) pair with a small
+trained network whose raw logits double as the relevance
+initialization; its f_p is the pair
 ``[2C, H, W]``, and query ``i``'s weights multiply each of its K pairs.
 """
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -122,27 +124,34 @@ def _flat_rows(x: Array) -> Array:
     return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
-def cosine_explain(query_feat: Array, proto: Array, relevance: float,
+def cosine_explain(query_rows: Array, protos: Array, targets, relevance: Array,
                    epsilon: float) -> Array:
-    """Epsilon rule over one cosine similarity's contribution terms.
+    """Epsilon rule over each query's target cosine similarity: ``[n, D]``.
 
-    The target-class similarity is treated as a linear form over the
-    contributions q_i * phat_i (prototype normalized, the query-norm
+    Row ``i`` explains the similarity of query row ``i`` to prototype row
+    ``targets[i]``, starting from ``relevance[i]``, as a linear form over
+    the contributions q_i * phat_i (prototype normalized, the query-norm
     factor held constant).
     """
-    q = np.asarray(query_feat, dtype=np.float64)
-    p = np.asarray(proto, dtype=np.float64)
-    if q.shape != p.shape:
-        raise ContractError(f"query shape {q.shape} does not match prototype {p.shape}")
-    pn = np.linalg.norm(p)
-    if pn == 0:
+    q = np.asarray(query_rows, dtype=np.float64)
+    p = np.asarray(protos, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.intp)
+    relevance = np.asarray(relevance, dtype=np.float64)
+    if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
+        raise ContractError(
+            f"query rows {q.shape} and prototype rows {p.shape} must be [n, D] and [K, D]")
+    if targets.shape != (len(q),) or relevance.shape != (len(q),):
+        raise ContractError(f"targets {targets.shape} and relevance {relevance.shape} "
+                            f"must hold one entry per query row ({len(q)})")
+    # 1-d norms (dot products): ``norm(axis=1)`` rounds differently
+    pn = np.array([np.linalg.norm(row) for row in p])[targets]
+    if (pn == 0).any():
         raise NumericError("zero-norm prototype in cosine explanation")
-    contrib = q * (p / pn)
-    total = contrib.sum()
-    denom = total + epsilon * (1.0 if total >= 0 else -1.0)
-    if denom == 0.0:
-        return np.zeros_like(q)
-    return float(relevance) * contrib / denom
+    contrib = q * (p[targets] / pn[:, None])
+    total = contrib.sum(axis=1)
+    denom = (total + epsilon * np.where(total >= 0, 1.0, -1.0))[:, None]
+    num = relevance[:, None] * contrib
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0)
 
 
 def _check_beta(beta: float) -> None:
@@ -156,7 +165,7 @@ class CosineHead:
     """Non-parametric prototype head: cosine scores, beta-scaled softmax."""
 
     beta: float = 7.0
-    kind: str = "cosine"
+    kind: ClassVar[str] = "cosine"
 
     def __post_init__(self) -> None:
         _check_beta(self.beta)
@@ -200,7 +209,7 @@ class RelationHead:
 
     net: Network
     beta: float = 1.0
-    kind: str = "relation"
+    kind: ClassVar[str] = "relation"
 
     def __post_init__(self) -> None:
         _check_beta(self.beta)
@@ -260,7 +269,7 @@ def lrp_through_head(head, protos: Array, query_maps: Array, trace: ForwardTrace
     and ``head.relevance_init`` on the same prototypes and queries.
 
     * cosine head: the epsilon rule over the target similarity's terms,
-      one row ``[D]`` per query over its flattened map.
+      one row ``[D]`` per query over its flattened map, in one call.
     * relation head: one LRP pass through the relation network over all
       n*K pairs, with relevance only on rows ``i*K + targets[i]``; row
       ``i`` covers that pair's prototype half and query half.
@@ -271,11 +280,8 @@ def lrp_through_head(head, protos: Array, query_maps: Array, trace: ForwardTrace
     if targets.shape != (n,) or not np.all((targets >= 0) & (targets < way)):
         raise ContractError(f"target class {targets} out of range for {n} queries x {way} classes")
     if isinstance(head, CosineHead):
-        q, p = _flat_rows(query_maps), _flat_rows(protos)
-        rel = np.empty_like(q)
-        for i, t in enumerate(targets):
-            rel[i] = cosine_explain(q[i], p[t], relevance_init[i, t], cfg.epsilon)
-        return rel
+        return cosine_explain(_flat_rows(query_maps), _flat_rows(protos), targets,
+                              relevance_init[np.arange(n), targets], cfg.epsilon)
     if isinstance(head, RelationHead):
         rows = np.arange(n) * way + targets
         init = np.zeros((n * way, 1))

@@ -1,28 +1,27 @@
 """Layer-wise relevance propagation over recorded forward traces.
 
-Two rules redistribute relevance through parameterized layers:
+Two rules redistribute relevance through parameterized layers, each a
+rescaling around the layer's own pull-back ``grad_input``:
 
-* epsilon rule: ``rel_in[i] = sum_j rel_out[j] * z_ij / (y_j + eps*sign(y_j))``
-  with ``z_ij = x_i * w_ij`` and ``sign(0) := +1``;
-* alpha rule: ``rel_in[i] = sum_j rel_out[j] * (alpha * z_ij^+ / y_j^+
-  - (alpha-1) * z_ij^- / y_j^-)`` where ``(.)^+ = max(., 0)``,
-  ``(.)^- = min(., 0)`` and ``y_j`` is the recorded pre-activation.
-  Any term whose denominator is zero contributes zero.  At ``alpha = 1``
-  on an input without negative entries (images in [0, 1], relu maps and
-  their pools: every conv input of both networks) this is the z+ rule,
-  ``rel_in = x * (W^+)^T (rel_out / y^+)``, and :func:`lrp_alpha` runs
-  that one fold instead of four, since the other three only add zeros.
+* epsilon rule (dense): ``rel_in[i] = sum_j rel_out[j] * z_ij / (y_j +
+  eps*sign(y_j))`` with ``z_ij = x_i * w_ij`` and ``sign(0) := +1``;
+* z+ rule (conv; alpha-beta at alpha = 1, beta = 0, Montavon et al.
+  2019): ``rel_in[i] = sum_j rel_out[j] * z_ij^+ / y_j^+`` where
+  ``(.)^+ = max(., 0)`` and ``y_j`` is the recorded pre-activation; a
+  zero denominator contributes zero.  On an input without negative
+  entries (images in [0, 1], relu maps and their pools: every conv input
+  of both networks) this is one fold, ``x * grad_input(rel_out / y^+,
+  W^+)``; a signed input adds ``x^- * grad_input(rel_out / y^+, W^-)``.
   Its zeros are all ``+0.0``.
 
 Bias terms sit inside ``y_j`` but never receive an input share: bias
 relevance is absorbed.  Conservation is therefore exact only on
 bias-free stacks.  Parameter-free layers pass relevance through: relu
-and flatten keep it unchanged under the index mapping, max pooling
-routes each window's relevance to the recorded winner (lowest flat
-index on ties) -- this is ``MaxPool2d.backward`` applied to the
-relevance -- and average pooling splits proportionally to each input's
-contribution, falling back to an equal split when a window sums to
-exactly zero.
+keeps it unchanged, flatten and max pooling apply their own ``backward``
+to it (max pooling routes each window's relevance to the recorded
+winner, lowest flat index on ties), and average pooling splits
+proportionally to each input's contribution, falling back to an equal
+split when a window sums to exactly zero.
 
 Every array carries the trace's leading row axis, and rows never mix:
 row ``b`` of an input relevance depends only on row ``b`` of the
@@ -54,7 +53,7 @@ def default_rule_map() -> dict[str, str]:
 
 @dataclass
 class LrpConfig:
-    """Rule assignment and rule constants for one relevance pass."""
+    """Rule assignment and rule constants for one relevance pass; ``alpha`` must be 1."""
 
     epsilon: float = 0.001
     alpha: float = 1.0
@@ -63,8 +62,8 @@ class LrpConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not 1 <= self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if self.alpha != 1:
+            raise ConfigError(f"alpha is fixed at 1 (the z+ rule), got {self.alpha}")
         for kind, rule in self.rule_map.items():
             if kind not in ("linear", "conv2d"):
                 raise ConfigError(f"rule_map keys must be linear/conv2d, got {kind!r}")
@@ -81,14 +80,6 @@ class LrpConfig:
 def _safe_div(num: Array, denom: Array, keep) -> Array:
     """Elementwise num/denom where ``keep`` holds, zero elsewhere."""
     return np.divide(num, denom, out=np.zeros_like(num), where=keep)
-
-
-def _adjoint(layer: Linear | Conv2d, s: Array, in_shape: tuple[int, ...],
-             weight: Array) -> Array:
-    """Pull ``s`` back through the layer's linear map with ``weight``."""
-    if isinstance(layer, Linear):
-        return s @ weight
-    return layer.grad_input(s, in_shape, weight=weight)
 
 
 def _check_rows(layer, x: Array, *outs: Array) -> None:
@@ -112,27 +103,20 @@ def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
         raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
     denom = y + epsilon * np.where(y >= 0, 1.0, -1.0)
     s = _safe_div(rel_out, denom, denom != 0)
-    return x * _adjoint(layer, s, x.shape[1:], layer.weight)
+    return x * layer.grad_input(s, x.shape[1:])
 
 
-def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
-              alpha: float) -> Array:
-    """Alpha rule with sign-split contributions and recorded denominators."""
+def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array) -> Array:
+    """z+ rule (alpha 1, beta 0) with recorded denominators."""
     _check_rows(layer, x, y, rel_out)
-    if not alpha >= 1:
-        raise ConfigError(f"alpha must be >= 1, got {alpha}")
     sp = _safe_div(rel_out, y, y > 0)
-    wp = np.maximum(layer.weight, 0.0)
     in_shape = x.shape[1:]
-    if alpha == 1 and not (x < 0).any():
-        # z+ rule: the three other folds only add zeros; + 0.0 maps -0.0 to +0.0.
-        return x * _adjoint(layer, sp, in_shape, wp) + 0.0
-    xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
-    sn = _safe_div(rel_out, y, y < 0)
-    wn = np.minimum(layer.weight, 0.0)
-    pos = xp * _adjoint(layer, sp, in_shape, wp) + xn * _adjoint(layer, sp, in_shape, wn)
-    neg = xp * _adjoint(layer, sn, in_shape, wn) + xn * _adjoint(layer, sn, in_shape, wp)
-    return alpha * pos - (alpha - 1.0) * neg
+    signed = (x < 0).any()
+    rel = ((np.maximum(x, 0.0) if signed else x)
+           * layer.grad_input(sp, in_shape, np.maximum(layer.weight, 0.0)))
+    if signed:
+        rel += np.minimum(x, 0.0) * layer.grad_input(sp, in_shape, np.minimum(layer.weight, 0.0))
+    return rel + 0.0  # maps -0.0 to +0.0
 
 
 def lrp_passthrough(layer, x: Array, rel_out: Array) -> Array:
@@ -140,9 +124,7 @@ def lrp_passthrough(layer, x: Array, rel_out: Array) -> Array:
     _check_rows(layer, x, rel_out)
     if isinstance(layer, ReLU):
         return rel_out.copy()
-    if isinstance(layer, Flatten):
-        return rel_out.reshape(x.shape)
-    if isinstance(layer, MaxPool2d):
+    if isinstance(layer, (Flatten, MaxPool2d)):
         return layer.backward(x, rel_out)[0]
     if not isinstance(layer, AvgPool2d):
         raise ConfigError(f"layer kind {layer.kind!r} has no pass-through rule")
@@ -178,7 +160,7 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
             if rule == "epsilon":
                 r = lrp_epsilon(layer, entry.input, entry.output, r, cfg.epsilon)
             else:
-                r = lrp_alpha(layer, entry.input, entry.output, r, cfg.alpha)
+                r = lrp_alpha(layer, entry.input, entry.output, r)
         else:
             r = lrp_passthrough(layer, entry.input, r)
         relevances[i] = r

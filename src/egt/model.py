@@ -75,10 +75,6 @@ class FewShotModel:
                     f"relation net input {self.head.net.input_shape} cannot pair "
                     f"encoder maps {self.encoder.output_shape}")
 
-    @property
-    def head_kind(self) -> str:
-        return self.head.kind
-
     def encode(self, images: Array) -> Array:
         return self.encoder.forward(np.asarray(images, dtype=np.float64))
 
@@ -229,15 +225,11 @@ def _shape_token(shape: tuple[int, ...]) -> str:
 
 
 def save_model(model: FewShotModel, path: str) -> None:
-    lines = []
     head = model.head
-    if isinstance(head, CosineHead):
-        lines.append(f"head kind=cosine beta={head.beta!r}")
-    elif isinstance(head, RelationHead):
-        lines.append(f"head kind=relation beta={head.beta!r}")
-    else:
+    if not isinstance(head, (CosineHead, RelationHead)):
         raise ConfigError(f"cannot save head {type(head).__name__!r}")
-    lines.append(f"encoder input={_shape_token(model.encoder.input_shape)}")
+    lines = [f"head kind={head.kind} beta={head.beta!r}",
+             f"encoder input={_shape_token(model.encoder.input_shape)}"]
     lines += [f"layer {describe_layer(layer)}" for layer in model.encoder.layers]
     if isinstance(head, RelationHead):
         lines.append(f"relation input={_shape_token(head.net.input_shape)}")

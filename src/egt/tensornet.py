@@ -5,7 +5,9 @@ the episodic trainer: ``linear``, ``conv2d``, ``relu``, ``maxpool2d``,
 ``avgpool2d``, ``flatten``.  A forward pass can be recorded into a
 :class:`ForwardTrace` that keeps every per-layer input and output, and
 both the gradient pass and the relevance pass replay that trace instead
-of touching global state.
+of touching global state.  The parameterized layers expose their input
+pull-back as ``grad_input(grad_out, in_shape, weight=None)``, which the
+relevance rules reuse with their own weights.
 
 One window kernel serves every spatial layer: :func:`_windows` unrolls
 sliding windows and :func:`_fold` scatter-adds them back.  The
@@ -113,8 +115,13 @@ class Linear(Layer):
         return x @ self.weight.T + self.bias
 
     def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
-        grad_in = grad_out @ self.weight
+        grad_in = self.grad_input(grad_out, x.shape[1:])
         return grad_in, {"weight": grad_out.T @ x, "bias": grad_out.sum(axis=0)}
+
+    def grad_input(self, grad_out: Array, in_shape: tuple[int, ...],
+                   weight: Array | None = None) -> Array:
+        """``grad_out @ weight``, the stored weight unless given; as :meth:`Conv2d.grad_input`."""
+        return grad_out @ (self.weight if weight is None else weight)
 
     def params(self) -> dict[str, Array]:
         return {"weight": self.weight, "bias": self.bias}

@@ -147,8 +147,11 @@ class TestConfigValues:
     # every float flag, as (command, config key); its flag is --<key with '-'>
     FLOATS = [("gen-data", "min_gap")] + [
         ("train", key) for key in ("lr", "momentum", "xi", "lam", "beta", "epsilon",
-                                   "alpha", "lr_decay")] + [
-        ("explain", key) for key in ("epsilon", "alpha", "blend")]
+                                   "lr_decay")] + [
+        ("explain", key) for key in ("epsilon", "blend")]
+    # retired float options: their flag is unknown and a config value other
+    # than the kept one is refused, so a non-finite value exits 1 as well
+    RETIRED_FLOATS = [("train", "alpha"), ("explain", "alpha")]
 
     def test_float_table_covers_every_float_flag(self):
         parser = build_parser()
@@ -160,7 +163,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command,key", FLOATS)
+    @pytest.mark.parametrize("command,key", FLOATS + RETIRED_FLOATS)
     def test_non_finite_float_exits_1(self, tmp_path, capsys, command, key, value, via):
         if via == "flag":
             flag = "--" + key.replace("_", "-")
@@ -315,18 +318,22 @@ class TestTrain:
         assert _hash(tmp_path / "train_log.csv") == _hash(run_dir / "train_log.csv")
 
     # command -> the keys its config files carried, at their defaults, before
-    # --explain-variant and --exact-weight-grad (train) and --workers (eval)
-    # were removed
-    OLD_KEYS = {"train": {"explain_variant": "query", "exact_weight_grad": False},
-                "eval": {"workers": 1}}
+    # --explain-variant and --exact-weight-grad (train), --workers (eval) and
+    # --alpha (train, explain) were removed
+    OLD_KEYS = {"train": {"explain_variant": "query", "exact_weight_grad": False,
+                          "alpha": 1.0},
+                "eval": {"workers": 1}, "explain": {"alpha": 1.0}}
 
     def test_config_with_retired_keys_reruns(self, corpus, run_dir, tmp_path):
-        eval_dir = tmp_path / "eval"
-        eval_dir.mkdir()
-        assert main(_argv("eval", _settings("eval", corpus, run_dir, eval_dir))) == 0
         # command -> (directory of a run, its outputs)
-        runs = {"train": (run_dir, ["train_log.csv", "model.egt1"]),
-                "eval": (eval_dir, ["eval_dark.csv"])}
+        runs = {"train": (run_dir, ["train_log.csv", "model.egt1"])}
+        for command in ("eval", "explain"):
+            done = tmp_path / command
+            done.mkdir()
+            assert main(_argv(command, _settings(command, corpus, run_dir, done))) == 0
+            runs[command] = (done, sorted(p.name for p in done.iterdir()
+                                          if p.name != f"{command}.config.json"))
+        assert runs["eval"][1] == ["eval_dark.csv"] and runs["explain"][1]
         for command, (done, outputs) in runs.items():
             cfg = json.loads((done / f"{command}.config.json").read_text())
             assert not set(self.OLD_KEYS[command]) & set(cfg)
@@ -341,19 +348,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("key,value", [("exact_weight_grad", True),
                                            ("explain_variant", "both-normalized"),
-                                           ("workers", 2)])
+                                           ("workers", 2), ("alpha", 2.0)])
     def test_retired_option_value_exits_1(self, corpus, run_dir, tmp_path, capsys,
                                           key, value):
-        command = next(c for c, keys in self.OLD_KEYS.items() if key in keys)
-        out = tmp_path / "out"
-        out.mkdir()
-        cfg_path = tmp_path / "old.json"
-        cfg_path.write_text(json.dumps({**_settings(command, corpus, run_dir, out),
-                                        key: value}))
-        assert main([command, "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err and "removed" in err
-        assert not list(out.iterdir())
+        commands = [c for c, keys in self.OLD_KEYS.items() if key in keys]
+        for command in commands:
+            out = tmp_path / command
+            out.mkdir()
+            cfg_path = tmp_path / f"old-{command}.json"
+            cfg_path.write_text(json.dumps({**_settings(command, corpus, run_dir, out),
+                                            key: value}))
+            assert main([command, "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(key) in err and "removed" in err
+            assert not list(out.iterdir())
+        assert len(commands) == (2 if key == "alpha" else 1)
 
     def test_baseline_mode_zeroes_lam(self, corpus, tmp_path):
         code = main(["train", "--data", str(corpus / "bright.egtd"),

@@ -222,18 +222,21 @@ class TestTransductive:
         with pytest.raises(ConfigError, match="positive"):
             TransductiveConfig(1, (0,))
 
-    def test_confident_ties_break_by_index(self):
-        # Identical query images force equal confidence; the absorbed
-        # set must then be the lowest indices, deterministically.
+    def test_confident_ties_break_by_index(self, monkeypatch):
+        # Exactly equal confidences, forced through the probabilities:
+        # identical query maps need not tie, since the score product may
+        # round a row by its position.  Ties go to the lowest index.
         rng = np.random.default_rng(29)
-        support = rng.uniform(size=(4, 1, 8, 8)).astype(np.float32)
-        query = np.repeat(rng.uniform(size=(1, 1, 8, 8)), 6, axis=0).astype(np.float32)
         model = _tiny_model(seed=30)
-        support, query = model.encode(support), model.encode(query)
+        support = model.encode(rng.uniform(size=(4, 1, 8, 8)))
+        query = model.encode(rng.uniform(size=(6, 1, 8, 8)))
+        top = np.array([0.6, 0.9, 0.6, 0.9, 0.9, 0.6])
+        monkeypatch.setattr("egt.evaluation.probs_from_maps",
+                            lambda model, protos, maps: np.stack([top, 1 - top], axis=1))
         _, history = transductive_infer(model, support, np.array([0, 0, 1, 1]), 2,
-                                        query, TransductiveConfig(1, (3,)),
+                                        query, TransductiveConfig(1, (4,)),
                                         return_history=True)
-        assert history[0]["absorbed"] == [0, 1, 2]
+        assert history[0]["absorbed"] == [1, 3, 4, 0]
 
 
 class TestFeatureStats:

@@ -164,49 +164,58 @@ class TestRelevanceInit:
         assert logits[0, 0] == 0.3
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
 class TestCosineExplain:
     def test_hand_value(self):
         # Unit prototype [1, 0]: only the first coordinate contributes.
-        rel = cosine_explain(np.array([3.0, 4.0]), np.array([1.0, 0.0]),
-                             relevance=2.0, epsilon=0.0)
-        np.testing.assert_allclose(rel, [2.0, 0.0])
+        rel = cosine_explain(np.array([[3.0, 4.0]]), np.array([[0.0, 2.0], [1.0, 0.0]]),
+                             [1], [2.0], epsilon=0.0)
+        np.testing.assert_allclose(rel, [[2.0, 0.0]])
 
     def test_conservation_at_zero_epsilon(self):
         rng = np.random.default_rng(6)
-        for _ in range(25):
-            q = rng.normal(size=10)
-            p = rng.normal(size=10)
-            r = float(rng.normal())
-            rel = cosine_explain(q, p, r, epsilon=0.0)
-            np.testing.assert_allclose(rel.sum(), r, rtol=1e-9, atol=1e-12)
+        q = rng.normal(size=(25, 10))
+        p = rng.normal(size=(4, 10))
+        r = rng.normal(size=25)
+        rel = cosine_explain(q, p, rng.integers(0, 4, 25), r, epsilon=0.0)
+        np.testing.assert_allclose(rel.sum(axis=1), r, rtol=1e-9, atol=1e-12)
 
     def test_epsilon_shrinks_total(self):
-        q = np.abs(np.random.default_rng(7).normal(size=6)) + 0.1
-        p = np.ones(6)
-        totals = [cosine_explain(q, p, 1.0, epsilon=e).sum()
+        q = np.abs(np.random.default_rng(7).normal(size=(1, 6))) + 0.1
+        p = np.ones((1, 6))
+        totals = [cosine_explain(q, p, [0], [1.0], epsilon=e).sum()
                   for e in (0.0, 0.01, 0.1, 1.0)]
         assert all(t1 > t2 > 0 for t1, t2 in zip(totals, totals[1:]))
 
     def test_zero_denominator_guard(self):
-        rel = cosine_explain(np.array([1.0, -1.0]), _unit(np.array([1.0, 1.0])),
-                             relevance=3.0, epsilon=0.0)
-        np.testing.assert_allclose(rel, [0.0, 0.0])
+        # Row 0 sums to zero and gets zeros; row 1 is unaffected by it.
+        rel = cosine_explain(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([[1.0, 1.0]]),
+                             [0, 0], [3.0, 2.0], epsilon=0.0)
+        np.testing.assert_array_equal(rel[0], [0.0, 0.0])
+        assert not np.signbit(rel[0]).any()
+        np.testing.assert_allclose(rel[1], [1.0, 1.0])
 
     def test_prototype_scale_invariance(self):
         # Contributions use the normalized prototype, so its scale drops out.
-        q = np.array([0.5, -1.5, 2.0])
-        p = np.array([1.0, 2.0, -0.5])
-        a = cosine_explain(q, p, 1.3, epsilon=0.01)
-        b = cosine_explain(q, 10.0 * p, 1.3, epsilon=0.01)
+        q = np.array([[0.5, -1.5, 2.0]])
+        p = np.array([[1.0, 2.0, -0.5]])
+        a = cosine_explain(q, p, [0], [1.3], epsilon=0.01)
+        b = cosine_explain(q, 10.0 * p, [0], [1.3], epsilon=0.01)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_zero_prototype_rejected(self):
+        protos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(NumericError):
-            cosine_explain(np.ones(3), np.zeros(3), 1.0, 0.0)
+            cosine_explain(np.ones((2, 3)), protos, [1, 0], [1.0, 1.0], 0.0)
+        # a zero prototype no query targets is never divided by
+        assert cosine_explain(np.ones((1, 3)), protos, [1], [1.0], 0.0).shape == (1, 3)
+
+    @pytest.mark.parametrize("q_shape,p_shape,n_args", [
+        ((3,), (2, 3), 1), ((2, 3), (2, 4), 2), ((2, 3), (2, 3), 1)],
+        ids=["one-vector", "width-mismatch", "one-target-for-two-rows"])
+    def test_bad_rows_raise_contract_error(self, q_shape, p_shape, n_args):
+        with pytest.raises(ContractError):
+            cosine_explain(np.ones(q_shape), np.ones(p_shape), [0] * n_args,
+                           [1.0] * n_args, 0.0)
 
 
 def _relation_net(rng, in_ch, side, hidden=6, bias=True, relu=True):
@@ -282,6 +291,9 @@ class TestHeadOutputs:
     def test_cosine_head_validation(self):
         with pytest.raises(ConfigError):
             CosineHead(beta=-1.0)
+        # the kind names the class, which the checkpoint's head line relies on
+        with pytest.raises(TypeError):
+            CosineHead(kind="relation")
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
     def test_relation_head_validation(self, beta):
@@ -320,7 +332,7 @@ class TestLrpThroughHead:
         rel, init, _ = _explain(head, protos, qs, cfg, targets)
         assert rel.shape == qs.shape
         for i, t in enumerate(targets):
-            want = cosine_explain(qs[i], protos[t], init[i, t], 0.001)
+            want = cosine_explain(qs[i:i + 1], protos, [t], init[i, t:t + 1], 0.001)[0]
             np.testing.assert_array_equal(rel[i], want)
 
     def test_relation_pair_conservation_linear_net(self):

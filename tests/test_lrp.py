@@ -73,7 +73,7 @@ class TestAlphaRule:
         x = rng.uniform(0.1, 1.0, (1, 4))
         y = layer.forward(x)
         rel_out = rng.uniform(0.0, 1.0, (1, 3))
-        np.testing.assert_allclose(lrp_alpha(layer, x, y, rel_out, alpha=1.0),
+        np.testing.assert_allclose(lrp_alpha(layer, x, y, rel_out),
                                    lrp_epsilon(layer, x, y, rel_out, epsilon=0.0),
                                    rtol=1e-12)
 
@@ -83,32 +83,33 @@ class TestAlphaRule:
             layer = rand_linear(rng, 6, 4)
             x = rng.standard_normal((1, 6))
             y = layer.forward(x)
-            rel = lrp_alpha(layer, x, y, rng.uniform(0, 1, (1, 4)), alpha=1.0)
+            rel = lrp_alpha(layer, x, y, rng.uniform(0, 1, (1, 4)))
             assert (rel >= 0).all()
 
     def test_zero_denominator_guard(self):
         layer, x, y = _run_linear([[1.0, -1.0]], [1.0, 1.0])
         assert y[0, 0] == 0.0
-        rel = lrp_alpha(layer, x, y, np.array([[1.0]]), alpha=1.0)
+        rel = lrp_alpha(layer, x, y, np.array([[1.0]]))
         np.testing.assert_array_equal(rel, [[0.0, 0.0]])
 
     def test_alpha_below_one_rejected(self):
-        layer, x, y = _run_linear([[1.0]], [1.0])
-        with pytest.raises(ConfigError):
-            lrp_alpha(layer, x, y, np.array([[1.0]]), alpha=0.5)
         with pytest.raises(ConfigError):
             LrpConfig(alpha=0.5)
 
+    def test_alpha_fixed_at_one(self):
+        assert LrpConfig(alpha=1.0).alpha == 1.0
+        with pytest.raises(ConfigError, match="fixed at 1"):
+            LrpConfig(alpha=2.0)
+
     def test_matches_dense_loop_oracle(self):
         rng = np.random.default_rng(4)
-        for alpha in (1.0, 1.5, 2.0):
-            layer = rand_linear(rng, 5, 3, bias=True)
-            x = rng.standard_normal((1, 5))
-            y = layer.forward(x)
-            rel_out = rng.standard_normal((1, 3))
-            got = lrp_alpha(layer, x, y, rel_out, alpha=alpha)[0]
-            want = dense_alpha_oracle(layer.weight, x[0], y[0], rel_out[0], alpha)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        layer = rand_linear(rng, 5, 3, bias=True)
+        x = rng.standard_normal((1, 5))
+        y = layer.forward(x)
+        rel_out = rng.standard_normal((1, 3))
+        got = lrp_alpha(layer, x, y, rel_out)[0]
+        want = dense_alpha_oracle(layer.weight, x[0], y[0], rel_out[0], 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def _four_fold(layer, x, y, rel_out, alpha):
@@ -135,7 +136,7 @@ def _post_relu_case(rng, kind):
 
 
 class TestAlphaShortcut:
-    """At alpha 1 on non-negative inputs ``lrp_alpha`` runs one fold (the z+ rule)."""
+    """On non-negative inputs ``lrp_alpha`` runs one fold, on signed inputs two."""
 
     @pytest.mark.parametrize("kind", ["linear", "conv2d"])
     def test_equals_four_folds_on_non_negative_relevance(self, kind):
@@ -143,7 +144,7 @@ class TestAlphaShortcut:
         for _ in range(20):
             layer, x, y = _post_relu_case(rng, kind)
             rel_out = np.maximum(rng.standard_normal(y.shape), 0.0)
-            got = lrp_alpha(layer, x, y, rel_out, alpha=1.0)
+            got = lrp_alpha(layer, x, y, rel_out)
             want = _four_fold(layer, x, y, rel_out, 1.0)
             assert (got == 0).any()
             np.testing.assert_array_equal(got, want)
@@ -157,17 +158,16 @@ class TestAlphaShortcut:
         for _ in range(20):
             layer, x, y = _post_relu_case(rng, kind)
             rel_out = rng.standard_normal(y.shape)
-            got = lrp_alpha(layer, x, y, rel_out, alpha=1.0)
+            got = lrp_alpha(layer, x, y, rel_out)
             want = _four_fold(layer, x, y, rel_out, 1.0)
             np.testing.assert_array_equal(got, want)
             nonzero = got != 0
             np.testing.assert_array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
             assert not np.signbit(got[~nonzero]).any()
 
-    # (alpha, signed input, folds): only alpha 1 on x >= 0 takes the shortcut
-    @pytest.mark.parametrize("alpha,signed,folds", [(1.0, False, 1), (2.0, False, 4),
-                                                    (1.0, True, 4), (2.0, True, 4)])
-    def test_folds_per_conv(self, monkeypatch, alpha, signed, folds):
+    # (signed input, folds): a negative entry adds the x- * W- fold
+    @pytest.mark.parametrize("signed,folds", [(False, 1), (True, 2)])
+    def test_folds_per_conv(self, monkeypatch, signed, folds):
         rng = np.random.default_rng(43)
         layer, x, _ = _post_relu_case(rng, "conv2d")
         if signed:
@@ -175,10 +175,10 @@ class TestAlphaShortcut:
         y = layer.forward(x)
         rel_out = rng.standard_normal(y.shape)
         calls = count_grad_input(monkeypatch)
-        got = lrp_alpha(layer, x, y, rel_out, alpha=alpha)
+        got = lrp_alpha(layer, x, y, rel_out)
         assert len(calls) == folds
         monkeypatch.undo()
-        np.testing.assert_array_equal(got, _four_fold(layer, x, y, rel_out, alpha))
+        np.testing.assert_array_equal(got, _four_fold(layer, x, y, rel_out, 1.0))
 
 
 class TestConvAgainstUnrolledDense:
@@ -197,17 +197,16 @@ class TestConvAgainstUnrolledDense:
         want = dense_epsilon_oracle(weight, x.ravel(), y.ravel(), rel_out.ravel(), 0.001)
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    def test_alpha(self, alpha):
+    def test_alpha(self):
         rng = np.random.default_rng(6)
         conv = rand_conv(rng, 2, 2, 3, stride=1, padding=1, bias=True)
         in_shape = (2, 4, 4)
         x = rng.standard_normal((1,) + in_shape)
         y = conv.forward(x)
         rel_out = rng.standard_normal(y.shape)
-        got = lrp_alpha(conv, x, y, rel_out, alpha=alpha)
+        got = lrp_alpha(conv, x, y, rel_out)
         weight, _ = unrolled_dense(conv, in_shape)
-        want = dense_alpha_oracle(weight, x.ravel(), y.ravel(), rel_out.ravel(), alpha)
+        want = dense_alpha_oracle(weight, x.ravel(), y.ravel(), rel_out.ravel(), 1.0)
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-9, atol=1e-12)
 
 
@@ -253,7 +252,7 @@ class TestRowLayout:
 
     RULES = {
         "epsilon": lambda layer, x, y, r: lrp_epsilon(layer, x, y, r, 0.01),
-        "alpha": lambda layer, x, y, r: lrp_alpha(layer, x, y, r, 2.0),
+        "alpha": lambda layer, x, y, r: lrp_alpha(layer, x, y, r),
         "passthrough": lambda layer, x, y, r: lrp_passthrough(layer, x, r),
     }
     DENSE = (lambda rng: rand_linear(rng, 6, 3), (6,))

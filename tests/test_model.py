@@ -144,7 +144,7 @@ class TestCheckpoint:
         # float32 storage: loaded parameters equal the f4-rounded originals.
         want = _param_blob(model).astype("<f4").astype(np.float64)
         np.testing.assert_array_equal(_param_blob(loaded), want)
-        assert loaded.head_kind == head
+        assert loaded.head.kind == head
         assert loaded.encoder.input_shape == (1, 16, 16)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):

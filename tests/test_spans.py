@@ -12,7 +12,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import egt.model
+import egt.training
+from egt.data import LabeledImageSet, sample_episode
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -41,3 +46,28 @@ def test_install_wraps_and_uninstall_restores(spans):
             assert vars(owner)[attr] is original, (owner, attr)
         else:
             assert attr not in vars(owner) and getattr(owner, attr) is original, (owner, attr)
+
+
+def test_traced_episode_and_explanation_reach_every_rule(spans):
+    # A rule dispatch that bypassed the module globals the tracer wraps
+    # would leave these spans at zero calls.
+    rng = np.random.default_rng(0)
+    data = LabeledImageSet(rng.uniform(size=(24, 1, 8, 8)).astype(np.float32),
+                           np.repeat(np.arange(4, dtype=np.int32), 6), domain_tag="toy")
+    episode = sample_episode(data, 3, 2, 4, rng)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.phase = "test"
+        relation = egt.model.build_model("relation", (1, 8, 8), rng, widths=(2,), hidden=4)
+        egt.training.train_episode(relation, episode, egt.training.TrainConfig(
+            way=3, shot=2, n_query=4))
+        cosine = egt.model.build_model("cosine", (1, 8, 8), rng, widths=(2,))
+        egt.model.explain_input(cosine, episode.support_images, episode.support_local,
+                                3, episode.query_images[0])
+    finally:
+        tracer.uninstall()
+    for name in ("lrp.backward", "lrp.alpha", "lrp.epsilon", "lrp.passthrough",
+                 "heads.cosine_explain"):
+        assert tracer.calls["test", name] > 0, name
+    assert tracer.counts["test", "tensornet.conv2d.grad_input_calls"] > 0

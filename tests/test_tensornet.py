@@ -101,6 +101,13 @@ class TestBackwardHandValues:
         np.testing.assert_allclose(grads[0]["weight"], [[1.0, 2.0]])
         np.testing.assert_allclose(grads[0]["bias"], [1.0])
 
+    def test_linear_grad_input_weight_override(self):
+        rng = np.random.default_rng(4)
+        layer = rand_linear(rng, 5, 3)
+        s, w = rng.standard_normal((2, 3)), rng.standard_normal((3, 5))
+        np.testing.assert_array_equal(layer.grad_input(s, (5,), weight=w), s @ w)
+        np.testing.assert_array_equal(layer.grad_input(s, (5,)), s @ layer.weight)
+
     def test_relu_gating(self):
         net = Network((2,), [ReLU()])
         _, trace = net.forward_recorded(np.array([[-1.0, 2.0]]))

@@ -105,7 +105,8 @@ def _cosine_weights(model, ep, cfg):
     weights = np.empty_like(fq)
     for i in range(fq.shape[0]):
         c = int(np.argmax(probs[i]))
-        rel = cosine_explain(fq[i], protos[c], rel_init[i, c], cfg.lrp.epsilon)
+        rel = cosine_explain(fq[i:i + 1], protos, [c], rel_init[i, c:c + 1],
+                             cfg.lrp.epsilon)[0]
         weights[i] = 1.0 + normalize_relevance(rel)
     return weights
 
