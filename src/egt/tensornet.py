@@ -12,6 +12,15 @@ relevance rules reuse with their own weights.
 One window kernel serves every spatial layer: :func:`_windows` unrolls
 sliding windows and :func:`_fold` scatter-adds them back.  The
 convolution runs them on its padded input, the pools on their input.
+Both loop over the kernel offsets ``(i, j)`` with one slice op each, and
+take their working array's memory layout from the output width ``ow``
+(:func:`_kernel_array`): spatial-major, ``(..., B, C)``, for
+``ow <= _SPATIAL_MAJOR_MAX_OW``, so that a slice op's innermost loop
+spans B*C elements instead of ``ow``, and channel-major otherwise.  Both
+hand back a C-contiguous ``(B, C, ...)`` array, so callers and GEMMs see
+one layout.  The results are bit-identical in either layout: the unroll
+only copies, and every folded element receives its additions in the same
+``(i, j)`` order, starting from ``+0.0``.
 
 All arithmetic is float64 numpy.  Every activation carries a leading
 row axis: ``(B, C, H, W)`` for image-like tensors and ``(B, D)`` for
@@ -41,28 +50,60 @@ def _require(cond: bool, message: str) -> None:
         raise ContractError(message)
 
 
+# Widest output row ``ow`` for which the window kernel works spatial-major.
+# ``tools/layer_bench.py`` sweeps both layouts (3x3 conv, padding 1, B*C
+# 16..5120): at ``ow`` 2 and 4 the spatial-major fold runs at 0.1-0.9x the
+# channel-major time and the unroll at 0.35-1.1x; from ``ow`` 5 on, the
+# unroll's closing copy costs more than its slice ops save (up to 1.4x at
+# ``ow`` 5, 2-6x at ``ow`` 16).
+_SPATIAL_MAJOR_MAX_OW = 4
+
+
+def _kernel_array(alloc, shape: tuple[int, ...], ow: int, dtype) -> Array:
+    """A ``(B, C, ...)`` array of ``shape`` from ``alloc`` (``np.empty`` or ``np.zeros``).
+
+    It is laid out for the window kernel.  For ``ow <=
+    _SPATIAL_MAJOR_MAX_OW`` the memory is spatial-major, ``(..., B, C)``,
+    so that each slice op of the kernel's loop runs its innermost loop
+    over B*C elements rather than over ``ow``; otherwise it is
+    channel-major, as the GEMMs want.
+    """
+    if ow > _SPATIAL_MAJOR_MAX_OW:
+        return alloc(shape, dtype)
+    n = len(shape) - 2
+    return alloc(shape[2:] + shape[:2], dtype).transpose(n, n + 1, *range(n))
+
+
 def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
     """Stack the sliding windows of ``x`` along axis 2: ``(B, C, kh*kw, oh, ow)``.
 
     Window index ``i*kw + j`` holds kernel offset ``(i, j)``.  This is
-    the one unroll behind the convolution and both pools.
+    the one unroll behind the convolution and both pools.  The result is
+    C-contiguous whatever layout :func:`_kernel_array` picked.
     """
     b, c = x.shape[:2]
-    win = np.empty((b, c, kh * kw, oh, ow), dtype=x.dtype)
+    win = _kernel_array(np.empty, (b, c, kh * kw, oh, ow), ow, x.dtype)
+    x_s, win_s = x.transpose(2, 3, 0, 1), win.transpose(2, 3, 4, 0, 1)
     for i in range(kh):
         for j in range(kw):
-            win[:, :, i * kw + j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return win
+            win_s[i * kw + j] = x_s[i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return np.ascontiguousarray(win)
 
 
 def _fold(win: Array, kh: int, kw: int, stride: int, h: int, w: int) -> Array:
-    """Scatter-add stacked windows back onto an ``h x w`` grid (adjoint of :func:`_windows`)."""
+    """Scatter-add stacked windows back onto an ``h x w`` grid (adjoint of :func:`_windows`).
+
+    Each output element receives its additions in kernel-offset order
+    ``(i, j)`` in either layout, so the sums are the same to the bit.
+    The result is C-contiguous.
+    """
     b, c, _, oh, ow = win.shape
-    out = np.zeros((b, c, h, w))
+    out = _kernel_array(np.zeros, (b, c, h, w), ow, np.float64)
+    out_s, win_s = out.transpose(2, 3, 0, 1), win.transpose(2, 3, 4, 0, 1)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += win[:, :, i * kw + j]
-    return out
+            out_s[i:i + stride * oh:stride, j:j + stride * ow:stride] += win_s[i * kw + j]
+    return np.ascontiguousarray(out)
 
 
 class Layer:

@@ -19,6 +19,16 @@ probability is at least 1/K.  Every weight therefore lies in [1, 2].
 Negative relevance, and so a weight below 1, can only come from the
 relation head, whose LRP pass runs through signed network weights.
 
+For the cosine head the weight even has a closed form.  Query ``i``'s
+explanation is ``r * c / (sum(c) + epsilon)`` with ``c = q * phat_t``
+(the query features times the unit target prototype) and the winner's
+relevance ``r`` >= 0, and ``normalize_relevance`` cancels both ``r`` and
+the denominator: ``w = 1 + c / max(c)``, or all ones when ``r`` or ``c``
+is 0.  So epsilon changes cosine-head training only by rounding; it
+matters for the relation head and for input heatmaps.  The step still
+builds the weights through the explanation, as for every head: the
+closed form rounds differently in about 2% of the weights (1 ulp).
+
 The explanation weights are constants in the backward pass
 (stop-gradient): the re-weighted loss reaches the encoder only through
 the features it multiplies, never through the explanation itself.

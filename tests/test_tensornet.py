@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egt import tensornet
 from egt.errors import ContractError, NumericError
 from egt.lrp import lrp_backward
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU, describe_layer, he_uniform,
-                           layer_from_description, sgd_step)
+                           _fold, _windows, layer_from_description, sgd_step)
 from util_nets import central_diff, max_rel_err, rand_conv, rand_linear
 
 
@@ -240,3 +241,157 @@ class TestInitAndDescriptions:
             assert clone.kind == layer.kind
             for name, arr in layer.params().items():
                 assert clone.params()[name].shape == arr.shape
+
+
+# --- the window kernel: both memory layouts against a channel-major loop ---
+
+def _ref_windows(x, kh, kw, stride, oh, ow):
+    b, c = x.shape[:2]
+    win = np.empty((b, c, kh * kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            win[:, :, i * kw + j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return win
+
+
+def _ref_fold(win, kh, kw, stride, h, w):
+    b, c, _, oh, ow = win.shape
+    out = np.zeros((b, c, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += win[:, :, i * kw + j]
+    return out
+
+
+def _signed_data(rng, shape):
+    """Normal draws with about a quarter of the entries set to +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    x[rng.uniform(size=shape) < 0.25] = 0.0
+    x[rng.uniform(size=shape) < 0.1] = -0.0
+    return x
+
+
+def _strides(a):
+    """Strides of the axes longer than 1; the others never address memory."""
+    return [s for s, n in zip(a.strides, a.shape) if n > 1]
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and _strides(got) == _strides(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# (B, C, H, W, kernel, stride, padding): ow 1, 2, 3, 4, 5, 8 and 16, B*C
+# from 1 to 80x64, and non-tiling 5x5 and 9x9 inputs.
+_CONV_CASES = [
+    (1, 1, 1, 1, 3, 1, 1),
+    (80, 64, 2, 2, 3, 1, 1),
+    (4, 4, 4, 4, 3, 1, 1),
+    (41, 16, 4, 4, 3, 1, 1),
+    (2, 3, 5, 5, 3, 1, 1),
+    (2, 3, 5, 5, 3, 2, 0),
+    (5, 4, 9, 9, 3, 2, 1),
+    (16, 16, 8, 8, 3, 2, 0),
+    (3, 2, 8, 8, 3, 1, 1),
+    (2, 3, 16, 16, 3, 1, 1),
+    (3, 2, 6, 6, 2, 2, 0),
+]
+# (B, C, H, W, kernel, stride): ow 1, 2, 4, 8 and 2 on non-tiling 5x5 inputs.
+_POOL_CASES = [
+    (80, 32, 2, 2, 2, 2),
+    (41, 32, 4, 4, 2, 2),
+    (41, 16, 8, 8, 2, 2),
+    (41, 8, 16, 16, 2, 2),
+    (2, 5, 5, 5, 2, 2),
+    (3, 2, 5, 5, 3, 2),
+]
+# The shape's own choice, then each layout forced for every shape.
+_LAYOUT_LIMITS = {"auto": tensornet._SPATIAL_MAJOR_MAX_OW, "channel": 0, "spatial": 1 << 30}
+
+
+@pytest.fixture(params=sorted(_LAYOUT_LIMITS))
+def layout(request, monkeypatch):
+    monkeypatch.setattr(tensornet, "_SPATIAL_MAJOR_MAX_OW", _LAYOUT_LIMITS[request.param])
+    return request.param
+
+
+def _reference(monkeypatch, fn):
+    """``fn()`` with the layers running the channel-major reference loops."""
+    with monkeypatch.context() as m:
+        m.setattr(tensornet, "_windows", _ref_windows)
+        m.setattr(tensornet, "_fold", _ref_fold)
+        return fn()
+
+
+class TestWindowKernelLayouts:
+    """Every layout gives the reference loop's bits, signed zeros and strides."""
+
+    @pytest.mark.parametrize("case", _CONV_CASES, ids=str)
+    def test_windows_and_fold(self, layout, case):
+        b, c, h, w, k, stride, p = case
+        rng = np.random.default_rng(b * 1000 + h)
+        hp, wp = h + 2 * p, w + 2 * p
+        oh, ow = (hp - k) // stride + 1, (wp - k) // stride + 1
+        x = _signed_data(rng, (b, c, hp, wp))
+        win = _signed_data(rng, (b, c, k * k, oh, ow))
+        got_win = _windows(x, k, k, stride, oh, ow)
+        got_fold = _fold(win, k, k, stride, hp, wp)
+        assert got_win.flags.c_contiguous and got_fold.flags.c_contiguous
+        _assert_same_bits(got_win, _ref_windows(x, k, k, stride, oh, ow))
+        _assert_same_bits(got_fold, _ref_fold(win, k, k, stride, hp, wp))
+        # fold is the adjoint of the unroll
+        lhs, rhs = np.vdot(got_fold, x), np.vdot(win, got_win)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("case", _CONV_CASES, ids=str)
+    def test_conv2d(self, layout, case, monkeypatch):
+        b, c, h, w, k, stride, p = case
+        rng = np.random.default_rng(b * 1000 + h + 1)
+        o = max(1, c // 2)
+        conv = Conv2d(_signed_data(rng, (o, c, k, k)), rng.standard_normal(o),
+                      stride=stride, padding=p)
+        x = _signed_data(rng, (b, c, h, w))
+        cot = _signed_data(rng, (b,) + conv.out_shape((c, h, w)))
+        zplus = np.maximum(conv.weight, 0.0)
+
+        def run():
+            grad_in, grads = conv.backward(x, cot)
+            return [conv.forward(x), grad_in, grads["weight"], grads["bias"],
+                    conv.grad_input(cot, (c, h, w), weight=zplus)]
+
+        want = _reference(monkeypatch, run)
+        for got, ref in zip(run(), want):
+            _assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("case", _POOL_CASES, ids=str)
+    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+    def test_pools(self, layout, pool_cls, case, monkeypatch):
+        b, c, h, w, k, stride = case
+        rng = np.random.default_rng(b * 1000 + h + 2)
+        pool = pool_cls(k, stride)
+        # few distinct values, so max-pool windows hold ties
+        x = rng.integers(-2, 3, size=(b, c, h, w)).astype(np.float64)
+        cot = _signed_data(rng, (b,) + pool.out_shape((c, h, w)))
+
+        def run():
+            return [pool.forward(x), pool.backward(x, cot)[0]]
+
+        want = _reference(monkeypatch, run)
+        for got, ref in zip(run(), want):
+            assert got.flags.c_contiguous
+            _assert_same_bits(got, ref)
+
+    def test_max_pool_tie_goes_to_lowest_index(self, layout):
+        x = np.zeros((2, 3, 4, 4))
+        grad = MaxPool2d(2).backward(x, np.ones((2, 3, 2, 2)))[0]
+        want = np.zeros((4, 4))
+        want[::2, ::2] = 1.0
+        np.testing.assert_array_equal(grad, np.broadcast_to(want, grad.shape))
+
+    def test_unroll_keeps_the_input_dtype(self, layout):
+        x = np.arange(2 * 3 * 4 * 4, dtype=np.float32).reshape(2, 3, 4, 4)
+        got = _windows(x, 2, 2, 2, 2, 2)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, _ref_windows(x, 2, 2, 2, 2, 2))
+        assert _fold(got, 2, 2, 2, 4, 4).dtype == np.float64

@@ -17,6 +17,7 @@ from egt.heads import (
     class_prototypes,
     cosine_explain,
     cosine_scores,
+    lrp_through_head,
     relevance_init_nonparametric,
     scaled_softmax,
     weighted_features,
@@ -144,6 +145,47 @@ class TestOps:
         assert default_loss_weights("cosine", 5, baseline=False) == (0.0, 1.0)
         assert default_loss_weights("relation", 1, baseline=False) == (1.0, 0.5)
         assert default_loss_weights("relation", 5, baseline=False) == (1.0, 1.0)
+
+
+class TestCosineClosedForm:
+    """The cosine head's EGT weight is ``1 + c / max c`` with ``c = q * phat_t``.
+
+    Relevance and epsilon both cancel in ``normalize_relevance``, so the
+    weights match the closed form to a few ulp and do not depend on
+    epsilon beyond rounding.
+    """
+
+    @staticmethod
+    def _weights(protos, qmaps, epsilon):
+        # as episode_gradients builds them
+        head = CosineHead()
+        scores, trace = head.scores(protos, qmaps)
+        probs = scaled_softmax(scores, head.beta)
+        targets = np.argmax(probs, axis=1)
+        rels = lrp_through_head(head, protos, qmaps, trace, head.relevance_init(scores, probs),
+                                targets, LrpConfig(epsilon=epsilon))
+        return np.array([lrp_weights(normalize_relevance(r)) for r in rels]), targets
+
+    def test_weights_are_the_closed_form_and_epsilon_free(self):
+        rng = np.random.default_rng(0)
+        for trial in range(60):
+            # relu-like maps: non-negative, about a third of the entries zero
+            maps = rng.uniform(size=(21, 32, 2, 2)) * (rng.uniform(size=(21, 32, 2, 2)) > 0.3)
+            protos, qmaps = maps[:5], maps[5:]
+            if trial == 0:
+                # a query sharing no feature with any prototype: c = 0, r = 0
+                protos[:, :16] = 0.0
+                qmaps[0, 16:] = 0.0
+            w, targets = self._weights(protos, qmaps, 1e-3)
+            w_wide, _ = self._weights(protos, qmaps, 0.5)
+            np.testing.assert_array_max_ulp(w, w_wide, maxulp=4)
+            q, p = qmaps.reshape(16, -1), protos.reshape(5, -1)
+            c = q * (p[targets] / np.linalg.norm(p[targets], axis=1, keepdims=True))
+            peak = c.max(axis=1, keepdims=True)
+            closed = 1.0 + np.divide(c, peak, out=np.zeros_like(c), where=peak > 0)
+            np.testing.assert_array_max_ulp(w, closed, maxulp=4)
+            if trial == 0:
+                assert not c[0].any() and np.array_equal(w[0], np.ones_like(w[0]))
 
 
 class TestTrainConfig:
