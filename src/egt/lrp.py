@@ -18,10 +18,10 @@ Bias terms sit inside ``y_j`` but never receive an input share: bias
 relevance is absorbed.  Conservation is therefore exact only on
 bias-free stacks.  Parameter-free layers pass relevance through: relu
 keeps it unchanged, flatten and max pooling apply their own ``backward``
-to it (max pooling routes each window's relevance to the recorded
-winner, lowest flat index on ties), and average pooling splits
-proportionally to each input's contribution, falling back to an equal
-split when a window sums to exactly zero.
+to it (max pooling routes each window's relevance to the winner its
+recorded forward pass kept, lowest flat index on ties), and average
+pooling splits proportionally to each input's contribution, falling back
+to an equal split when a window sums to exactly zero.
 
 Every array carries the trace's leading row axis, and rows never mix:
 row ``b`` of an input relevance depends only on row ``b`` of the
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
-from .tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, Linear,
-                        MaxPool2d, Network, ReLU, _fold)
+from .tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, LayerTrace,
+                        Linear, MaxPool2d, Network, ReLU, _fold)
 
 Array = np.ndarray
 
@@ -119,13 +119,14 @@ def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array) -> Arr
     return rel + 0.0  # maps -0.0 to +0.0
 
 
-def lrp_passthrough(layer, x: Array, rel_out: Array) -> Array:
-    """Relevance through parameter-free layers."""
+def lrp_passthrough(layer, entry: LayerTrace, rel_out: Array) -> Array:
+    """Relevance through parameter-free layers, for the recorded application ``entry``."""
+    x = entry.input
     _check_rows(layer, x, rel_out)
     if isinstance(layer, ReLU):
         return rel_out.copy()
     if isinstance(layer, (Flatten, MaxPool2d)):
-        return layer.backward(x, rel_out)[0]
+        return layer.backward(entry, rel_out)[0]
     if not isinstance(layer, AvgPool2d):
         raise ConfigError(f"layer kind {layer.kind!r} has no pass-through rule")
     win_x = layer.windows(x)
@@ -162,7 +163,7 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
             else:
                 r = lrp_alpha(layer, entry.input, entry.output, r)
         else:
-            r = lrp_passthrough(layer, entry.input, r)
+            r = lrp_passthrough(layer, entry, r)
         relevances[i] = r
     if not np.isfinite(r).all():
         raise NumericError("relevance pass produced non-finite values")

@@ -212,11 +212,17 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
 
 
 def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
-    """``trace`` repeated ``reps`` times along its rows: row ``t*B + b`` is row ``b``."""
+    """``trace`` repeated ``reps`` times along its rows: row ``t*B + b`` is row ``b``.
+
+    The kept arrays lead with the row axis too and are tiled alike.
+    """
     if trace is None:
         return None
-    return ForwardTrace([LayerTrace(*(np.tile(a, (reps,) + (1,) * (a.ndim - 1))
-                                      for a in (e.input, e.output)))
+
+    def tile(a: Array) -> Array:
+        return np.tile(a, (reps,) + (1,) * (a.ndim - 1))
+    return ForwardTrace([LayerTrace(tile(e.input), tile(e.output),
+                                    {k: tile(a) for k, a in e.kept.items()})
                          for e in trace.entries])
 
 

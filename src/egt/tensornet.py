@@ -3,20 +3,23 @@
 Implements the closed layer vocabulary used by the relevance engine and
 the episodic trainer: ``linear``, ``conv2d``, ``relu``, ``maxpool2d``,
 ``avgpool2d``, ``flatten``.  A forward pass can be recorded into a
-:class:`ForwardTrace` that keeps every per-layer input and output, and
-both the gradient pass and the relevance pass replay that trace instead
-of touching global state.  The parameterized layers expose their input
-pull-back as ``grad_input(grad_out, in_shape, weight=None)``, which the
-relevance rules reuse with their own weights.
+:class:`ForwardTrace` that keeps every per-layer input and output, plus
+what a layer unrolled and its ``backward`` needs again: the convolution's
+im2col columns and max pooling's winners (:class:`LayerTrace`).  Both
+the gradient pass and the relevance pass replay that trace instead of
+touching global state or unrolling again; the unrecorded pass keeps
+nothing.  The parameterized layers expose their input pull-back as
+``grad_input(grad_out, in_shape, weight=None)``, which the relevance
+rules reuse with their own weights.
 
 One window kernel serves every spatial layer: :func:`_windows` unrolls
 sliding windows and :func:`_fold` scatter-adds them back.  The
 convolution runs them on its padded input, the pools on their input.
 Both loop over the kernel offsets ``(i, j)`` with one slice op each, and
 take their working array's memory layout from the output width ``ow``
-(:func:`_kernel_array`): spatial-major, ``(..., B, C)``, for
-``ow <= _SPATIAL_MAJOR_MAX_OW``, so that a slice op's innermost loop
-spans B*C elements instead of ``ow``, and channel-major otherwise.  Both
+(:func:`_kernel_array`): spatial-major, ``(..., B, C)``, for ``ow`` in
+``_SPATIAL_MAJOR_OW``, so that a slice op's innermost loop spans B*C
+elements instead of ``ow``, and channel-major otherwise.  Both
 hand back a C-contiguous ``(B, C, ...)`` array, so callers and GEMMs see
 one layout.  The results are bit-identical in either layout: the unroll
 only copies, and every folded element receives its additions in the same
@@ -30,7 +33,7 @@ vectors.  A network's ``input_shape`` and ``shapes`` name one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,25 +53,26 @@ def _require(cond: bool, message: str) -> None:
         raise ContractError(message)
 
 
-# Widest output row ``ow`` for which the window kernel works spatial-major.
+# Output widths ``ow`` for which the window kernel works spatial-major.
 # ``tools/layer_bench.py`` sweeps both layouts (3x3 conv, padding 1, B*C
 # 16..5120): at ``ow`` 2 and 4 the spatial-major fold runs at 0.1-0.9x the
 # channel-major time and the unroll at 0.35-1.1x; from ``ow`` 5 on, the
 # unroll's closing copy costs more than its slice ops save (up to 1.4x at
-# ``ow`` 5, 2-6x at ``ow`` 16).
-_SPATIAL_MAJOR_MAX_OW = 4
+# ``ow`` 5, 2-6x at ``ow`` 16).  At ``ow`` 1 the channel-major slice ops
+# already loop over C, and the spatial-major unroll measures 1.08-1.18x.
+_SPATIAL_MAJOR_OW = range(2, 5)
 
 
 def _kernel_array(alloc, shape: tuple[int, ...], ow: int, dtype) -> Array:
     """A ``(B, C, ...)`` array of ``shape`` from ``alloc`` (``np.empty`` or ``np.zeros``).
 
-    It is laid out for the window kernel.  For ``ow <=
-    _SPATIAL_MAJOR_MAX_OW`` the memory is spatial-major, ``(..., B, C)``,
+    It is laid out for the window kernel.  For ``ow`` in
+    ``_SPATIAL_MAJOR_OW`` the memory is spatial-major, ``(..., B, C)``,
     so that each slice op of the kernel's loop runs its innermost loop
     over B*C elements rather than over ``ow``; otherwise it is
     channel-major, as the GEMMs want.
     """
-    if ow > _SPATIAL_MAJOR_MAX_OW:
+    if ow not in _SPATIAL_MAJOR_OW:
         return alloc(shape, dtype)
     n = len(shape) - 2
     return alloc(shape[2:] + shape[:2], dtype).transpose(n, n + 1, *range(n))
@@ -106,6 +110,23 @@ def _fold(win: Array, kh: int, kw: int, stride: int, h: int, w: int) -> Array:
     return np.ascontiguousarray(out)
 
 
+@dataclass
+class LayerTrace:
+    """One recorded layer application: its input and output rows, and ``kept``.
+
+    ``kept`` holds what the layer unrolled in ``forward`` and its
+    ``backward`` reuses, every array leading with the row axis: a
+    convolution's im2col columns (``"cols"``, ``(B, C*kh*kw, oh*ow)``)
+    and max pooling's winners (``"winners"``, a boolean mask over its
+    windows, ``(B, C, kh*kw, oh, ow)``).  Other layers keep nothing.  For the
+    encoder at the gate's shapes (41 images, 3x16x16, widths 8/16/32)
+    that is about 4.7 MB per trace, almost all of it columns.
+    """
+    input: Array
+    output: Array
+    kept: dict[str, Array] = field(default_factory=dict)
+
+
 class Layer:
     """Base class: stateless apart from parameters and momentum buffers."""
 
@@ -114,12 +135,22 @@ class Layer:
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def forward(self, x: Array) -> Array:
-        """Apply the layer to input rows ``(B, *in_shape)``."""
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
+        """Apply the layer to input rows ``(B, *in_shape)``.
+
+        A recording caller passes an empty dict as ``kept``, and the layer
+        stores there what its ``backward`` reuses; without it the layer
+        keeps nothing and does no extra work.
+        """
         raise NotImplementedError
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array] | None]:
-        """Return ``(grad_in, param_grads)`` for one recorded application.
+    def forward_recorded(self, x: Array) -> LayerTrace:
+        """Apply the layer through ``forward`` and record the application."""
+        kept: dict[str, Array] = {}
+        return LayerTrace(x, self.forward(x, kept), kept)
+
+    def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, dict[str, Array] | None]:
+        """Return ``(grad_in, param_grads)`` for the recorded application ``entry``.
 
         ``param_grads`` is summed over the batch axis; ``None`` for
         parameter-free layers.
@@ -152,11 +183,14 @@ class Linear(Layer):
                  f"expects input ({self.weight.shape[1]},), got {in_shape}")
         return (self.weight.shape[0],)
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
         return x @ self.weight.T + self.bias
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
-        grad_in = self.grad_input(grad_out, x.shape[1:])
+    def backward(self, entry: LayerTrace, grad_out: Array,
+                 input_grad: bool = True) -> tuple[Array | None, dict[str, Array]]:
+        """``input_grad=False`` skips the input pull-back and returns ``None`` in its place."""
+        x = entry.input
+        grad_in = self.grad_input(grad_out, x.shape[1:]) if input_grad else None
         return grad_in, {"weight": grad_out.T @ x, "bias": grad_out.sum(axis=0)}
 
     def grad_input(self, grad_out: Array, in_shape: tuple[int, ...],
@@ -209,30 +243,36 @@ class Conv2d(Layer):
                  f"kernel {kh}x{kw} larger than padded input {h}x{w}")
         return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
 
-    def _cols(self, x: Array, oh: int, ow: int) -> Array:
-        """Unroll receptive fields of the padded input to ``(B, C*kh*kw, oh*ow)``."""
-        b, c = x.shape[:2]
-        _, _, kh, kw = self.weight.shape
-        p = self.padding
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        return _windows(x, kh, kw, self.stride, oh, ow).reshape(b, c * kh * kw, oh * ow)
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
+        """One GEMM over the unrolled columns ``(B, C*kh*kw, oh*ow)``.
 
-    def forward(self, x: Array) -> Array:
-        o = self.weight.shape[0]
+        A recorded pass keeps the columns for :meth:`backward`.
+        """
+        b, c = x.shape[:2]
+        o, _, kh, kw = self.weight.shape
         _, oh, ow = self.out_shape(x.shape[1:])
-        cols = self._cols(x, oh, ow)
+        p = self.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        cols = _windows(xp, kh, kw, self.stride, oh, ow).reshape(b, c * kh * kw, oh * ow)
+        if kept is not None:
+            kept["cols"] = cols
         y = np.matmul(self.weight.reshape(o, -1), cols)
         y += self.bias[:, None]
-        return y.reshape(x.shape[0], o, oh, ow)
+        return y.reshape(b, o, oh, ow)
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, dict[str, Array]]:
+    def backward(self, entry: LayerTrace, grad_out: Array,
+                 input_grad: bool = True) -> tuple[Array | None, dict[str, Array]]:
+        """Gradients for ``entry``, the weight's from its recorded columns.
+
+        ``input_grad=False`` skips the input pull-back and returns
+        ``None`` in its place.
+        """
         b, o = grad_out.shape[:2]
         g2 = grad_out.reshape(b, o, -1)
-        cols = self._cols(x, grad_out.shape[2], grad_out.shape[3])
-        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        dw = np.matmul(g2, entry.kept["cols"].transpose(0, 2, 1)).sum(axis=0)
         grads = {"weight": dw.reshape(self.weight.shape), "bias": g2.sum(axis=(0, 2))}
-        return self.grad_input(grad_out, x.shape[1:]), grads
+        grad_in = self.grad_input(grad_out, entry.input.shape[1:]) if input_grad else None
+        return grad_in, grads
 
     def grad_input(self, grad_out: Array, in_shape: tuple[int, ...],
                    weight: Array | None = None) -> Array:
@@ -261,11 +301,11 @@ class ReLU(Layer):
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return in_shape
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
         return np.maximum(x, 0.0)
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
-        return grad_out * (x > 0.0), None
+    def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
+        return grad_out * (entry.input > 0.0), None
 
 
 class _Pool(Layer):
@@ -290,28 +330,39 @@ class _Pool(Layer):
 class MaxPool2d(_Pool):
     kind = "maxpool2d"
 
-    def forward(self, x: Array) -> Array:
-        return self.windows(x).max(axis=2)
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
+        """Window maxima; a recorded pass also keeps each window's winner.
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
-        """Route each window's cotangent to its max; ties pick the lowest index."""
+        The winners are a boolean mask shaped like the windows, true at
+        the lowest window index that holds the maximum.
+        """
         win = self.windows(x)
-        idx = win.argmax(axis=2)[:, :, None]
-        win.fill(0.0)
-        np.put_along_axis(win, idx, grad_out[:, :, None], axis=2)
-        return _fold(win, self.kernel, self.kernel, self.stride, *x.shape[2:]), None
+        y = win.max(axis=2)
+        if kept is not None:
+            winners = win == y[:, :, None]
+            taken = winners[:, :, 0].copy()
+            for k in range(1, winners.shape[2]):
+                winners[:, :, k] &= ~taken
+                taken |= winners[:, :, k]
+            kept["winners"] = winners
+        return y
+
+    def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
+        """Route each window's cotangent to its recorded winner, the lowest index on ties."""
+        win = np.where(entry.kept["winners"], grad_out[:, :, None], 0.0)
+        return _fold(win, self.kernel, self.kernel, self.stride, *entry.input.shape[2:]), None
 
 
 class AvgPool2d(_Pool):
     kind = "avgpool2d"
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
         return self.windows(x).mean(axis=2)
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
+    def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
         k2 = self.kernel * self.kernel
         win = np.broadcast_to(grad_out[:, :, None] / k2, grad_out.shape[:2] + (k2,) + grad_out.shape[2:])
-        return _fold(win, self.kernel, self.kernel, self.stride, *x.shape[2:]), None
+        return _fold(win, self.kernel, self.kernel, self.stride, *entry.input.shape[2:]), None
 
 
 class Flatten(Layer):
@@ -320,18 +371,11 @@ class Flatten(Layer):
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, x: Array, grad_out: Array) -> tuple[Array, None]:
-        return grad_out.reshape(x.shape), None
-
-
-@dataclass
-class LayerTrace:
-    """Recorded input and output rows of one layer application."""
-    input: Array
-    output: Array
+    def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
+        return grad_out.reshape(entry.input.shape), None
 
 
 @dataclass
@@ -377,31 +421,41 @@ class Network:
                                 f"(B, {', '.join(map(str, self.input_shape))})")
         entries: list[LayerTrace] = []
         for layer in self.layers:
-            y = layer.forward(x)
             if record:
-                entries.append(LayerTrace(x, y))
-            x = y
+                entries.append(layer.forward_recorded(x))
+                x = entries[-1].output
+            else:
+                x = layer.forward(x)
         if not np.isfinite(x).all():
             raise NumericError("network forward produced non-finite values")
         return x, (ForwardTrace(entries) if record else None)
 
-    def backward_grad(self, trace: ForwardTrace, grad_out: Array) -> tuple[Array, list[dict[str, Array] | None]]:
+    def backward_grad(self, trace: ForwardTrace, grad_out: Array, input_grad: bool = True
+                      ) -> tuple[Array | None, list[dict[str, Array] | None]]:
         """Propagate an output cotangent back through a recorded pass.
 
         ``grad_out`` has the traced output's rows.  Returns the input
         gradient, shaped like the traced input, and one parameter-gradient
         dict per layer (``None`` where the layer has no parameters),
-        summed over the rows.
+        summed over the rows.  With ``input_grad=False`` the pass stops at
+        the lowest parameterized layer, skips that layer's input
+        pull-back, and returns ``None`` for the input gradient.
         """
         g = np.asarray(grad_out, dtype=np.float64)
         expected = trace.entries[-1].output.shape
         if g.shape != expected:
             raise ContractError(f"grad_out shape {g.shape} does not match traced output {expected}")
-        param_grads: list[dict[str, Array] | None] = [None] * len(self.layers)
-        for i in reversed(range(len(self.layers))):
-            entry = trace.entries[i]
-            g, pg = self.layers[i].backward(entry.input, g)
-            param_grads[i] = pg
+        n = len(self.layers)
+        param_grads: list[dict[str, Array] | None] = [None] * n
+        stop = 0 if input_grad else min((i for i, _ in self.param_layers()), default=n)
+        for i in reversed(range(stop, n)):
+            layer, entry = self.layers[i], trace.entries[i]
+            if i == stop and not input_grad:
+                _, param_grads[i] = layer.backward(entry, g, input_grad=False)
+            else:
+                g, param_grads[i] = layer.backward(entry, g)
+        if not input_grad:
+            return None, param_grads
         if not np.isfinite(g).all():
             raise NumericError("backward pass produced non-finite input gradient")
         return g, param_grads

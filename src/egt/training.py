@@ -194,7 +194,9 @@ def episode_gradients(model: FewShotModel, episode, cfg: TrainConfig,
 
     counts = np.bincount(s_local, minlength=episode.way)
     d_s = d_protos[s_local] / counts[s_local][:, None, None, None]
-    _, enc_grads = model.encoder.backward_grad(trace, np.concatenate([d_s, d_q], axis=0))
+    # Nothing reads the images' gradient; sgd_step checks every parameter gradient.
+    _, enc_grads = model.encoder.backward_grad(trace, np.concatenate([d_s, d_q], axis=0),
+                                               input_grad=False)
 
     loss_plain = float(ce_plain.mean())
     loss_lrp = float(ce_lrp.mean())

@@ -8,8 +8,8 @@ import pytest
 from egt.errors import ConfigError, ContractError
 from egt.lrp import (LrpConfig, lrp_alpha, lrp_backward, lrp_epsilon,
                      lrp_passthrough, normalize_relevance)
-from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
-                           Network, ReLU)
+from egt.tensornet import (AvgPool2d, Conv2d, Flatten, LayerTrace, Linear,
+                           MaxPool2d, Network, ReLU)
 from util_nets import (conservation_net, count_grad_input, dense_alpha_oracle,
                        dense_epsilon_oracle, rand_conv, rand_linear,
                        relu_tower, unrolled_dense)
@@ -210,39 +210,44 @@ class TestConvAgainstUnrolledDense:
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-9, atol=1e-12)
 
 
+def _passthrough(layer, x, rel_out):
+    """``lrp_passthrough`` on the recorded application of ``layer`` to ``x``."""
+    return lrp_passthrough(layer, layer.forward_recorded(x), rel_out)
+
+
 class TestPassthrough:
     def test_relu_unchanged(self):
-        rel = lrp_passthrough(ReLU(), np.array([[-1.0, 2.0]]), np.array([[1.0, 2.0]]))
+        rel = _passthrough(ReLU(), np.array([[-1.0, 2.0]]), np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(rel, [[1.0, 2.0]])
 
     def test_flatten_reshapes(self):
         x = np.zeros((1, 2, 2, 2))
-        rel = lrp_passthrough(Flatten(), x, np.arange(8.0).reshape(1, 8))
+        rel = _passthrough(Flatten(), x, np.arange(8.0).reshape(1, 8))
         np.testing.assert_array_equal(rel, np.arange(8.0).reshape(1, 2, 2, 2))
 
     def test_maxpool_winner(self):
         x = np.array([[[[1.0, 5.0], [2.0, 3.0]]]])
-        rel = lrp_passthrough(MaxPool2d(2), x, np.array([[[[4.0]]]]))
+        rel = _passthrough(MaxPool2d(2), x, np.array([[[[4.0]]]]))
         np.testing.assert_array_equal(rel, [[[[0.0, 4.0], [0.0, 0.0]]]])
 
     def test_maxpool_tie_lowest_index(self):
         x = np.array([[[[7.0, 7.0], [7.0, 7.0]]]])
-        rel = lrp_passthrough(MaxPool2d(2), x, np.array([[[[4.0]]]]))
+        rel = _passthrough(MaxPool2d(2), x, np.array([[[[4.0]]]]))
         np.testing.assert_array_equal(rel, [[[[4.0, 0.0], [0.0, 0.0]]]])
 
     def test_avgpool_equal_inputs(self):
         x = np.full((1, 1, 2, 2), 3.0)
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[4.0]]]]))
+        rel = _passthrough(AvgPool2d(2), x, np.array([[[[4.0]]]]))
         np.testing.assert_allclose(rel, np.ones((1, 1, 2, 2)))
 
     def test_avgpool_proportional(self):
         x = np.array([[[[1.0, 3.0], [0.0, 0.0]]]])
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[8.0]]]]))
+        rel = _passthrough(AvgPool2d(2), x, np.array([[[[8.0]]]]))
         np.testing.assert_allclose(rel, [[[[2.0, 6.0], [0.0, 0.0]]]])
 
     def test_avgpool_zero_sum_window_splits_equally(self):
         x = np.array([[[[1.0, -1.0], [0.0, 0.0]]]])
-        rel = lrp_passthrough(AvgPool2d(2), x, np.array([[[[4.0]]]]))
+        rel = _passthrough(AvgPool2d(2), x, np.array([[[[4.0]]]]))
         np.testing.assert_allclose(rel, np.full((1, 1, 2, 2), 1.0))
         assert rel.sum() == pytest.approx(4.0)
 
@@ -251,9 +256,9 @@ class TestRowLayout:
     """Each per-layer rule takes rows ``(B, ...)`` that agree on B."""
 
     RULES = {
-        "epsilon": lambda layer, x, y, r: lrp_epsilon(layer, x, y, r, 0.01),
-        "alpha": lambda layer, x, y, r: lrp_alpha(layer, x, y, r),
-        "passthrough": lambda layer, x, y, r: lrp_passthrough(layer, x, r),
+        "epsilon": lambda layer, e, r: lrp_epsilon(layer, e.input, e.output, r, 0.01),
+        "alpha": lambda layer, e, r: lrp_alpha(layer, e.input, e.output, r),
+        "passthrough": lambda layer, e, r: lrp_passthrough(layer, e, r),
     }
     DENSE = (lambda rng: rand_linear(rng, 6, 3), (6,))
     CONV = (lambda rng: rand_conv(rng, 2, 3, 3, padding=1), (2, 5, 5))
@@ -274,15 +279,15 @@ class TestRowLayout:
         make, row_shape = self.CASES[rule, kind]
         layer = make(rng)
         x = rng.uniform(size=(3,) + row_shape)
-        y = layer.forward(x)
-        r = rng.standard_normal(y.shape)
-        assert self.RULES[rule](layer, x, y, r).shape == x.shape
+        entry = layer.forward_recorded(x)
+        r = rng.standard_normal(entry.output.shape)
+        assert self.RULES[rule](layer, entry, r).shape == x.shape
         if layout == "unbatched":
-            x, y, r = x[0], y[0], r[0]
+            entry, r = LayerTrace(x[0], entry.output[0]), r[0]
         else:
             r = r[:2]
         with pytest.raises(ContractError):
-            self.RULES[rule](layer, x, y, r)
+            self.RULES[rule](layer, entry, r)
 
 
 class TestLrpBackward:

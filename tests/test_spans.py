@@ -71,3 +71,29 @@ def test_traced_episode_and_explanation_reach_every_rule(spans):
                  "heads.cosine_explain"):
         assert tracer.calls["test", name] > 0, name
     assert tracer.counts["test", "tensornet.conv2d.grad_input_calls"] > 0
+
+
+def test_traced_cosine_episode_keeps_its_layer_attribution(spans):
+    # The recorded pass still runs through ``Layer.forward``, which the
+    # tracer wraps, and the gradient pass reuses the kept unrolls: two
+    # max-pool unrolls (both in forward) and two conv input pull-backs
+    # (none for the encoder's first conv, whose input gradient is unused).
+    rng = np.random.default_rng(1)
+    data = LabeledImageSet(rng.uniform(size=(24, 1, 8, 8)).astype(np.float32),
+                           np.repeat(np.arange(4, dtype=np.int32), 6), domain_tag="toy")
+    episode = sample_episode(data, 3, 2, 4, rng)
+    model = egt.model.build_model("cosine", (1, 8, 8), rng)  # widths 8/16/32
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.phase = "test"
+        egt.training.train_episode(model, episode, egt.training.TrainConfig(
+            way=3, shot=2, n_query=4, xi=0.0))
+    finally:
+        tracer.uninstall()
+    for name in ("tensornet.conv2d.forward", "tensornet.maxpool2d.forward",
+                 "tensornet.conv2d.backward", "tensornet.maxpool2d.backward"):
+        assert tracer.calls["test", name] > 0, name
+    assert tracer.calls["test", "tensornet.conv2d.backward"] == 3
+    assert tracer.counts["test", "tensornet.maxpool2d.windows_calls"] == 2
+    assert tracer.counts["test", "tensornet.conv2d.grad_input_calls"] == 2

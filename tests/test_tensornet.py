@@ -8,10 +8,11 @@ import pytest
 from egt import tensornet
 from egt.errors import ContractError, NumericError
 from egt.lrp import lrp_backward
+from egt.model import build_encoder
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU, describe_layer, he_uniform,
                            _fold, _windows, layer_from_description, sgd_step)
-from util_nets import central_diff, max_rel_err, rand_conv, rand_linear
+from util_nets import central_diff, count_grad_input, max_rel_err, rand_conv, rand_linear
 
 
 class TestForward:
@@ -178,6 +179,48 @@ class TestGradientFiniteDifference:
                 assert max_rel_err(grads[i][name], central_diff(loss, arr)) < 1e-3
 
 
+class TestRecordedPass:
+    """The trace keeps each layer's unroll; the gradient pass reuses it."""
+
+    def test_only_conv_and_max_pool_keep_arrays(self):
+        rng = np.random.default_rng(13)
+        net = Network((2, 6, 6), [rand_conv(rng, 2, 3, 3, padding=1), ReLU(),
+                                  MaxPool2d(2), AvgPool2d(3), Flatten(),
+                                  rand_linear(rng, 3, 2)])
+        x = rng.standard_normal((4, 2, 6, 6))
+        out, trace = net.forward_recorded(x)
+        np.testing.assert_array_equal(out, net.forward(x))
+        assert [sorted(e.kept) for e in trace.entries] == [["cols"], [], ["winners"], [], [], []]
+        cols = trace.entries[0].kept["cols"]
+        want = _ref_windows(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), 3, 3, 1, 6, 6)
+        np.testing.assert_array_equal(cols, want.reshape(4, 18, 36))
+        winners = trace.entries[2].kept["winners"]
+        assert winners.shape == (4, 3, 4, 3, 3) and (winners.sum(axis=2) == 1).all()
+
+    @pytest.mark.parametrize("first", ["conv2d", "flatten"])
+    def test_param_grads_bit_equal_without_input_grad(self, first, monkeypatch):
+        rng = np.random.default_rng(14)
+        if first == "conv2d":  # the encoder at the gate's shapes
+            net, x = build_encoder((3, 16, 16), rng), rng.uniform(size=(41, 3, 16, 16))
+        else:
+            net = Network((2, 2, 2), [Flatten(), rand_linear(rng, 8, 3), ReLU(),
+                                      rand_linear(rng, 3, 2)])
+            x = rng.standard_normal((5, 2, 2, 2))
+        out, trace = net.forward_recorded(x)
+        cot = rng.standard_normal(out.shape)
+        calls = count_grad_input(monkeypatch)
+        grad_in, full = net.backward_grad(trace, cot)
+        with_input = len(calls)
+        none, grads = net.backward_grad(trace, cot, input_grad=False)
+        assert grad_in.shape == x.shape and none is None
+        if first == "conv2d":
+            assert (with_input, len(calls) - with_input) == (3, 2)
+        for a, b in zip(full, grads):
+            assert (a is None) == (b is None)
+            for name in a or {}:
+                _assert_same_bits(b[name], a[name])
+
+
 class TestSgdStep:
     def _one_weight_net(self, w0):
         return Network((1,), [Linear(np.array([[w0]]), np.zeros(1))])
@@ -307,12 +350,13 @@ _POOL_CASES = [
     (3, 2, 5, 5, 3, 2),
 ]
 # The shape's own choice, then each layout forced for every shape.
-_LAYOUT_LIMITS = {"auto": tensornet._SPATIAL_MAJOR_MAX_OW, "channel": 0, "spatial": 1 << 30}
+_LAYOUT_RANGES = {"auto": tensornet._SPATIAL_MAJOR_OW, "channel": range(0),
+                  "spatial": range(1, 1 << 30)}
 
 
-@pytest.fixture(params=sorted(_LAYOUT_LIMITS))
+@pytest.fixture(params=sorted(_LAYOUT_RANGES))
 def layout(request, monkeypatch):
-    monkeypatch.setattr(tensornet, "_SPATIAL_MAJOR_MAX_OW", _LAYOUT_LIMITS[request.param])
+    monkeypatch.setattr(tensornet, "_SPATIAL_MAJOR_OW", _LAYOUT_RANGES[request.param])
     return request.param
 
 
@@ -322,6 +366,34 @@ def _reference(monkeypatch, fn):
         m.setattr(tensornet, "_windows", _ref_windows)
         m.setattr(tensornet, "_fold", _ref_fold)
         return fn()
+
+
+def _unrolled_conv_backward(conv, x, cot):
+    """Conv gradients with the columns unrolled afresh from ``x``, no trace."""
+    b, c = x.shape[:2]
+    o, _, k, _ = conv.weight.shape
+    p = conv.padding
+    cols = _ref_windows(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k, k, conv.stride,
+                        *cot.shape[2:]).reshape(b, c * k * k, -1)
+    g2 = cot.reshape(b, o, -1)
+    dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+    grads = {"weight": dw.reshape(conv.weight.shape), "bias": g2.sum(axis=(0, 2))}
+    return conv.grad_input(cot, x.shape[1:]), grads
+
+
+def _unrolled_max_pool_backward(pool, x, cot):
+    """Max-pool input gradient from a fresh unroll and its argmax, no trace."""
+    _, oh, ow = pool.out_shape(x.shape[1:])
+    k = pool.kernel
+    win = _ref_windows(x, k, k, pool.stride, oh, ow)
+    idx = win.argmax(axis=2)[:, :, None]
+    win.fill(0.0)
+    np.put_along_axis(win, idx, cot[:, :, None], axis=2)
+    return _ref_fold(win, k, k, pool.stride, *x.shape[2:]), None
+
+
+def _recorded_backward(layer, x, cot):
+    return layer.backward(layer.forward_recorded(x), cot)
 
 
 class TestWindowKernelLayouts:
@@ -355,13 +427,14 @@ class TestWindowKernelLayouts:
         cot = _signed_data(rng, (b,) + conv.out_shape((c, h, w)))
         zplus = np.maximum(conv.weight, 0.0)
 
-        def run():
-            grad_in, grads = conv.backward(x, cot)
+        def run(backward):
+            grad_in, grads = backward(conv, x, cot)
             return [conv.forward(x), grad_in, grads["weight"], grads["bias"],
                     conv.grad_input(cot, (c, h, w), weight=zplus)]
 
-        want = _reference(monkeypatch, run)
-        for got, ref in zip(run(), want):
+        # the backward from a recorded entry equals a fresh unroll's
+        want = _reference(monkeypatch, lambda: run(_unrolled_conv_backward))
+        for got, ref in zip(run(_recorded_backward), want):
             _assert_same_bits(got, ref)
 
     @pytest.mark.parametrize("case", _POOL_CASES, ids=str)
@@ -373,18 +446,22 @@ class TestWindowKernelLayouts:
         # few distinct values, so max-pool windows hold ties
         x = rng.integers(-2, 3, size=(b, c, h, w)).astype(np.float64)
         cot = _signed_data(rng, (b,) + pool.out_shape((c, h, w)))
+        unrolled = (_unrolled_max_pool_backward if pool_cls is MaxPool2d
+                    else _recorded_backward)
 
-        def run():
-            return [pool.forward(x), pool.backward(x, cot)[0]]
+        def run(backward):
+            return [pool.forward(x), backward(pool, x, cot)[0]]
 
-        want = _reference(monkeypatch, run)
-        for got, ref in zip(run(), want):
+        # max pooling's backward from its recorded winners equals a fresh
+        # unroll and argmax, ties included
+        want = _reference(monkeypatch, lambda: run(unrolled))
+        for got, ref in zip(run(_recorded_backward), want):
             assert got.flags.c_contiguous
             _assert_same_bits(got, ref)
 
     def test_max_pool_tie_goes_to_lowest_index(self, layout):
         x = np.zeros((2, 3, 4, 4))
-        grad = MaxPool2d(2).backward(x, np.ones((2, 3, 2, 2)))[0]
+        grad = _recorded_backward(MaxPool2d(2), x, np.ones((2, 3, 2, 2)))[0]
         want = np.zeros((4, 4))
         want[::2, ::2] = 1.0
         np.testing.assert_array_equal(grad, np.broadcast_to(want, grad.shape))

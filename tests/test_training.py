@@ -348,6 +348,30 @@ class TestTrainingDynamics:
             losses.append(train_episode(model, ep, cfg).loss_total)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_non_finite_encoder_gradient_moves_no_parameter(self, head, monkeypatch):
+        # The encoder's input gradient is not computed, so nothing checks
+        # it; the step still refuses a non-finite parameter gradient
+        # before any parameter or momentum buffer changes.
+        model = _tiny_model(head, seed=22)
+        cfg = TrainConfig(way=3, shot=2, n_query=4, lr=0.1)
+        train_episode(model, _episode(seed=23), cfg)  # fills the momentum buffers
+        real = model.head.backward
+
+        def poisoned(*args):
+            d_protos, d_q, rel_grads = real(*args)
+            d_q[0].flat[0] = np.nan
+            return d_protos, d_q, rel_grads
+        monkeypatch.setattr(model.head, "backward", poisoned)
+        before = copy.deepcopy(model)
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            train_episode(model, _episode(seed=24), cfg)
+        for net, kept in zip(model.networks(), before.networks()):
+            for layer, old in zip(net.layers, kept.layers):
+                for name, arr in layer.params().items():
+                    np.testing.assert_array_equal(arr, old.params()[name])
+                    np.testing.assert_array_equal(layer.velocity[name], old.velocity[name])
+
     def test_way_mismatch_rejected(self):
         model = _tiny_model("cosine", seed=20)
         cfg = TrainConfig(way=4, shot=2, n_query=4)

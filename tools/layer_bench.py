@@ -5,8 +5,11 @@ Usage (from the repository root):
 
     python3 tools/layer_bench.py [--out BENCH_layers.json] [--repeats 15]
 
-Part 1, ``layers``: forward, backward and relevance-rule time of every
-layer of two networks, each on its own recorded input:
+Part 1, ``layers``: forward, recorded forward, backward and
+relevance-rule time of every layer of two networks, each on its own
+recorded input.  The backward and the rule run on the layer's entry of
+one recorded pass, so they reuse what it kept (a convolution's columns,
+max pooling's winners) as training and explanation do:
 
 * the encoder at the acceptance gate's shapes: batch 41 (5-way 5-shot
   plus 16 queries), 3x16x16 images, widths 8/16/32;
@@ -16,10 +19,10 @@ layer of two networks, each on its own recorded input:
 Part 2, ``sweep``: ``_windows``, ``_fold``, ``Conv2d.forward`` and
 ``Conv2d.grad_input`` (a C -> C 3x3 conv with padding 1 on a square
 ``ow x ow`` map) over output width ``ow`` x B*C, once in each memory
-layout of the window kernel.  The layout is forced by setting
-``egt.tensornet._SPATIAL_MAJOR_MAX_OW`` for the duration of a cell; each
+layout of the window kernel.  The layout is forced by setting the range
+``egt.tensornet._SPATIAL_MAJOR_OW`` for the duration of a cell; each
 cell reports the spatial-major / channel-major ratio of the medians.
-This sweep is what sets that constant.
+This sweep is what sets that range.
 
 Every timing is the median over ``--repeats`` samples, with the first and
 third quartiles, in ms per call; one sample averages enough calls to last
@@ -55,7 +58,7 @@ SAMPLE_S = 0.005
 SWEEP_OW = (1, 2, 4, 5, 8, 16)
 SWEEP_BC = ((1, 1), (4, 4), (8, 8), (16, 16), (40, 32), (80, 64))
 SWEEP_MAX_ELEMENTS = 80 * 64 * 8 * 8  # skips (80x64, ow 16): 94 MB of windows
-LAYOUTS = {"channel": 0, "spatial": 1 << 30}
+LAYOUTS = {"channel": range(0), "spatial": range(1, 1 << 30)}
 
 
 def calls_per_sample(fn) -> int:
@@ -99,12 +102,13 @@ def layer_rows(name: str, net, x, repeats: int, rng) -> list[dict]:
         elif isinstance(layer, Linear):
             rule = lambda: lrp_epsilon(layer, xin, y, rel, 0.001)  # noqa: E731
         else:
-            rule = lambda: lrp_passthrough(layer, xin, rel)  # noqa: E731
+            rule = lambda: lrp_passthrough(layer, entry, rel)  # noqa: E731
         rows.append({
             "net": name, "index": i, "kind": layer.kind,
             "input": list(xin.shape), "output": list(y.shape),
             "forward_ms": timed(lambda: layer.forward(xin), repeats),
-            "backward_ms": timed(lambda: layer.backward(xin, cot), repeats),
+            "recorded_ms": timed(lambda: layer.forward_recorded(xin), repeats),
+            "backward_ms": timed(lambda: layer.backward(entry, cot), repeats),
             "lrp_ms": timed(rule, repeats),
         })
     return rows
@@ -125,16 +129,16 @@ def sweep_cell(b: int, c: int, ow: int, repeats: int, rng) -> dict:
     }
     cell: dict = {"b": b, "c": c, "bc": b * c, "ow": ow}
     samples = {(layout, op): [] for layout in LAYOUTS for op in ops}
-    kept = tensornet._SPATIAL_MAJOR_MAX_OW
+    kept = tensornet._SPATIAL_MAJOR_OW
     try:
         for op, fn in ops.items():
             calls = calls_per_sample(fn)
             for _ in range(repeats):  # the layouts alternate, so drift hits both
-                for layout, limit in LAYOUTS.items():
-                    tensornet._SPATIAL_MAJOR_MAX_OW = limit
+                for layout, widths in LAYOUTS.items():
+                    tensornet._SPATIAL_MAJOR_OW = widths
                     samples[layout, op].append(sample_ms(fn, calls))
     finally:
-        tensornet._SPATIAL_MAJOR_MAX_OW = kept
+        tensornet._SPATIAL_MAJOR_OW = kept
     for layout in LAYOUTS:
         cell[layout] = {op: stats(samples[layout, op]) for op in ops}
     cell["spatial_over_channel"] = {
@@ -156,16 +160,18 @@ def main(argv: list[str] | None = None) -> int:
     layers = (layer_rows("encoder", encoder, rng.uniform(size=(41, 3, 16, 16)), args.repeats, rng)
               + layer_rows("relation", relation, rng.uniform(size=(80, 64, 2, 2)),
                            args.repeats, rng))
-    print(f"{'layer':<22}{'input':<18}{'forward ms':>16}{'backward ms':>16}{'lrp ms':>16}")
+    print(f"{'layer':<22}{'input':<18}{'forward ms':>16}{'recorded ms':>16}"
+          f"{'backward ms':>16}{'lrp ms':>16}")
     for row in layers:
         cells = "".join(f"{row[k]['median']:>9.3f} ±{(row[k]['q3'] - row[k]['q1']) / 2:<6.3f}"
-                        for k in ("forward_ms", "backward_ms", "lrp_ms"))
+                        for k in ("forward_ms", "recorded_ms", "backward_ms", "lrp_ms"))
         print(f"{row['net'] + '.' + str(row['index']) + ' ' + row['kind']:<22}"
               f"{'x'.join(map(str, row['input'])):<18}{cells}")
 
     sweep = []
+    spatial = tensornet._SPATIAL_MAJOR_OW
     print(f"\nspatial-major / channel-major time, median of {args.repeats}; "
-          f"current cut-over ow <= {tensornet._SPATIAL_MAJOR_MAX_OW}")
+          f"spatial-major now for ow {spatial.start}..{spatial.stop - 1}")
     print(f"{'ow':>3}{'B*C':>6}{'windows':>10}{'fold':>8}{'conv fwd':>10}{'grad_in':>9}")
     for ow in SWEEP_OW:
         for b, c in SWEEP_BC:
@@ -182,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                  "python": platform.python_version(), "numpy": np.__version__,
                  "blas_threads": 1},
         "repeats": args.repeats,
-        "spatial_major_max_ow": tensornet._SPATIAL_MAJOR_MAX_OW,
+        "spatial_major_ow": [spatial.start, spatial.stop - 1],
         "layers": layers,
         "sweep": sweep,
     }
