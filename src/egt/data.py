@@ -14,7 +14,8 @@ then class-major little-endian float32 images followed by int32 labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class LabeledImageSet:
         self.labels = labels.astype(np.int32, copy=False)
         self.domain_tag = domain_tag
         self._by_class = {int(k): np.flatnonzero(self.labels == k) for k in uniq}
+        self._counts = np.array([self._by_class[k].size for k in range(uniq.size)])
+        self._counts.setflags(write=False)
 
     @property
     def n_classes(self) -> int:
@@ -62,47 +65,68 @@ class LabeledImageSet:
         return self._by_class[label]
 
     def class_counts(self) -> Array:
-        return np.array([self._by_class[k].size for k in range(self.n_classes)])
-
-
-def _localize(labels: Array, classes: Array) -> Array:
-    lut = {int(c): i for i, c in enumerate(classes)}
-    return np.array([lut[int(v)] for v in labels], dtype=np.int64)
+        """Images per class, indexed by label (read-only, computed once)."""
+        return self._counts
 
 
 @dataclass
 class Episode:
     """One membership-disjoint support/query split over `way` classes.
 
-    ``classes`` keeps the sampled order; local labels are positions in
-    that array.  Queries are grouped class-major in the same order.
-    ``support_rows`` and ``query_rows`` are the images' row indices in
-    the dataset they were sampled from.
+    An episode is its rows: ``support_rows`` and ``query_rows`` index
+    ``data``, the set it was sampled from, and nothing is copied until
+    asked for.  ``classes`` keeps the sampled order; local labels are
+    positions in that array.  Supports and queries are both grouped
+    class-major in that order, so the local labels follow from the
+    shape: ``support_local`` is each class repeated ``shot`` times, and
+    ``query_local`` spreads ``n_query`` evenly with the first classes
+    taking the remainder.  ``support_images`` and ``query_images``
+    gather their rows on first use and keep the copy; the dataset labels
+    are gathered on each access.
     """
 
     way: int
     shot: int
     n_query: int
     classes: Array
-    support_images: Array
-    support_labels: Array
-    query_images: Array
-    query_labels: Array
     support_rows: Array
     query_rows: Array
-    support_local: Array = field(init=False)
-    query_local: Array = field(init=False)
+    data: LabeledImageSet
 
     def __post_init__(self) -> None:
-        if self.support_images.shape[0] != self.way * self.shot:
+        if self.support_rows.shape != (self.way * self.shot,):
             raise ContractError(
-                f"expected {self.way * self.shot} support images, "
-                f"got {self.support_images.shape[0]}")
-        if self.query_images.shape[0] != self.n_query:
+                f"expected {self.way * self.shot} support rows, "
+                f"got shape {self.support_rows.shape}")
+        if self.query_rows.shape != (self.n_query,):
             raise ContractError(
-                f"expected {self.n_query} query images, got {self.query_images.shape[0]}")
-        self.support_local = _localize(self.support_labels, self.classes)
-        self.query_local = _localize(self.query_labels, self.classes)
+                f"expected {self.n_query} query rows, got shape {self.query_rows.shape}")
+
+    @cached_property
+    def support_local(self) -> Array:
+        return np.repeat(np.arange(self.way), self.shot)
+
+    @cached_property
+    def query_local(self) -> Array:
+        base, extra = divmod(self.n_query, self.way)
+        local = np.arange(self.way)
+        return np.repeat(local, base + (local < extra))
+
+    @cached_property
+    def support_images(self) -> Array:
+        return self.data.images[self.support_rows]
+
+    @cached_property
+    def query_images(self) -> Array:
+        return self.data.images[self.query_rows]
+
+    @property
+    def support_labels(self) -> Array:
+        return self.data.labels[self.support_rows]
+
+    @property
+    def query_labels(self) -> Array:
+        return self.data.labels[self.query_rows]
 
 
 def sample_episode(data: LabeledImageSet, way: int, shot: int, n_query: int,
@@ -112,13 +136,14 @@ def sample_episode(data: LabeledImageSet, way: int, shot: int, n_query: int,
     Eligible classes hold at least shot + ceil(n_query/way) images, so a
     class can fill its support column and its query share without reuse.
     Queries are spread evenly; the first classes in sampled order absorb
-    the remainder.
+    the remainder.  The episode holds row indices into ``data``; its
+    local labels follow from that class-major layout, and no image is
+    copied here.
     """
     if way < 2 or shot < 1 or n_query < 1:
         raise ContractError(f"invalid episode shape way={way} shot={shot} n_query={n_query}")
     need = shot + -(-n_query // way)
-    counts = data.class_counts()
-    eligible = np.flatnonzero(counts >= need)
+    eligible = np.flatnonzero(data.class_counts() >= need)
     if eligible.size < way:
         raise ContractError(
             f"need {way} classes with at least {need} images each, "
@@ -133,13 +158,10 @@ def sample_episode(data: LabeledImageSet, way: int, shot: int, n_query: int,
                             replace=False)
         support_rows.append(picked[:shot])
         query_rows.append(picked[shot:])
-    s_idx = np.concatenate(support_rows)
-    q_idx = np.concatenate(query_rows)
     return Episode(
-        way=way, shot=shot, n_query=n_query, classes=np.asarray(chosen),
-        support_images=data.images[s_idx], support_labels=data.labels[s_idx],
-        query_images=data.images[q_idx], query_labels=data.labels[q_idx],
-        support_rows=s_idx, query_rows=q_idx)
+        way=way, shot=shot, n_query=n_query, classes=chosen,
+        support_rows=np.concatenate(support_rows), query_rows=np.concatenate(query_rows),
+        data=data)
 
 
 @dataclass(frozen=True)

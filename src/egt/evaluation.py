@@ -121,7 +121,8 @@ def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
     ``way * shot + n_query`` rows) into a per-call table of maps, from
     which the episode is scored.  The encoder maps every row the same way
     whatever batch it comes in, so the accuracies are those of encoding
-    each episode afresh.
+    each episode afresh.  Only row indices flow from the sampler to the
+    table: no episode's images are copied.
     """
     if episodes < 1:
         raise ContractError("need at least one evaluation episode")

@@ -46,9 +46,19 @@ PROB_CLAMP_LOW = 1e-12
 
 
 def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
-    """Mean support embedding per class; labels are episode-local 0..K-1."""
+    """Mean support embedding per class; labels are episode-local 0..K-1.
+
+    A class-major equal-shot support (labels ``0,..,0, 1,..,1, ...``, as
+    every sampled episode has) is averaged in one reduction over a
+    ``(K, shot, ...)`` view; that sums each class's rows in the same
+    order as the per-class loop, which handles every other layout.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    shot = labels.size // max(num_classes, 1)
+    if (shot and labels.shape == (num_classes * shot,) == features.shape[:1]
+            and (labels.reshape(num_classes, shot) == np.arange(num_classes)[:, None]).all()):
+        return features.reshape((num_classes, shot) + features.shape[1:]).mean(axis=1)
     protos = np.empty((num_classes,) + features.shape[1:])
     for k in range(num_classes):
         members = features[labels == k]

@@ -214,7 +214,9 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
 def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
     """``trace`` repeated ``reps`` times along its rows: row ``t*B + b`` is row ``b``.
 
-    The kept arrays lead with the row axis too and are tiled alike.
+    Only what the relevance rules read is tiled: each entry's input and
+    output, and max pooling's kept ``winners``.  A convolution's kept
+    columns serve only the gradient pass and are dropped.
     """
     if trace is None:
         return None
@@ -222,7 +224,7 @@ def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
     def tile(a: Array) -> Array:
         return np.tile(a, (reps,) + (1,) * (a.ndim - 1))
     return ForwardTrace([LayerTrace(tile(e.input), tile(e.output),
-                                    {k: tile(a) for k, a in e.kept.items()})
+                                    {k: tile(a) for k, a in e.kept.items() if k == "winners"})
                          for e in trace.entries])
 
 

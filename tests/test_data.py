@@ -123,6 +123,69 @@ class TestSampleEpisode:
         np.testing.assert_array_equal(a.support_images, b.support_images)
         np.testing.assert_array_equal(a.query_labels, b.query_labels)
 
+    @pytest.mark.parametrize("way,shot,n_query", [(5, 5, 16), (5, 1, 15), (4, 1, 10),
+                                                  (3, 4, 7), (6, 2, 6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_copying_reference(self, way, shot, n_query, seed):
+        # The sampler as it was before episodes held rows: the same rng
+        # calls, fancy-index copies, and local labels by dict lookup.
+        data = _toy_set([8, 13, 12, 10, 15, 11, 14], seed=seed)
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for _ in range(4):
+            ep = sample_episode(data, way, shot, n_query, rng)
+            need = shot + -(-n_query // way)
+            chosen = ref_rng.choice(np.flatnonzero(data.class_counts() >= need),
+                                    size=way, replace=False)
+            base, extra = divmod(n_query, way)
+            picks = [ref_rng.choice(data.class_indices(int(c)),
+                                    size=shot + base + (k < extra), replace=False)
+                     for k, c in enumerate(chosen)]
+            s_idx = np.concatenate([p[:shot] for p in picks])
+            q_idx = np.concatenate([p[shot:] for p in picks])
+            lut = {int(c): i for i, c in enumerate(chosen)}
+            want = {
+                "classes": chosen, "support_rows": s_idx, "query_rows": q_idx,
+                "support_images": data.images[s_idx], "query_images": data.images[q_idx],
+                "support_labels": data.labels[s_idx], "query_labels": data.labels[q_idx],
+                "support_local": np.array([lut[int(v)] for v in data.labels[s_idx]]),
+                "query_local": np.array([lut[int(v)] for v in data.labels[q_idx]]),
+            }
+            for name, value in want.items():
+                got = getattr(ep, name)
+                assert got.dtype == value.dtype and np.array_equal(got, value), name
+            assert (ep.way, ep.shot, ep.n_query) == (way, shot, n_query)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_images_gather_rows_once(self):
+        data = _toy_set([6] * 8)
+        ep = sample_episode(data, 4, 2, 10, np.random.default_rng(8))
+        for images, rows in ((ep.support_images, ep.support_rows),
+                             (ep.query_images, ep.query_rows)):
+            assert np.array_equal(images, data.images[rows])
+            assert not np.shares_memory(images, data.images)
+        assert ep.support_images is ep.support_images
+        assert ep.query_images is ep.query_images
+
+    def test_row_count_checked(self):
+        data = _toy_set([6] * 8)
+        ep = sample_episode(data, 4, 2, 10, np.random.default_rng(9))
+        with pytest.raises(ContractError, match="support rows"):
+            Episode(4, 2, 10, ep.classes, ep.support_rows[1:], ep.query_rows, data)
+        with pytest.raises(ContractError, match="query rows"):
+            Episode(4, 2, 9, ep.classes, ep.support_rows, ep.query_rows, data)
+
+    def test_local_labels_follow_shape(self):
+        # Local labels are not stored: a hand-built episode over the same
+        # rows gets the sampled one's, which match its rows' classes.
+        data = _toy_set([6] * 8)
+        ep = sample_episode(data, 4, 2, 10, np.random.default_rng(10))
+        built = Episode(4, 2, 10, ep.classes, ep.support_rows, ep.query_rows, data)
+        for local, labels in ((built.support_local, ep.support_labels),
+                              (built.query_local, ep.query_labels)):
+            np.testing.assert_array_equal(ep.classes[local], labels)
+        assert built.support_local is built.support_local
+
 
 class TestGenerator:
     def test_shapes_and_range(self):

@@ -40,6 +40,45 @@ class TestPrototypes:
         feats = np.ones((2, 3))
         with pytest.raises(ContractError, match="class 2"):
             class_prototypes(feats, np.array([0, 1]), 3)
+        # Equal-sized but with class 1 missing: not the class-major layout.
+        with pytest.raises(ContractError, match="class 1"):
+            class_prototypes(np.ones((4, 3)), np.array([0, 0, 2, 2]), 2)
+
+    @staticmethod
+    def _loop(feats, labels, k):
+        """The per-class reference: a boolean-mask mean for each class."""
+        return np.stack([feats[labels == c].mean(axis=0) for c in range(k)])
+
+    @staticmethod
+    def _same_bits(a, b):
+        return (a.shape == b.shape and np.array_equal(a, b)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+
+    @pytest.mark.parametrize("rest", [(32, 2, 2), (7,)], ids=["maps", "rows"])
+    def test_class_major_matches_loop_bitwise(self, rest):
+        rng = np.random.default_rng(11)
+        for way in range(2, 21):
+            for shot in range(1, 11):
+                feats = rng.standard_normal((way * shot,) + rest) * 10.0 ** rng.integers(-3, 4)
+                feats[rng.uniform(size=feats.shape) < 0.2] = 0.0
+                feats[rng.uniform(size=feats.shape) < 0.1] = -0.0
+                labels = np.repeat(np.arange(way), shot)
+                assert self._same_bits(class_prototypes(feats, labels, way),
+                                       self._loop(feats, labels, way)), (way, shot)
+
+    def test_other_layouts_match_loop_bitwise(self):
+        rng = np.random.default_rng(12)
+        feats = rng.standard_normal((12, 4, 2, 2))
+        layouts = {
+            "interleaved": np.tile(np.arange(3), 4),
+            "permuted": rng.permutation(np.repeat(np.arange(4), 3)),
+            "unequal": np.array([0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2]),
+            "pool": np.concatenate([np.repeat(np.arange(3), 2), [2, 0, 0, 1, 2, 2]]),
+        }
+        for name, labels in layouts.items():
+            k = int(labels.max()) + 1
+            assert self._same_bits(class_prototypes(feats, labels, k),
+                                   self._loop(feats, labels, k)), name
 
 
 class TestCosineScores:

@@ -333,9 +333,11 @@ class TestExplainInput:
         query = rng.uniform(size=(1, 16, 16))
         passes = []
 
-        def recorded(net, *args, **kwargs):
+        def recorded(net, trace, *args, **kwargs):
+            # the tiled traces carry no conv columns: no relevance rule reads them
+            assert all(set(e.kept) <= {"winners"} for e in trace.entries)
             passes.append(net)
-            return lrp_backward(net, *args, **kwargs)
+            return lrp_backward(net, trace, *args, **kwargs)
         monkeypatch.setattr(model_module, "lrp_backward", recorded)
         monkeypatch.setattr(heads_module, "lrp_backward", recorded)
         res = explain_input(model, support, local, 3, query, targets=[2, 0])
