@@ -19,11 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError, parse_dims, parse_fields
+from .errors import (ConfigError, Container, ContractError, DataFormatError, parse_dims,
+                     parse_fields, write_container)
 
 Array = np.ndarray
 
 DATASET_MAGIC = b"EGTD "
+DATASET_END = b"\n"
 
 PRIMITIVE_KINDS = ("disk", "ring", "square", "triangle", "bar", "cross")
 
@@ -178,7 +180,7 @@ class DomainStyle:
     """Nuisance factors of one rendering domain."""
 
     tag: str
-    background: str                     # flat | hgrad | vgrad | stripes | checker
+    background: str
     bg_colors: tuple[tuple[float, float, float], tuple[float, float, float]]
     fg_palette: tuple[tuple[float, float, float], ...]
     outline: bool = False
@@ -296,9 +298,7 @@ def _background(style: DomainStyle, yy: Array, xx: Array,
                 rng: np.random.Generator) -> Array:
     c0 = np.array(style.bg_colors[0])[:, None, None]
     c1 = np.array(style.bg_colors[1])[:, None, None]
-    if style.background == "flat":
-        t = np.full_like(xx, rng.uniform(0.0, 1.0))
-    elif style.background == "hgrad":
+    if style.background == "hgrad":
         t = xx
     elif style.background == "vgrad":
         t = yy
@@ -390,64 +390,37 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
 
 def save_dataset(data: LabeledImageSet, path: str) -> None:
     order = np.argsort(data.labels, kind="stable")
-    images = data.images[order]
-    labels = data.labels[order]
-    counts = data.class_counts()
     tag = data.domain_tag or "untagged"
     if not tag.replace("-", "").replace("_", "").replace(".", "").isalnum():
         raise ContractError(f"domain tag {tag!r} is not filesystem-safe")
     c, h, w = data.image_shape
-    header = (f"EGTD classes={data.n_classes} "
-              f"per_class={','.join(str(int(n)) for n in counts)} "
-              f"shape={c}x{h}x{w} domain={tag}\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        images.astype("<f4", copy=False).tofile(fh)
-        labels.astype("<i4", copy=False).tofile(fh)
+    manifest = (f"classes={data.n_classes} "
+                f"per_class={','.join(str(int(n)) for n in data.class_counts())} "
+                f"shape={c}x{h}x{w} domain={tag}")
+    write_container(path, DATASET_MAGIC, [manifest], DATASET_END,
+                    [data.images[order].astype("<f4", copy=False),
+                     data.labels[order].astype("<i4", copy=False)])
 
 
 def load_dataset(path: str) -> LabeledImageSet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(DATASET_MAGIC):
-        raise DataFormatError("not an EGTD dataset (bad magic)", offset=0)
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise DataFormatError("dataset manifest line is unterminated", offset=len(raw))
-    try:
-        tokens = raw[:newline].decode("ascii").split()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"dataset manifest is not ascii: {exc}", offset=0) from exc
-    kv = parse_fields(tokens[1:], {
+    box = Container(path, "dataset", DATASET_MAGIC, DATASET_END)
+    [(offset, manifest)] = box.lines
+    kv = parse_fields(manifest.split()[1:], {
         "classes": int, "per_class": lambda v: [int(t) for t in v.split(",")],
-        "shape": parse_dims, "domain": str}, 0)
+        "shape": parse_dims, "domain": str}, offset)
     n_classes, per_class, shape = kv["classes"], kv["per_class"], kv["shape"]
     if n_classes < 1 or len(per_class) != n_classes:
         raise DataFormatError(
-            f"per_class lists {len(per_class)} entries for {n_classes} classes",
-            offset=0)
+            f"per_class lists {len(per_class)} entries for {n_classes} classes", offset)
     if any(n < 1 for n in per_class):
-        raise DataFormatError("dataset contains an empty class", offset=0)
+        raise DataFormatError("dataset contains an empty class", offset)
     if len(shape) != 3 or any(d < 1 for d in shape):
-        raise DataFormatError(f"bad image shape {shape}", offset=0)
+        raise DataFormatError(f"bad image shape {shape}", offset)
     n_images = sum(per_class)
-    img_bytes = n_images * shape[0] * shape[1] * shape[2] * 4
-    lbl_bytes = n_images * 4
-    body = len(raw) - (newline + 1)
-    if body < img_bytes + lbl_bytes:
-        raise DataFormatError("dataset payload is truncated", offset=len(raw))
-    if body > img_bytes + lbl_bytes:
-        raise DataFormatError("dataset payload has trailing bytes",
-                              offset=newline + 1 + img_bytes + lbl_bytes)
-    # views into ``raw``, then one copy each: no other full copy of the payload
-    images = np.frombuffer(raw, "<f4", img_bytes // 4, newline + 1).reshape(
-        (n_images,) + shape).astype(np.float32)
-    labels = np.frombuffer(raw, "<i4", n_images, newline + 1 + img_bytes).astype(np.int32)
+    images, labels = box.blocks([("<f4", (n_images, *shape)), ("<i4", (n_images,))])
     expected = np.repeat(np.arange(n_classes, dtype=np.int32), per_class)
     if not np.array_equal(labels, expected):
         raise DataFormatError("labels do not match the class-major manifest",
-                              offset=newline + 1 + img_bytes)
-    if not np.isfinite(images).all():
-        raise DataFormatError("dataset contains non-finite pixels",
-                              offset=newline + 1)
-    return LabeledImageSet(images, labels, domain_tag=kv["domain"])
+                              box.start + images.nbytes)
+    # the images view the file's bytes: one copy, and no other full copy
+    return LabeledImageSet(images.astype(np.float32), expected, domain_tag=kv["domain"])

@@ -1,14 +1,20 @@
-"""Exception types shared across the package, and the header tokenizer.
+"""Exception types, the header tokenizer, and the binary container.
 
 The CLI maps these onto process exit codes: usage and configuration
 problems exit 1, data problems exit 2, numeric failures exit 3.
 
-Both file formats describe their contents in ascii ``key=value``
-headers; :func:`parse_fields` is the one tokenizer for all of them and
-reports every malformed header as a :class:`DataFormatError`.
+``.egtd`` datasets and ``.egt1`` checkpoints share one container: a
+magic, ascii ``key=value`` header lines up to a terminator, then raw
+typed blocks (:func:`write_container`, :class:`Container`).  Each format
+keeps only its own grammar.  Every malformed file raises
+:class:`DataFormatError`, naming the byte where it failed.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class ContractError(ValueError):
@@ -72,3 +78,61 @@ def parse_fields(tokens: list[str], schema: dict, offset: int | None,
             raise DataFormatError(f"bad header value {key}={fields[key]!r}: {exc}",
                                   offset) from exc
     return fields
+
+
+def write_container(path: str, magic: bytes, lines: list[str], terminator: bytes,
+                    blocks: list[np.ndarray]) -> None:
+    """Write ``magic``, the ascii ``lines`` joined by newlines, ``terminator``, then each block."""
+    with open(path, "wb") as fh:
+        fh.write(magic + "\n".join(lines).encode("ascii") + terminator)
+        for block in blocks:
+            block.tofile(fh)
+
+
+class Container:
+    """A file in :func:`write_container`'s layout, read whole; ``what`` names it in messages.
+
+    ``lines`` holds each header line, the magic's own first, as ``(byte offset, text)``;
+    the header ends at the first ``terminator``, which starts with a newline.
+    """
+
+    def __init__(self, path: str, what: str, magic: bytes, terminator: bytes):
+        with open(path, "rb") as fh:
+            self.raw = fh.read()
+        if not self.raw.startswith(magic):
+            raise DataFormatError(f"not an {magic.decode().strip()} {what} (bad magic)", 0)
+        cut = self.raw.find(terminator)
+        if cut < 0:
+            raise DataFormatError(f"{what} header is missing its end line", len(self.raw))
+        try:
+            header = self.raw[:cut].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{what} header is not ascii: {exc}", exc.start) from exc
+        self.what, self.start = what, cut + len(terminator)
+        self.lines, offset = [], 0
+        for text in header.split("\n"):
+            self.lines.append((offset, text))
+            offset += len(text) + 1
+
+    def blocks(self, layout: list[tuple[str, tuple[int, ...]]]) -> list[np.ndarray]:
+        """The payload as read-only views, one per ``(dtype, shape)`` of ``layout``.
+
+        A short payload fails at its end, a long one at its first trailing
+        byte, a non-finite float at its own first byte.
+        """
+        sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+        end = self.start + sum(sizes)
+        if len(self.raw) < end:
+            raise DataFormatError(f"{self.what} payload is truncated", len(self.raw))
+        if len(self.raw) > end:
+            raise DataFormatError(f"{self.what} payload has trailing bytes", end)
+        arrays, pos = [], self.start
+        for (dtype, shape), size in zip(layout, sizes):
+            block = np.frombuffer(self.raw, dtype, math.prod(shape), pos).reshape(shape)
+            if block.dtype.kind == "f" and not np.isfinite(block).all():
+                first = int(np.flatnonzero(~np.isfinite(block))[0])
+                raise DataFormatError(f"{self.what} payload holds a non-finite value",
+                                      pos + first * block.itemsize)
+            arrays.append(block)
+            pos += size
+        return arrays

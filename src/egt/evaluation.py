@@ -54,6 +54,9 @@ class TransductiveConfig:
             raise ConfigError(f"candidate counts must be nondecreasing, got {cand}")
 
 
+_NO_ROUNDS = TransductiveConfig(0, ())  # plain scoring: argmax over the support prototypes
+
+
 def transductive_infer(model: FewShotModel, support_maps: Array, support_local: Array,
                        way: int, query_maps: Array, cfg: TransductiveConfig,
                        return_history: bool = False):
@@ -69,7 +72,8 @@ def transductive_infer(model: FewShotModel, support_maps: Array, support_local: 
     by its position in the batch.
     The inputs are never modified; absorbed queries keep getting
     re-scored and the final argmax decides every query.  With zero
-    rounds this is the plain argmax over the support prototypes.
+    rounds this is the plain argmax over the support prototypes.  Each
+    argmax reads probabilities: ``exp`` can tie two distinct scores.
     """
     pool_maps, pool_labels = support_maps, np.asarray(support_local)
     absorbed = np.zeros(query_maps.shape[0], dtype=bool)
@@ -106,7 +110,7 @@ def episode_accuracy(model: FewShotModel, episode: Episode, maps: Array,
     no transductive config means zero rounds."""
     predictions = transductive_infer(
         model, maps[episode.support_rows], episode.support_local, episode.way,
-        maps[episode.query_rows], transductive or TransductiveConfig(0, ()))
+        maps[episode.query_rows], transductive or _NO_ROUNDS)
     return float(np.mean(predictions == episode.query_local))
 
 

@@ -5,12 +5,12 @@ plus one of the two few-shot heads.  The cosine head flattens the map
 into a vector; the relation head keeps the map and scores concatenated
 (prototype, query) pairs with its own small network.
 
-Checkpoint layout (EGT1):
+Checkpoint layout (EGT1), framed by :class:`egt.errors.Container`:
 
     EGT1\n
     head kind=<cosine|relation> beta=<float>\n
     encoder input=<CxHxW>\n
-    layer <description>\n          (one per encoder layer)
+    layer <description>\n          (one per encoder layer; describe_layer)
     relation input=<CxHxW>\n       (relation head only)
     layer <description>\n          (one per relation layer)
     end\n
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError, parse_dims, parse_fields
+from .errors import (ConfigError, Container, ContractError, DataFormatError, parse_dims,
+                     parse_fields, write_container)
 from .heads import (
     CosineHead,
     RelationHead,
@@ -49,13 +50,12 @@ from .tensornet import (
     MaxPool2d,
     Network,
     ReLU,
-    describe_layer,
-    layer_from_description,
 )
 
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"EGT1\n"
+CHECKPOINT_END = b"\nend\n"
 
 DEFAULT_WIDTHS = (8, 16, 32)
 
@@ -232,6 +232,55 @@ def _shape_token(shape: tuple[int, ...]) -> str:
     return "x".join(str(d) for d in shape)
 
 
+def describe_layer(layer: Layer) -> str:
+    if isinstance(layer, Linear):
+        return f"linear in={layer.weight.shape[1]} out={layer.weight.shape[0]}"
+    if isinstance(layer, Conv2d):
+        o, c, kh, kw = layer.weight.shape
+        return (f"conv2d in={c} out={o} kernel={kh}x{kw} "
+                f"stride={layer.stride} padding={layer.padding}")
+    if isinstance(layer, (MaxPool2d, AvgPool2d)):
+        return f"{layer.kind} kernel={layer.kernel} stride={layer.stride}"
+    if isinstance(layer, (ReLU, Flatten)):
+        return layer.kind
+    raise ContractError(f"cannot describe layer of kind {layer.kind!r}")
+
+
+_LAYER_FIELDS = {
+    "linear": {"in": int, "out": int},
+    "conv2d": {"in": int, "out": int, "kernel": parse_dims, "stride": int, "padding": int},
+    "maxpool2d": {"kernel": int, "stride": int},
+    "avgpool2d": {"kernel": int, "stride": int},
+    "relu": {},
+    "flatten": {},
+}
+
+
+def layer_from_description(text: str) -> Layer:
+    """Rebuild a layer (zero parameters) from :func:`describe_layer` output."""
+    kind, *tokens = text.split() or [""]
+    if kind not in _LAYER_FIELDS:
+        raise ContractError(f"unknown layer kind {kind!r}")
+    kv = parse_fields(tokens, _LAYER_FIELDS[kind], None)
+    if kind == "linear":
+        return Linear(np.zeros((kv["out"], kv["in"])), np.zeros(kv["out"]))
+    if kind == "conv2d":
+        kh, kw = kv["kernel"]
+        return Conv2d(np.zeros((kv["out"], kv["in"], kh, kw)), np.zeros(kv["out"]),
+                      stride=kv["stride"], padding=kv["padding"])
+    if kind == "maxpool2d":
+        return MaxPool2d(kv["kernel"], kv["stride"])
+    if kind == "avgpool2d":
+        return AvgPool2d(kv["kernel"], kv["stride"])
+    return ReLU() if kind == "relu" else Flatten()
+
+
+def _parameters(nets: list[Network]) -> list[Array]:
+    """Every parameter array in payload order: weight before bias, layer by layer."""
+    return [arr for net in nets for _, layer in net.param_layers()
+            for arr in (layer.weight, layer.bias)]
+
+
 def save_model(model: FewShotModel, path: str) -> None:
     head = model.head
     if not isinstance(head, (CosineHead, RelationHead)):
@@ -242,20 +291,11 @@ def save_model(model: FewShotModel, path: str) -> None:
     if isinstance(head, RelationHead):
         lines.append(f"relation input={_shape_token(head.net.input_shape)}")
         lines += [f"layer {describe_layer(layer)}" for layer in head.net.layers]
-    lines.append("end")
-    blocks = []
-    for net in model.networks():
-        for _, layer in net.param_layers():
-            blocks.append(layer.weight.astype("<f4").tobytes())
-            blocks.append(layer.bias.astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for block in blocks:
-            fh.write(block)
+    write_container(path, CHECKPOINT_MAGIC, lines, CHECKPOINT_END,
+                    [arr.astype("<f4") for arr in _parameters(model.networks())])
 
 
-def _parse_head_line(line: str, offset: int):
+def _parse_head_line(offset: int, line: str):
     tag, *tokens = line.split() or [""]
     if tag != "head":
         raise DataFormatError(f"expected head line, got {line!r}", offset)
@@ -271,32 +311,15 @@ def _parse_head_line(line: str, offset: int):
 
 
 def load_model(path: str) -> FewShotModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise DataFormatError("not an EGT1 checkpoint (bad magic)", offset=0)
-    marker = b"\nend\n"
-    cut = raw.find(marker)
-    if cut < 0:
-        raise DataFormatError("checkpoint header is missing its end line",
-                              offset=len(raw))
-    try:
-        header = raw[len(CHECKPOINT_MAGIC):cut + 1].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"checkpoint header is not ascii: {exc}") from exc
-    start = cut + len(marker)
-    payload = raw[start:]
-
-    lines = header.split("\n")[:-1]
+    box = Container(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_END)
+    lines = box.lines[1:]  # line 0 is the magic
     if not lines:
         raise DataFormatError("checkpoint header is empty")
-    offset = len(CHECKPOINT_MAGIC)
-    kind, beta = _parse_head_line(lines[0], offset)
+    kind, beta = _parse_head_line(*lines[0])
 
     sections: list[tuple[str, tuple[int, ...], list[Layer]]] = []
     current: list[Layer] | None = None
-    for prev, line in zip(lines, lines[1:]):
-        offset += len(prev) + 1
+    for offset, line in lines[1:]:
         tag, *tokens = line.split() or [""]
         if tag in ("encoder", "relation"):
             current = []
@@ -312,12 +335,9 @@ def load_model(path: str) -> FewShotModel:
                 raise DataFormatError(f"bad layer line {line!r}: {exc}", offset) from exc
         else:
             raise DataFormatError(f"unknown checkpoint header line {line!r}", offset)
-    if not sections or sections[0][0] != "encoder":
-        raise DataFormatError("checkpoint header is missing the encoder section")
-    if kind == "relation" and (len(sections) != 2 or sections[1][0] != "relation"):
-        raise DataFormatError("relation checkpoint needs a relation section")
-    if kind == "cosine" and len(sections) != 1:
-        raise DataFormatError("cosine checkpoint must not carry extra sections")
+    want = ["encoder", "relation"] if kind == "relation" else ["encoder"]
+    if [tag for tag, _, _ in sections] != want:
+        raise DataFormatError(f"a {kind} checkpoint needs the sections {want}, in order")
 
     nets = []
     for _, in_shape, layers in sections:
@@ -325,28 +345,9 @@ def load_model(path: str) -> FewShotModel:
             nets.append(Network(in_shape, layers))
         except ContractError as exc:
             raise DataFormatError(f"checkpoint layer chain is inconsistent: {exc}") from exc
-
-    if len(payload) % 4:
-        raise DataFormatError("checkpoint payload ends inside a float32 value",
-                              offset=start + len(payload) // 4 * 4)
-    values = np.frombuffer(payload, dtype="<f4")
-    pos = 0
-    for net in nets:
-        for _, layer in net.param_layers():
-            for arr in (layer.weight, layer.bias):
-                n = arr.size
-                if pos + n > values.size:
-                    raise DataFormatError("checkpoint payload is truncated",
-                                          offset=start + values.size * 4)
-                arr[...] = values[pos:pos + n].reshape(arr.shape)
-                pos += n
-    if pos != values.size:
-        raise DataFormatError("checkpoint payload has trailing bytes",
-                              offset=start + pos * 4)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise DataFormatError("checkpoint holds non-finite parameters",
-                              offset=start + 4 * int(bad[0]))
+    params = _parameters(nets)
+    for arr, block in zip(params, box.blocks([("<f4", arr.shape) for arr in params])):
+        arr[...] = block
 
     try:
         head = CosineHead(beta=beta) if kind == "cosine" else RelationHead(nets[1], beta=beta)

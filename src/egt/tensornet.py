@@ -27,7 +27,8 @@ only copies, and every folded element receives its additions in the same
 
 All arithmetic is float64 numpy.  Every activation carries a leading
 row axis: ``(B, C, H, W)`` for image-like tensors and ``(B, D)`` for
-vectors.  A network's ``input_shape`` and ``shapes`` name one row.
+vectors.  A network's ``input_shape`` and ``shapes`` name one row.  No
+file format is known here: :mod:`egt.model` owns a layer's checkpoint line.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericError, parse_dims, parse_fields
+from .errors import ContractError, NumericError
 
 Array = np.ndarray
 
@@ -496,47 +497,3 @@ def sgd_step(net: Network, param_grads: list[dict[str, Array] | None],
             buf += grads[name]
             arr -= lr * buf
 
-
-# --- layer descriptions, used by the checkpoint header -------------------
-
-def describe_layer(layer: Layer) -> str:
-    if isinstance(layer, Linear):
-        return f"linear in={layer.weight.shape[1]} out={layer.weight.shape[0]}"
-    if isinstance(layer, Conv2d):
-        o, c, kh, kw = layer.weight.shape
-        return (f"conv2d in={c} out={o} kernel={kh}x{kw} "
-                f"stride={layer.stride} padding={layer.padding}")
-    if isinstance(layer, (MaxPool2d, AvgPool2d)):
-        return f"{layer.kind} kernel={layer.kernel} stride={layer.stride}"
-    if isinstance(layer, (ReLU, Flatten)):
-        return layer.kind
-    raise ContractError(f"cannot describe layer of kind {layer.kind!r}")
-
-
-_LAYER_FIELDS = {
-    "linear": {"in": int, "out": int},
-    "conv2d": {"in": int, "out": int, "kernel": parse_dims, "stride": int, "padding": int},
-    "maxpool2d": {"kernel": int, "stride": int},
-    "avgpool2d": {"kernel": int, "stride": int},
-    "relu": {},
-    "flatten": {},
-}
-
-
-def layer_from_description(text: str) -> Layer:
-    """Rebuild a layer (zero parameters) from :func:`describe_layer` output."""
-    kind, *tokens = text.split() or [""]
-    if kind not in _LAYER_FIELDS:
-        raise ContractError(f"unknown layer kind {kind!r}")
-    kv = parse_fields(tokens, _LAYER_FIELDS[kind], None)
-    if kind == "linear":
-        return Linear(np.zeros((kv["out"], kv["in"])), np.zeros(kv["out"]))
-    if kind == "conv2d":
-        kh, kw = kv["kernel"]
-        return Conv2d(np.zeros((kv["out"], kv["in"], kh, kw)), np.zeros(kv["out"]),
-                      stride=kv["stride"], padding=kv["padding"])
-    if kind == "maxpool2d":
-        return MaxPool2d(kv["kernel"], kv["stride"])
-    if kind == "avgpool2d":
-        return AvgPool2d(kv["kernel"], kv["stride"])
-    return ReLU() if kind == "relu" else Flatten()

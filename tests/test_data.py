@@ -14,7 +14,7 @@ from egt.data import (
 )
 from egt.errors import ConfigError, ContractError, DataFormatError
 
-from util_nets import FUZZ_BYTES, loads_or_fails_cleanly
+from util_nets import FUZZ_BYTES, loads_or_fails_cleanly, with_f4
 
 
 def _toy_set(counts, side=4, seed=0):
@@ -357,3 +357,25 @@ class TestDatasetIo:
         path.write_bytes(manifest + b"\n" + body + np.arange(2, dtype="<i4").tobytes())
         with pytest.raises(DataFormatError, match=message):
             load_dataset(str(path))
+
+    # (file, payload start) -> (corrupted file, the byte the error must name);
+    # the toy set holds 5 images of 1x4x4, so pixel 37 sits mid-payload
+    OFFSET_CASES = {
+        "non-ascii-header": lambda raw, start: (
+            raw.replace(b"domain=toy", b"domain=t\xffy"), raw.index(b"domain=") + 8),
+        "nan-pixel": lambda raw, start: (with_f4(raw, start + 4 * 37, np.nan), start + 4 * 37),
+        "inf-pixel": lambda raw, start: (with_f4(raw, start + 4 * 37, -np.inf), start + 4 * 37),
+        "truncated": lambda raw, start: (raw[:-8], len(raw) - 8),
+        "trailing": lambda raw, start: (raw + b"junk", len(raw)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OFFSET_CASES))
+    def test_error_names_the_faulty_byte(self, tmp_path, case):
+        path = str(tmp_path / "d.egtd")
+        save_dataset(_toy_set([2, 3]), path)
+        raw = open(path, "rb").read()
+        bad, offset = self.OFFSET_CASES[case](raw, raw.index(b"\n") + 1)
+        open(path, "wb").write(bad)
+        with pytest.raises(DataFormatError, match=rf"\(byte offset {offset}\)") as info:
+            load_dataset(path)
+        assert info.value.offset == offset

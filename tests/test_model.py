@@ -20,7 +20,7 @@ from egt import model as model_module
 from egt.lrp import LrpConfig, lrp_backward
 from egt.tensornet import Flatten, Linear, Network
 
-from util_nets import FUZZ_BYTES, count_grad_input, loads_or_fails_cleanly
+from util_nets import FUZZ_BYTES, count_grad_input, loads_or_fails_cleanly, with_f4
 
 
 def _param_blob(model):
@@ -270,6 +270,35 @@ class TestCheckpoint:
         path.write_bytes(b"nope")
         with pytest.raises(DataFormatError, match=r"byte offset 0"):
             load_model(str(path))
+
+    # (file, payload start) -> (corrupted file, the byte the error must name);
+    # the cosine model's payload holds 336 parameters, so 170 sits mid-payload
+    OFFSET_CASES = {
+        "non-ascii-header": lambda raw, start: (
+            raw.replace(b"kind=cosine", b"kind=\xffosine"), raw.index(b"kind=") + 5),
+        "nan-parameter": lambda raw, start: (
+            with_f4(raw, start + 4 * 170, np.nan), start + 4 * 170),
+        "inf-parameter": lambda raw, start: (
+            with_f4(raw, start + 4 * 170, np.inf), start + 4 * 170),
+        "truncated": lambda raw, start: (raw[:-32], len(raw) - 32),
+        "trailing": lambda raw, start: (raw + b"\x00" * 4, len(raw)),
+        "part-float-short": lambda raw, start: (raw[:-2], len(raw) - 2),
+        "part-float-long": lambda raw, start: (raw + b"\x00" * 2, len(raw)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OFFSET_CASES))
+    def test_error_names_the_faulty_byte(self, tmp_path, case):
+        model = build_model("cosine", (1, 16, 16), np.random.default_rng(17), widths=(4, 8))
+        path = str(tmp_path / "m.egt1")
+        save_model(model, path)
+        raw = open(path, "rb").read()
+        start = raw.index(b"\nend\n") + len(b"\nend\n")
+        assert len(raw) - start == 4 * 336
+        bad, offset = self.OFFSET_CASES[case](raw, start)
+        open(path, "wb").write(bad)
+        with pytest.raises(DataFormatError, match=rf"\(byte offset {offset}\)") as info:
+            load_model(path)
+        assert info.value.offset == offset
 
 
 class TestExplainInput:

@@ -8,10 +8,9 @@ import pytest
 from egt import tensornet
 from egt.errors import ContractError, NumericError
 from egt.lrp import lrp_backward
-from egt.model import build_encoder
+from egt.model import build_encoder, describe_layer, layer_from_description
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
-                           Network, ReLU, describe_layer, he_uniform,
-                           _fold, _windows, layer_from_description, sgd_step)
+                           Network, ReLU, he_uniform, _fold, _windows, sgd_step)
 from util_nets import central_diff, count_grad_input, max_rel_err, rand_conv, rand_linear
 
 

@@ -1,0 +1,68 @@
+"""The timing harnesses under ``tools/`` still run.
+
+``tools/eval_bench.py`` imports the ``infer`` shapes from
+``benchmarks/bench.py`` and the tracer from ``benchmarks/spans.py``;
+``tools/layer_bench.py`` imports private names of the tensor stack.  No
+other test runs them, so a rename in the package or the benchmark would
+break them unnoticed.  Each tool is loaded from its file without writing
+bytecode, and ``os.environ``, ``sys.path`` and the modules it imports
+from ``benchmarks/`` are put back afterwards.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from egt.model import build_encoder
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = str(ROOT / "benchmarks")
+
+
+@pytest.fixture()
+def load_tool(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    env, path, modules = dict(os.environ), list(sys.path), set(sys.modules)
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(f"egt_tool_{name}",
+                                                      ROOT / "tools" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    try:
+        yield load
+    finally:
+        for key in os.environ.keys() - env.keys():
+            del os.environ[key]
+        os.environ.update(env)
+        sys.path[:] = path
+        for name in sys.modules.keys() - modules:
+            if str(getattr(sys.modules[name], "__file__", "")).startswith(BENCHMARKS):
+                del sys.modules[name]
+
+
+def test_eval_bench_runs(load_tool, tmp_path):
+    out = tmp_path / "BENCH_eval.json"
+    assert load_tool("eval_bench").main(["--repeats", "2", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["repeats"] == 2
+    for stage in ("total", "split", "sampling", "encoding", "scoring"):
+        assert result["us_per_episode"][stage]["median"] > 0
+
+
+def test_layer_bench_times_every_encoder_layer(load_tool):
+    layer_bench = load_tool("layer_bench")
+    rng = np.random.default_rng(0)
+    encoder = build_encoder((3, 16, 16), rng, (8, 16, 32))
+    rows = layer_bench.layer_rows("encoder", encoder, rng.uniform(size=(41, 3, 16, 16)),
+                                  2, rng)
+    assert [row["kind"] for row in rows] == [layer.kind for layer in encoder.layers]
+    for row in rows:
+        for key in ("forward_ms", "recorded_ms", "backward_ms", "lrp_ms"):
+            assert row[key]["median"] > 0

@@ -123,6 +123,11 @@ def dense_alpha_oracle(weight, x, y, rel_out, alpha):
 FUZZ_BYTES = b"\x00\n =x09-\xff"
 
 
+def with_f4(raw: bytes, at: int, value: float) -> bytes:
+    """``raw`` with the little-endian float32 at byte ``at`` replaced by ``value``."""
+    return raw[:at] + np.array([value], "<f4").tobytes() + raw[at + 4:]
+
+
 def loads_or_fails_cleanly(load, path, cases):
     """Write each case to ``path`` and load it; return how many loaded.
 
