@@ -391,7 +391,7 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
 def save_dataset(data: LabeledImageSet, path: str) -> None:
     order = np.argsort(data.labels, kind="stable")
     tag = data.domain_tag or "untagged"
-    if not tag.replace("-", "").replace("_", "").replace(".", "").isalnum():
+    if not (tag.isascii() and tag.replace("-", "").replace("_", "").replace(".", "").isalnum()):
         raise ContractError(f"domain tag {tag!r} is not filesystem-safe")
     c, h, w = data.image_shape
     manifest = (f"classes={data.n_classes} "

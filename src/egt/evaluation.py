@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import Episode, LabeledImageSet, sample_episode
 from .errors import ConfigError, ContractError
-from .heads import class_prototypes
+from .heads import class_prototypes  # noqa: F401 -- not called here; benchmarks/spans.py wraps it
+from .heads import class_sums
 from .model import FewShotModel, probs_from_maps
 
 Array = np.ndarray
@@ -55,6 +56,48 @@ class TransductiveConfig:
 
 
 _NO_ROUNDS = TransductiveConfig(0, ())  # plain scoring: argmax over the support prototypes
+_EVAL_BLOCK = 64  # episodes sampled, then scored in one pass
+
+
+def _block_predictions(model: FewShotModel, sums: Array, counts: Array, query_maps: Array,
+                       cfg: TransductiveConfig) -> tuple[Array, list[Array]]:
+    """Final predictions ``[E, n]`` of a block of E episodes, and the
+    queries each round absorbed, ``[E, take]`` per round.
+
+    ``sums`` ``[E, K, ...]`` are each episode's per-class support sums,
+    grown in place, and ``counts`` ``[K]`` their row counts;
+    ``query_maps`` is ``[E, n, ...]``.  A round ranks each episode's
+    unabsorbed queries by a stable argsort along the query axis, absorbed
+    ones keyed last, and adds the chosen queries' maps to their predicted
+    classes' sums in that order.  Each prototype is its class's rows
+    added in pool order and divided by their count, as
+    ``class_prototypes`` on the grown pool would give it.
+    """
+    n = query_maps.shape[1]
+    eps = np.arange(len(query_maps))
+    counts = np.tile(counts, (len(eps), 1))
+    per_map = (...,) + (None,) * (sums.ndim - 2)  # counts [E, K] against maps [E, K, ...]
+    absorbed = np.zeros(query_maps.shape[:2], dtype=bool)
+    rounds = []
+    for t in range(cfg.iterations):
+        probs = probs_from_maps(model, sums / counts[per_map], query_maps)
+        left = n - sum(c.shape[1] for c in rounds)
+        want = cfg.candidates_per_iter[t]
+        take = min(want, left)
+        if take < want:
+            warnings.warn(
+                f"round {t}: only {left} unabsorbed queries left, "
+                f"clamping candidate count {want} -> {take}")
+        key = np.where(absorbed, np.inf, -probs.max(axis=-1))
+        chosen = np.argsort(key, axis=1, kind="stable")[:, :take]
+        labels = probs.argmax(axis=-1)[eps[:, None], chosen]
+        absorbed[eps[:, None], chosen] = True
+        for j in range(take):  # pool order: one query of each episode at a time
+            sums[eps, labels[:, j]] += query_maps[eps, chosen[:, j]]
+            counts[eps, labels[:, j]] += 1
+        rounds.append(chosen)
+    protos = sums / counts[per_map]
+    return probs_from_maps(model, protos, query_maps).argmax(axis=-1), rounds
 
 
 def transductive_infer(model: FewShotModel, support_maps: Array, support_local: Array,
@@ -74,44 +117,40 @@ def transductive_infer(model: FewShotModel, support_maps: Array, support_local: 
     re-scored and the final argmax decides every query.  With zero
     rounds this is the plain argmax over the support prototypes.  Each
     argmax reads probabilities: ``exp`` can tie two distinct scores.
+    This is one episode run through the block path that ``evaluate``
+    scores its episodes with.
     """
-    pool_maps, pool_labels = support_maps, np.asarray(support_local)
-    absorbed = np.zeros(query_maps.shape[0], dtype=bool)
-    history = []
-    for t in range(cfg.iterations):
-        probs = probs_from_maps(model, class_prototypes(pool_maps, pool_labels, way),
-                                query_maps)
-        confidence = probs.max(axis=1)
-        remaining = np.flatnonzero(~absorbed)
-        want = cfg.candidates_per_iter[t]
-        take = min(want, remaining.size)
-        if take < want:
-            warnings.warn(
-                f"round {t}: only {remaining.size} unabsorbed queries left, "
-                f"clamping candidate count {want} -> {take}")
-        order = remaining[np.argsort(-confidence[remaining], kind="stable")]
-        chosen = order[:take]
-        absorbed[chosen] = True
-        pool_maps = np.concatenate([pool_maps, query_maps[chosen]])
-        pool_labels = np.concatenate([pool_labels, probs.argmax(axis=1)[chosen]])
-        history.append({"round": t, "absorbed": chosen.tolist(),
-                        "support_size": len(pool_maps)})
-    final = probs_from_maps(model, class_prototypes(pool_maps, pool_labels, way),
-                            query_maps).argmax(axis=1)
-    if return_history:
-        return final, history
-    return final
+    sums, counts = class_sums(support_maps, support_local, way)
+    final, rounds = _block_predictions(model, sums[None], counts,
+                                       np.asarray(query_maps)[None], cfg)
+    if not return_history:
+        return final[0]
+    history, size = [], len(support_maps)
+    for t, chosen in enumerate(rounds):
+        size += chosen.shape[1]
+        history.append({"round": t, "absorbed": chosen[0].tolist(), "support_size": size})
+    return final[0], history
+
+
+def _block_accuracies(model: FewShotModel, episodes: list[Episode], maps: Array,
+                      cfg: TransductiveConfig) -> Array:
+    """Query accuracy of each of a block of equally shaped episodes,
+    scored together from ``maps``, a table of encoder outputs indexed by
+    dataset row that holds the episodes' rows."""
+    first = episodes[0]
+    support = maps[np.stack([ep.support_rows for ep in episodes], axis=1)]  # [S, E, ...]
+    sums, counts = class_sums(support, first.support_local, first.way)
+    final, _ = _block_predictions(model, np.swapaxes(sums, 0, 1), counts,
+                                  maps[np.stack([ep.query_rows for ep in episodes])], cfg)
+    return (final == first.query_local).mean(axis=1)
 
 
 def episode_accuracy(model: FewShotModel, episode: Episode, maps: Array,
                      transductive: TransductiveConfig | None = None) -> float:
     """Query accuracy of one episode, scored from ``maps``, a table of
     encoder outputs indexed by dataset row that holds the episode's rows;
-    no transductive config means zero rounds."""
-    predictions = transductive_infer(
-        model, maps[episode.support_rows], episode.support_local, episode.way,
-        maps[episode.query_rows], transductive or _NO_ROUNDS)
-    return float(np.mean(predictions == episode.query_local))
+    no transductive config means zero rounds.  A block of one episode."""
+    return float(_block_accuracies(model, [episode], maps, transductive or _NO_ROUNDS)[0])
 
 
 def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
@@ -119,28 +158,38 @@ def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
              transductive: TransductiveConfig | None = None) -> EvalReport:
     """Accuracy over freshly sampled episodes with a 95% interval.
 
-    Each episode is sampled just before it is scored, and each dataset
-    image is encoded at most once per call: an episode's rows that no
-    earlier episode encoded go through the encoder together (at most
-    ``way * shot + n_query`` rows) into a per-call table of maps, from
-    which the episode is scored.  The encoder maps every row the same way
-    whatever batch it comes in, so the accuracies are those of encoding
-    each episode afresh.  Only row indices flow from the sampler to the
-    table: no episode's images are copied.
+    Episodes are sampled in blocks of ``_EVAL_BLOCK``, with the same rng
+    calls in the same order as one at a time, and each dataset image is
+    encoded at most once per call: a block's rows that no earlier block
+    encoded go through the encoder in sorted chunks of at most
+    ``way * shot + n_query`` rows into a per-call table of maps.  The
+    block is then scored in one pass from the table: prototypes as one
+    reduction, the head's ``block_scores``, and the transductive rounds
+    (zero rounds is the plain prediction) on the block's arrays.  The
+    encoder maps every row the same way whatever batch it comes in, and
+    each episode's scores are computed as on their own, so the
+    accuracies are those of encoding and scoring each episode afresh.
+    Only row indices flow from the sampler to the table: no episode's
+    images are copied.
     """
     if episodes < 1:
         raise ContractError("need at least one evaluation episode")
+    cfg = transductive or _NO_ROUNDS
+    chunk = way * shot + n_query
     maps = np.empty((len(data.images), *model.encoder.output_shape))
     done = np.zeros(len(data.images), dtype=bool)
     accs = []
-    for _ in range(episodes):
-        episode = sample_episode(data, way, shot, n_query, rng)
-        rows = np.concatenate([episode.support_rows, episode.query_rows])
-        new = rows[~done[rows]]
-        if new.size:
-            maps[new] = model.encode(data.images[new])
-            done[new] = True
-        accs.append(episode_accuracy(model, episode, maps, transductive))
+    for start in range(0, episodes, _EVAL_BLOCK):
+        block = [sample_episode(data, way, shot, n_query, rng)
+                 for _ in range(min(_EVAL_BLOCK, episodes - start))]
+        rows = np.concatenate([r for ep in block for r in (ep.support_rows, ep.query_rows)])
+        new = np.unique(rows[~done[rows]])
+        for i in range(0, new.size, chunk):
+            part = new[i:i + chunk]
+            maps[part] = model.encode(data.images[part])
+        done[new] = True
+        accs.append(_block_accuracies(model, block, maps, cfg))
+    accs = np.concatenate(accs)
     mean, ci95, degenerate = confidence_interval(accs)
     config = {"way": way, "shot": shot, "n_query": n_query,
               "episodes": episodes, "domain": data.domain_tag,
@@ -148,7 +197,7 @@ def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
     if transductive is not None:
         config["iterations"] = transductive.iterations
         config["candidates_per_iter"] = list(transductive.candidates_per_iter)
-    return EvalReport(accuracies=np.asarray(accs), mean=mean, ci95=ci95,
+    return EvalReport(accuracies=accs, mean=mean, ci95=ci95,
                       episodes=episodes, degenerate=degenerate, config=config)
 
 

@@ -8,6 +8,8 @@ f_p is the processed classifier input of a query: what the head scores.
 * ``head.scores(protos, query_maps, weights=None) -> (scores [n, K], trace)``;
   ``weights`` shaped like f_p multiply it element-wise before scoring,
   and the probabilities are ``scaled_softmax(scores, head.beta)``;
+* ``head.block_scores(protos, query_maps) -> scores [E, n, K]`` scores a
+  block of E episodes, each bit for bit as ``scores`` would;
 * ``head.relevance_init(scores, probs)`` is the per-class relevance an
   explanation starts from;
 * :func:`lrp_through_head` carries it across the head onto f_p, for one
@@ -45,41 +47,59 @@ PROB_CLAMP_HIGH = 1.0 - 1e-7
 PROB_CLAMP_LOW = 1e-12
 
 
-def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
-    """Mean support embedding per class; labels are episode-local 0..K-1.
+def class_sums(features: Array, labels: Array, num_classes: int) -> tuple[Array, Array]:
+    """Per-class sums of the rows of ``features`` and each class's row count.
 
-    A class-major equal-shot support (labels ``0,..,0, 1,..,1, ...``, as
-    every sampled episode has) is averaged in one reduction over a
-    ``(K, shot, ...)`` view; that sums each class's rows in the same
-    order as the per-class loop, which handles every other layout.
+    Each class's rows are added in row order.  A class-major equal-shot
+    support (labels ``0,..,0, 1,..,1, ...``, as every sampled episode
+    has) is summed in one reduction over a ``(K, shot, ...)`` view; that
+    adds each class's rows in the same order as the per-class loop,
+    which handles every other layout.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     shot = labels.size // max(num_classes, 1)
     if (shot and labels.shape == (num_classes * shot,) == features.shape[:1]
             and (labels.reshape(num_classes, shot) == np.arange(num_classes)[:, None]).all()):
-        return features.reshape((num_classes, shot) + features.shape[1:]).mean(axis=1)
-    protos = np.empty((num_classes,) + features.shape[1:])
+        return (features.reshape((num_classes, shot) + features.shape[1:]).sum(axis=1),
+                np.full(num_classes, shot))
+    sums = np.empty((num_classes,) + features.shape[1:])
+    counts = np.empty(num_classes, dtype=np.intp)
     for k in range(num_classes):
         members = features[labels == k]
         if members.shape[0] == 0:
             raise ContractError(f"class {k} has no support members")
-        protos[k] = members.mean(axis=0)
-    return protos
+        sums[k], counts[k] = members.sum(axis=0), members.shape[0]
+    return sums, counts
+
+
+def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
+    """Mean support embedding per class; labels are episode-local 0..K-1.
+
+    Each class's sum divided by its count, which is what ``mean`` does.
+    """
+    sums, counts = class_sums(features, labels, num_classes)
+    return sums / counts.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 def cosine_scores(query_feat: Array, protos: Array) -> Array:
-    """Cosine similarity ``[n, K]`` of query rows ``[n, D]`` against prototype rows ``[K, D]``."""
+    """Cosine similarity ``[..., n, K]`` of query rows ``[..., n, D]`` against
+    prototype rows ``[..., K, D]``.
+
+    Leading axes stack episodes: each is scored by its own BLAS product
+    of the same shape, so an episode's scores do not depend on the stack.
+    """
     q = np.asarray(query_feat, dtype=np.float64)
     p = np.asarray(protos, dtype=np.float64)
-    if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
-        raise ContractError(
-            f"query rows {q.shape} and prototype rows {p.shape} must be [n, D] and [K, D]")
-    qn = np.linalg.norm(q, axis=1)
-    pn = np.linalg.norm(p, axis=1)
+    if (q.ndim < 2 or q.ndim != p.ndim or q.shape[:-2] != p.shape[:-2]
+            or q.shape[-1] != p.shape[-1]):
+        raise ContractError(f"query rows {q.shape} and prototype rows {p.shape} "
+                            "must be [..., n, D] and [..., K, D]")
+    qn = np.linalg.norm(q, axis=-1)
+    pn = np.linalg.norm(p, axis=-1)
     if (qn == 0).any() or (pn == 0).any():
         raise NumericError("zero-norm vector in cosine similarity (degenerate embedding)")
-    return (q @ p.T) / np.outer(qn, pn)
+    return (q @ np.swapaxes(p, -1, -2)) / (qn[..., :, None] * pn[..., None, :])
 
 
 def scaled_softmax(scores: Array, beta: float) -> Array:
@@ -128,10 +148,10 @@ def weighted_features(features: Array, weights: Array) -> Array:
     return f * w
 
 
-def _flat_rows(x: Array) -> Array:
-    """``[n, ...]`` as ``[n, D]``, also for zero rows."""
+def _flat_rows(x: Array, lead: int = 1) -> Array:
+    """``[n, ...]`` as ``[n, D]`` (``lead`` leading axes kept), also for zero rows."""
     x = np.asarray(x, dtype=np.float64)
-    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    return x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))
 
 
 def cosine_explain(query_rows: Array, protos: Array, targets, relevance: Array,
@@ -187,6 +207,11 @@ class CosineHead:
         if weights is not None:
             q = weighted_features(q, weights)
         return cosine_scores(q, _flat_rows(protos)), None
+
+    def block_scores(self, protos: Array, query_maps: Array) -> Array:
+        """Scores ``[E, n, K]`` of E episodes, prototypes ``[E, K, ...]``
+        against queries ``[E, n, ...]``, in one batched product."""
+        return cosine_scores(_flat_rows(query_maps, 2), _flat_rows(protos, 2))
 
     def relevance_init(self, scores: Array, probs: Array) -> Array:
         return relevance_init_nonparametric(probs)
@@ -245,6 +270,14 @@ class RelationHead:
             pairs = weighted_features(pairs, np.broadcast_to(weights[:, None], pairs.shape))
         logits, trace = self.net.forward_recorded(pairs.reshape((-1,) + pairs.shape[2:]))
         return logits[:, 0].reshape(q.shape[0], protos.shape[0]), trace
+
+    def block_scores(self, protos: Array, query_maps: Array) -> Array:
+        """Logits ``[E, n, K]`` of E episodes, one relation-net pass each.
+
+        A pass's rows round differently with its height, so one pass over
+        several episodes' pairs would move their logits.
+        """
+        return np.stack([self.scores(p, q)[0] for p, q in zip(protos, query_maps)])
 
     def relevance_init(self, scores: Array, probs: Array) -> Array:
         """Logits pass through unchanged (as a copy) as per-class relevance."""

@@ -148,8 +148,16 @@ def build_model(head_kind: str, in_shape: tuple[int, int, int],
 
 
 def probs_from_maps(model: FewShotModel, proto_maps: Array, query_maps: Array) -> Array:
-    """Class probabilities for each query map given prototype maps."""
-    return scaled_softmax(model.head.scores(proto_maps, query_maps)[0], model.head.beta)
+    """Class probabilities for each query map given prototype maps.
+
+    One episode's ``[K, ...]`` and ``[n, ...]`` maps give ``[n, K]``; a
+    block of E episodes, ``[E, K, ...]`` and ``[E, n, ...]``, gives
+    ``[E, n, K]``, each episode bit for bit as on its own.
+    """
+    head = model.head
+    if np.ndim(query_maps) > len(model.encoder.output_shape) + 1:
+        return scaled_softmax(head.block_scores(proto_maps, query_maps), head.beta)
+    return scaled_softmax(head.scores(proto_maps, query_maps)[0], head.beta)
 
 
 def episode_probs(model: FewShotModel, support_images: Array, support_local: Array,

@@ -285,6 +285,17 @@ class TestDatasetIo:
         np.testing.assert_array_equal(loaded.images[0], images[1])
         np.testing.assert_array_equal(loaded.images[2], images[0])
 
+    @pytest.mark.parametrize("tag", ["café", "a b", "x/y", "ｄａｒｋ"])
+    def test_unsafe_tag_refused_before_writing(self, tmp_path, tag):
+        # ``str.isalnum`` is true for non-ascii letters; the ascii header
+        # could not hold them, and nothing may be written.
+        path = tmp_path / "d.egtd"
+        data = LabeledImageSet(_toy_set([2, 2]).images, np.array([0, 0, 1, 1], np.int32),
+                               domain_tag=tag)
+        with pytest.raises(ContractError, match="filesystem-safe"):
+            save_dataset(data, str(path))
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.egtd"
         path.write_bytes(b"NPYX blah\n\x00\x00")

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from egt import evaluation
 from egt.data import GeneratorSpec, LabeledImageSet, gen_synthetic_domains, sample_episode
-from egt.errors import ConfigError, ContractError, DataFormatError
+from egt.errors import ConfigError, ContractError, DataFormatError, NumericError
 from egt.evaluation import (
     EvalReport,
     TransductiveConfig,
@@ -20,7 +21,8 @@ from egt.evaluation import (
     transductive_infer,
 )
 from egt.heatmap import read_ppm, relevance_to_rgb, render_heatmap, write_ppm
-from egt.model import build_model, episode_probs
+from egt.heads import class_prototypes
+from egt.model import build_model, episode_probs, probs_from_maps
 
 
 def _toy_set(counts, channels=1, side=8, seed=0):
@@ -177,6 +179,91 @@ class TestEmbeddingTable:
             np.mean(probs.argmax(axis=1) == ep.query_local))
 
 
+def _one_episode_predictions(model, ep, cfg, seen=None):
+    """One episode scored on its own, with the pool grown by concatenation:
+    maps encoded afresh, prototypes by ``class_prototypes`` over the pool,
+    probabilities from the head's one-episode ``scores``.  ``seen``
+    collects each round's probabilities and the final ones."""
+    support, queries = model.encode(ep.support_images), model.encode(ep.query_images)
+    pool, pool_labels = support, ep.support_local
+    absorbed = np.zeros(len(queries), dtype=bool)
+    seen = [] if seen is None else seen
+    for t in range(cfg.iterations):
+        probs = probs_from_maps(model, class_prototypes(pool, pool_labels, ep.way), queries)
+        seen.append(probs)
+        remaining = np.flatnonzero(~absorbed)
+        order = remaining[np.argsort(-probs.max(axis=1)[remaining], kind="stable")]
+        chosen = order[:cfg.candidates_per_iter[t]]
+        absorbed[chosen] = True
+        pool = np.concatenate([pool, queries[chosen]])
+        pool_labels = np.concatenate([pool_labels, probs.argmax(axis=1)[chosen]])
+    seen.append(probs_from_maps(model, class_prototypes(pool, pool_labels, ep.way), queries))
+    return seen[-1].argmax(axis=1)
+
+
+_BLOCK = evaluation._EVAL_BLOCK
+_CFGS = {"plain": None, "transductive": TransductiveConfig(2, (4, 8))}
+
+
+class TestBlocks:
+    """``evaluate`` scores blocks of episodes; each accuracy is still the
+    episode's own, on both sides of every block boundary."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, corpus):
+        cache = {}
+
+        def get(head, rounds):
+            if (head, rounds) not in cache:
+                model, rng = _gate_model(head), np.random.default_rng(48)
+                accs, states, probs = [], [], []
+                for _ in range(2 * _BLOCK + 3):
+                    ep = sample_episode(corpus, 5, 5, 16, rng)
+                    probs.append([])
+                    preds = _one_episode_predictions(model, ep, _CFGS[rounds] or
+                                                     TransductiveConfig(0, ()), probs[-1])
+                    accs.append(float(np.mean(preds == ep.query_local)))
+                    states.append(rng.bit_generator.state)
+                cache[head, rounds] = model, accs, states, np.array(probs)
+            return cache[head, rounds]
+        return get
+
+    @pytest.mark.parametrize("episodes", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("rounds", list(_CFGS))
+    @pytest.mark.parametrize("head", ["cosine", "relation"])
+    def test_matches_one_episode_at_a_time(self, corpus, reference, monkeypatch, head,
+                                           rounds, episodes):
+        # Accuracies, the rng state left, and every round's probabilities
+        # bit for bit: prototypes of the grown pool included.
+        model, accs, states, probs = reference(head, rounds)
+        calls, real = [], evaluation.probs_from_maps
+        monkeypatch.setattr(evaluation, "probs_from_maps",
+                            lambda *args: calls.append(real(*args)) or calls[-1])
+        rng = np.random.default_rng(48)
+        report = evaluate(model, corpus, 5, 5, 16, episodes, rng, _CFGS[rounds])
+        assert report.accuracies.tolist() == accs[:episodes]
+        assert rng.bit_generator.state == states[episodes - 1]
+        per_block = probs.shape[1]  # calls per block: each round's, then the final ones
+        got = np.stack([np.concatenate(calls[r::per_block]) for r in range(per_block)], axis=1)
+        assert np.array_equal(got, probs[:episodes])
+
+    def test_zero_norm_embedding_raises_as_one_episode_does(self, corpus):
+        # An all-zero image encodes to an all-zero map (the biases start at
+        # zero), which the cosine head cannot score.
+        model = _gate_model("cosine")
+        images = corpus.images.copy()
+        images[-1] = 0.0
+        data = LabeledImageSet(images, corpus.labels, domain_tag="dark")
+        rng = np.random.default_rng(49)
+        with pytest.raises(NumericError) as want:
+            while True:
+                ep = sample_episode(data, 5, 5, 16, rng)
+                _one_episode_predictions(model, ep, TransductiveConfig(0, ()))
+        with pytest.raises(NumericError) as got:
+            evaluate(model, data, 5, 5, 16, 2 * _BLOCK + 3, np.random.default_rng(49))
+        assert str(got.value) == str(want.value)
+
+
 class TestTransductive:
     def test_support_pool_growth(self):
         data = _toy_set([12] * 7, seed=17)
@@ -235,8 +322,9 @@ class TestTransductive:
         support = model.encode(rng.uniform(size=(4, 1, 8, 8)))
         query = model.encode(rng.uniform(size=(6, 1, 8, 8)))
         top = np.array([0.6, 0.9, 0.6, 0.9, 0.9, 0.6])
+        # scored as a block of one episode: probabilities [1, n, K]
         monkeypatch.setattr("egt.evaluation.probs_from_maps",
-                            lambda model, protos, maps: np.stack([top, 1 - top], axis=1))
+                            lambda model, protos, maps: np.stack([top, 1 - top], axis=-1)[None])
         _, history = transductive_infer(model, support, np.array([0, 0, 1, 1]), 2,
                                         query, TransductiveConfig(1, (4,)),
                                         return_history=True)

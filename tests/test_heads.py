@@ -9,6 +9,7 @@ from egt.heads import (
     CosineHead,
     RelationHead,
     class_prototypes,
+    class_sums,
     cosine_explain,
     cosine_scores,
     lrp_through_head,
@@ -16,6 +17,7 @@ from egt.heads import (
     scaled_softmax,
 )
 from egt.lrp import LrpConfig
+from egt.model import build_relation_net
 from egt.tensornet import Conv2d, Flatten, Linear, Network, ReLU
 
 from util_nets import max_rel_err
@@ -79,6 +81,21 @@ class TestPrototypes:
             k = int(labels.max()) + 1
             assert self._same_bits(class_prototypes(feats, labels, k),
                                    self._loop(feats, labels, k)), name
+
+
+    def test_sums_over_stacked_episodes_bitwise(self):
+        # Rows on the first axis, episodes after them: each episode's sums
+        # and counts are those of its own rows.
+        rng = np.random.default_rng(13)
+        labels = np.repeat(np.arange(5), 5)
+        feats = rng.standard_normal((25, 7, 32, 2, 2))
+        feats[rng.uniform(size=feats.shape) < 0.1] = -0.0
+        sums, counts = class_sums(feats, labels, 5)
+        assert counts.tolist() == [5] * 5
+        for e in range(7):
+            one, _ = class_sums(feats[:, e], labels, 5)
+            assert self._same_bits(sums[:, e], one)
+            assert self._same_bits(sums[:, e] / 5, self._loop(feats[:, e], labels, 5))
 
 
 class TestCosineScores:
@@ -309,6 +326,40 @@ class TestRelationHead:
         net = Network((2, 2, 2), [Flatten(), Linear.he_init(8, 2, rng)])
         with pytest.raises(ContractError, match="one logit"):
             RelationHead(net).scores(np.ones((3, 1, 2, 2)), np.ones((1, 1, 2, 2)))
+
+
+class TestBlockScores:
+    """A block of E episodes scores each as the head's one-episode ``scores``."""
+
+    @staticmethod
+    def _maps(rng, episodes, n, shape=(32, 2, 2)):
+        return rng.standard_normal((episodes, n) + shape)
+
+    def test_cosine_bitwise(self):
+        rng = np.random.default_rng(14)
+        head = CosineHead(beta=7.0)
+        protos, queries = self._maps(rng, 64, 5), self._maps(rng, 64, 16)
+        block = head.block_scores(protos, queries)
+        assert block.shape == (64, 16, 5)
+        for e in range(64):
+            assert np.array_equal(block[e], head.scores(protos[e], queries[e])[0])
+
+    def test_relation_bitwise(self):
+        rng = np.random.default_rng(15)
+        head = RelationHead(build_relation_net((64, 2, 2), rng))
+        protos, queries = self._maps(rng, 3, 5), self._maps(rng, 3, 16)
+        block = head.block_scores(protos, queries)
+        assert block.shape == (3, 16, 5)
+        for e in range(3):
+            assert np.array_equal(block[e], head.scores(protos[e], queries[e])[0])
+
+    def test_stacked_cosine_validation(self):
+        with pytest.raises(ContractError):
+            cosine_scores(np.ones((2, 1, 4)), np.ones((3, 2, 4)))
+        with pytest.raises(ContractError):
+            cosine_scores(np.ones((2, 1, 4)), np.ones((2, 4)))
+        with pytest.raises(NumericError, match="zero-norm"):
+            cosine_scores(np.ones((2, 1, 4)), np.zeros((2, 3, 4)))
 
 
 class TestHeadOutputs:

@@ -395,6 +395,17 @@ def _recorded_backward(layer, x, cot):
     return layer.backward(layer.forward_recorded(x), cot)
 
 
+class TestSummedProducts:
+    """The weight gradient's sum of per-row products, reduced in chunks."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 9, 10])
+    def test_matches_the_full_stack_bitwise(self, monkeypatch, rows):
+        rng = np.random.default_rng(16)
+        a, b = _signed_data(rng, (10, 4, 6)), _signed_data(rng, (10, 6, 5))
+        monkeypatch.setattr(tensornet, "_PRODUCT_BUFFER_BYTES", 8 * 4 * 5 * (rows + 1))
+        _assert_same_bits(tensornet._summed_products(a, b), np.matmul(a, b).sum(axis=0))
+
+
 class TestWindowKernelLayouts:
     """Every layout gives the reference loop's bits, signed zeros and strides."""
 

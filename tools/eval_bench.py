@@ -20,10 +20,13 @@ kinds of call on the same seed:
 * ``split``: ``evaluate`` under the benchmark's span tracer
   (``benchmarks/spans.py``), whose inclusive times charge each
   episode's time to sampling (``data.sample_episode``), encoding
-  (``model.encode``, for rows no earlier episode encoded) and scoring
-  (``evaluation.episode_accuracy``, prototypes and head included).  The
-  rest of the call, ``other``, is the loop's own bookkeeping plus the
-  tracer's cost; ``split`` minus ``total`` bounds that cost.
+  (``model.encode``, for rows no earlier block encoded) and scoring.
+  ``evaluate`` scores a block of episodes in one call,
+  ``evaluation._block_accuracies`` (prototypes, head and transductive
+  rounds included), which the tracer does not wrap, so this tool adds
+  that span to it.  The rest of the call, ``other``, is the loop's own
+  bookkeeping plus the tracer's cost; ``split`` minus ``total`` bounds
+  that cost.
 
 Every timing is the median over ``--repeats`` samples, with the first
 and third quartiles.  No training runs before the timed calls, so the
@@ -62,7 +65,7 @@ from spans import Tracer  # noqa: E402
 EPISODES = 2000
 SEED = 0
 STAGES = {"sampling": "data.sample_episode", "encoding": "model.encode",
-          "scoring": "evaluation.episode_accuracy"}
+          "scoring": "evaluation.block_accuracies"}
 
 
 def stats(samples: list[float]) -> dict[str, float]:
@@ -95,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         samples["total"].append((time.perf_counter() - start) * us)
         tracer = Tracer()
         tracer.install()
+        tracer._spans([evaluation], "_block_accuracies", STAGES["scoring"])
         tracer.phase = "eval"
         try:
             start = time.perf_counter()
