@@ -27,6 +27,11 @@ each channel-wise concatenated (prototype, query) pair with a small
 trained network whose raw logits double as the relevance
 initialization; its f_p is the pair
 ``[2C, H, W]``, and query ``i``'s weights multiply each of its K pairs.
+When the relation net opens with a convolution, the head hands it the
+pairs' im2col columns: a pair's columns are its prototype's unroll
+stacked on its query's, so the K prototypes and n queries are unrolled
+once instead of the n*K pairs, with the same columns to the bit.
+Evaluation's ``block_scores`` runs the same pass unrecorded.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
 from .lrp import LrpConfig, lrp_backward
-from .tensornet import ForwardTrace, Network
+from .tensornet import Conv2d, ForwardTrace, Network
 
 Array = np.ndarray
 
@@ -258,8 +263,30 @@ class RelationHead:
 
         Pair ``(i, k)`` is row ``i*K + k`` of the trace; its input is the
         channel-wise concatenation (prototype k, query i), times
-        ``weights[i]`` when weights are given.
+        ``weights[i]`` when weights are given.  When the net opens with a
+        convolution, that layer's columns are not unrolled from the n*K
+        pair rows: a pair's columns are prototype k's unroll stacked on
+        query i's, so the K prototypes and n queries are unrolled once
+        and broadcast into place, and a weighted pass multiplies them by
+        the unroll of ``weights[i]``.  Every column is the value (and the
+        padding the ``+0.0``) that unrolling the pair rows gives, so the
+        trace and the logits are those of ``net.forward_recorded`` on the
+        pair rows, bit for bit.
         """
+        return self._pass(protos, query_maps, weights, record=True)
+
+    def block_scores(self, protos: Array, query_maps: Array) -> Array:
+        """Logits ``[E, n, K]`` of E episodes, one unrecorded relation-net pass each.
+
+        A pass's rows round differently with its height, so one pass over
+        several episodes' pairs would move their logits.
+        """
+        return np.stack([self._pass(p, q, None, record=False)[0]
+                         for p, q in zip(protos, query_maps)])
+
+    def _pass(self, protos: Array, query_maps: Array, weights: Array | None,
+              record: bool) -> tuple[Array, ForwardTrace | None]:
+        """The relation-net pass of :meth:`scores`, recorded or not, with the same logits."""
         protos = np.asarray(protos, dtype=np.float64)
         q = np.asarray(query_maps, dtype=np.float64)
         if protos.shape[1:] != q.shape[1:]:
@@ -268,16 +295,19 @@ class RelationHead:
         pairs = relation_pairs(protos, q)
         if weights is not None:
             pairs = weighted_features(pairs, np.broadcast_to(weights[:, None], pairs.shape))
-        logits, trace = self.net.forward_recorded(pairs.reshape((-1,) + pairs.shape[2:]))
+        first = self.net.layers[0]
+        cols = None
+        if isinstance(first, Conv2d):
+            cp, cq = first.unroll(protos), first.unroll(q)
+            half = cp.shape[1]
+            cols = np.empty(pairs.shape[:2] + (2 * half, cp.shape[2]))
+            cols[:, :, :half] = cp
+            cols[:, :, half:] = cq[:, None]
+            if weights is not None:
+                cols *= first.unroll(weights)[:, None]
+            cols = cols.reshape((-1,) + cols.shape[2:])
+        logits, trace = self.net._run(pairs.reshape((-1,) + pairs.shape[2:]), record, cols)
         return logits[:, 0].reshape(q.shape[0], protos.shape[0]), trace
-
-    def block_scores(self, protos: Array, query_maps: Array) -> Array:
-        """Logits ``[E, n, K]`` of E episodes, one relation-net pass each.
-
-        A pass's rows round differently with its height, so one pass over
-        several episodes' pairs would move their logits.
-        """
-        return np.stack([self.scores(p, q)[0] for p, q in zip(protos, query_maps)])
 
     def relevance_init(self, scores: Array, probs: Array) -> Array:
         """Logits pass through unchanged (as a copy) as per-class relevance."""

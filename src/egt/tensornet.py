@@ -14,7 +14,10 @@ rules reuse with their own weights.
 
 One window kernel serves every spatial layer: :func:`_windows` unrolls
 sliding windows and :func:`_fold` scatter-adds them back.  The
-convolution runs them on its padded input, the pools on their input.
+convolution unrolls its padded input (:meth:`Conv2d.unroll`), the pools
+their input.  The convolution's input pull-back folds onto the unpadded
+interior only: additions that would land on the padding are skipped, so
+no padded grid is built and sliced.
 Both loop over the kernel offsets ``(i, j)`` with one slice op each, and
 take their working array's memory layout from the output width ``ow``
 (:func:`_kernel_array`): spatial-major, ``(..., B, C)``, for ``ow`` in
@@ -95,20 +98,39 @@ def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
     return np.ascontiguousarray(win)
 
 
-def _fold(win: Array, kh: int, kw: int, stride: int, h: int, w: int) -> Array:
+def _fold(win: Array, kh: int, kw: int, stride: int, h: int, w: int, pad: int = 0) -> Array:
     """Scatter-add stacked windows back onto an ``h x w`` grid (adjoint of :func:`_windows`).
 
-    Each output element receives its additions in kernel-offset order
-    ``(i, j)`` in either layout, so the sums are the same to the bit.
-    The result is C-contiguous.
+    With ``pad``, the windows tile that grid zero-padded by ``pad`` on
+    every side, and only the interior is written: an addition that would
+    land on the border is skipped.  Each written element receives its
+    additions in kernel-offset order ``(i, j)`` in either layout,
+    starting from ``+0.0``, so the sums are those of folding onto the
+    padded grid and slicing, to the bit.  The result is C-contiguous.
     """
     b, c, _, oh, ow = win.shape
     out = _kernel_array(np.zeros, (b, c, h, w), ow, np.float64)
     out_s, win_s = out.transpose(2, 3, 0, 1), win.transpose(2, 3, 4, 0, 1)
-    for i in range(kh):
-        for j in range(kw):
-            out_s[i:i + stride * oh:stride, j:j + stride * ow:stride] += win_s[i * kw + j]
+    rows = [_interior(i, stride, oh, pad, h) for i in range(kh)]
+    cols = [_interior(j, stride, ow, pad, w) for j in range(kw)]
+    for i, (out_y, win_y) in enumerate(rows):
+        for j, (out_x, win_x) in enumerate(cols):
+            out_s[out_y, out_x] += win_s[i * kw + j][win_y, win_x]
     return np.ascontiguousarray(out)
+
+
+def _interior(offset: int, stride: int, n: int, pad: int, size: int) -> tuple[slice, slice]:
+    """Along one axis, where kernel offset ``offset`` of ``n`` windows lands inside the grid.
+
+    Window ``y`` taps padded position ``y*stride + offset``, which is grid
+    position ``y*stride + offset - pad``.  Returns the slice of grid
+    positions in ``[0, size)`` and the slice of the windows that tap
+    them; both are empty when none does.
+    """
+    first = max(0, -((offset - pad) // stride))
+    last = max(first, min(n, (size - 1 + pad - offset) // stride + 1))
+    start = first * stride + offset - pad
+    return slice(start, start + (last - first) * stride, stride), slice(first, last)
 
 
 # Bytes of the one buffer through which ``_summed_products`` reduces a
@@ -169,7 +191,8 @@ class Layer:
 
         A recording caller passes an empty dict as ``kept``, and the layer
         stores there what its ``backward`` reuses; without it the layer
-        keeps nothing and does no extra work.
+        keeps nothing and does no extra work.  A convolution also takes
+        its columns from ``kept`` when they are there (:meth:`Conv2d.forward`).
         """
         raise NotImplementedError
 
@@ -272,22 +295,39 @@ class Conv2d(Layer):
                  f"kernel {kh}x{kw} larger than padded input {h}x{w}")
         return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
 
-    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
-        """One GEMM over the unrolled columns ``(B, C*kh*kw, oh*ow)``.
+    def unroll(self, x: Array) -> Array:
+        """The im2col columns ``(B, C*kh*kw, oh*ow)`` of rows ``x``, zero-padded.
 
-        A recorded pass keeps the columns for :meth:`backward`.
+        Row ``c*kh*kw + i*kw + j`` of a column block holds channel ``c`` at
+        kernel offset ``(i, j)``.  The channel count C is not checked
+        against the kernel: the relation head unrolls each half of a
+        pair on its own.
         """
-        b, c = x.shape[:2]
-        o, _, kh, kw = self.weight.shape
-        _, oh, ow = self.out_shape(x.shape[1:])
-        p = self.padding
+        b, c, h, w = x.shape
+        _, _, kh, kw = self.weight.shape
+        p, s = self.padding, self.stride
+        oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
         xp = x
         if p:  # a plain copy into zeros: ``np.pad``'s own cost dwarfs it on small batches
-            xp = np.zeros((b, c, x.shape[2] + 2 * p, x.shape[3] + 2 * p), dtype=x.dtype)
+            xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
             xp[:, :, p:-p, p:-p] = x
-        cols = _windows(xp, kh, kw, self.stride, oh, ow).reshape(b, c * kh * kw, oh * ow)
-        if kept is not None:
-            kept["cols"] = cols
+        return _windows(xp, kh, kw, s, oh, ow).reshape(b, c * kh * kw, oh * ow)
+
+    def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
+        """One GEMM over the columns ``unroll(x)``.
+
+        A recorded pass keeps the columns for :meth:`backward`.  A caller
+        that already holds ``unroll(x)`` hands it in as ``kept["cols"]``,
+        and the GEMM runs on it as given.
+        """
+        b = x.shape[0]
+        o = self.weight.shape[0]
+        _, oh, ow = self.out_shape(x.shape[1:])
+        cols = None if kept is None else kept.get("cols")
+        if cols is None:
+            cols = self.unroll(x)
+            if kept is not None:
+                kept["cols"] = cols
         y = np.matmul(self.weight.reshape(o, -1), cols)
         y += self.bias[:, None]
         return y.reshape(b, o, oh, ow)
@@ -317,11 +357,9 @@ class Conv2d(Layer):
         b, o, oh, ow = grad_out.shape
         c, h, wd = in_shape
         _, _, kh, kw = w.shape
-        p = self.padding
         dcols = np.matmul(w.reshape(o, -1).T, grad_out.reshape(b, o, oh * ow))
-        dxp = _fold(dcols.reshape(b, c, kh * kw, oh, ow), kh, kw, self.stride,
-                    h + 2 * p, wd + 2 * p)
-        return dxp if p == 0 else dxp[:, :, p:-p, p:-p]
+        return _fold(dcols.reshape(b, c, kh * kw, oh, ow), kh, kw, self.stride, h, wd,
+                     self.padding)
 
     def params(self) -> dict[str, Array]:
         return {"weight": self.weight, "bias": self.bias}
@@ -446,18 +484,27 @@ class Network:
     def forward_recorded(self, x: Array) -> tuple[Array, ForwardTrace]:
         return self._run(x, record=True)
 
-    def _run(self, x: Array, record: bool) -> tuple[Array, ForwardTrace | None]:
+    def _run(self, x: Array, record: bool, cols: Array | None = None
+             ) -> tuple[Array, ForwardTrace | None]:
+        """The pass behind :meth:`forward` and :meth:`forward_recorded`.
+
+        ``cols``, when given, must be the first layer's ``unroll(x)``
+        (see :meth:`Conv2d.forward`); the relation head builds a pair's
+        columns from the unrolls of its two halves.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape or x.ndim != len(self.input_shape) + 1:
             raise ContractError(f"input shape {x.shape} does not match network input "
                                 f"(B, {', '.join(map(str, self.input_shape))})")
         entries: list[LayerTrace] = []
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
+            kept = {} if record else None
+            if i == 0 and cols is not None:
+                kept = {"cols": cols}
+            y = layer.forward(x, kept)
             if record:
-                entries.append(layer.forward_recorded(x))
-                x = entries[-1].output
-            else:
-                x = layer.forward(x)
+                entries.append(LayerTrace(x, y, kept))
+            x = y
         if not np.isfinite(x).all():
             raise NumericError("network forward produced non-finite values")
         return x, (ForwardTrace(entries) if record else None)

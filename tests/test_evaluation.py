@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from egt import evaluation
+from egt import evaluation, tensornet
 from egt.data import GeneratorSpec, LabeledImageSet, gen_synthetic_domains, sample_episode
 from egt.errors import ConfigError, ContractError, DataFormatError, NumericError
 from egt.evaluation import (
@@ -21,7 +21,7 @@ from egt.evaluation import (
     transductive_infer,
 )
 from egt.heatmap import read_ppm, relevance_to_rgb, render_heatmap, write_ppm
-from egt.heads import class_prototypes
+from egt.heads import class_prototypes, scaled_softmax
 from egt.model import build_model, episode_probs, probs_from_maps
 
 
@@ -246,6 +246,26 @@ class TestBlocks:
         per_block = probs.shape[1]  # calls per block: each round's, then the final ones
         got = np.stack([np.concatenate(calls[r::per_block]) for r in range(per_block)], axis=1)
         assert np.array_equal(got, probs[:episodes])
+
+    def test_relation_eval_records_no_trace(self, corpus, monkeypatch):
+        # The relation net scores eval episodes through an unrecorded pass,
+        # with the accuracies of the head's recorded ``scores``.
+        model, episodes = _gate_model("relation"), _BLOCK + 1
+        rng = np.random.default_rng(50)
+        want = []
+        for _ in range(episodes):
+            ep = sample_episode(corpus, 5, 5, 16, rng)
+            protos = class_prototypes(model.encode(ep.support_images), ep.support_local, 5)
+            scores = model.head.scores(protos, model.encode(ep.query_images))[0]
+            preds = scaled_softmax(scores, model.head.beta).argmax(axis=1)
+            want.append(float(np.mean(preds == ep.query_local)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluation recorded a forward pass")
+        monkeypatch.setattr(tensornet.Network, "forward_recorded", refuse)
+        monkeypatch.setattr(tensornet, "LayerTrace", refuse)
+        report = evaluate(model, corpus, 5, 5, 16, episodes, np.random.default_rng(50))
+        assert report.accuracies.tolist() == want
 
     def test_zero_norm_embedding_raises_as_one_episode_does(self, corpus):
         # An all-zero image encodes to an all-zero map (the biases start at

@@ -13,12 +13,14 @@ from egt.heads import (
     cosine_explain,
     cosine_scores,
     lrp_through_head,
+    relation_pairs,
     relevance_init_nonparametric,
     scaled_softmax,
 )
-from egt.lrp import LrpConfig
+from egt.lrp import LrpConfig, normalize_relevance
 from egt.model import build_relation_net
 from egt.tensornet import Conv2d, Flatten, Linear, Network, ReLU
+from egt.training import lrp_weights
 
 from util_nets import max_rel_err
 
@@ -326,6 +328,86 @@ class TestRelationHead:
         net = Network((2, 2, 2), [Flatten(), Linear.he_init(8, 2, rng)])
         with pytest.raises(ContractError, match="one logit"):
             RelationHead(net).scores(np.ones((3, 1, 2, 2)), np.ones((1, 1, 2, 2)))
+
+
+class TestPairColumns:
+    """``scores`` builds the first convolution's columns from the unrolls of
+    the prototypes and queries; its logits and trace are those of
+    ``net.forward_recorded`` on the pair rows, bit for bit."""
+
+    @staticmethod
+    def _recorded_pair_rows(head, protos, qs, weights=None):
+        pairs = relation_pairs(protos, qs)
+        if weights is not None:
+            pairs = pairs * weights[:, None]
+        logits, trace = head.net.forward_recorded(pairs.reshape((-1,) + pairs.shape[2:]))
+        return logits[:, 0].reshape(len(qs), len(protos)), trace
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def _assert_same_pass(self, got, want):
+        (logits, trace), (ref_logits, ref_trace) = got, want
+        self._assert_same_bits(logits, ref_logits)
+        assert len(trace.entries) == len(ref_trace.entries)
+        for entry, ref in zip(trace.entries, ref_trace.entries):
+            self._assert_same_bits(entry.input, ref.input)
+            self._assert_same_bits(entry.output, ref.output)
+            assert entry.kept.keys() == ref.kept.keys()
+            for key in ref.kept:
+                self._assert_same_bits(entry.kept[key], ref.kept[key])
+        assert "cols" in trace.entries[0].kept
+
+    @staticmethod
+    def _episode(n, way, seed, repeated=False):
+        """A relation head at the gate's pair shape, maps with signed zeros."""
+        rng = np.random.default_rng(seed)
+        head = RelationHead(build_relation_net((64, 2, 2), rng))
+        maps = rng.standard_normal((way + n, 32, 2, 2))
+        maps[rng.uniform(size=maps.shape) < 0.2] = 0.0
+        maps[rng.uniform(size=maps.shape) < 0.1] = -0.0
+        protos, qs = maps[:way], maps[way:]
+        if repeated:  # explain's case: one query, one copy per target
+            qs = np.repeat(qs[:1], n, axis=0)
+        return head, protos, qs, rng
+
+    @pytest.mark.parametrize("n,way,repeated", [(16, 5, False), (1, 5, False), (16, 2, False),
+                                                (1, 2, False), (5, 5, True)],
+                             ids=["gate", "one-query", "two-way", "one-query-two-way",
+                                  "explain-repeated"])
+    def test_matches_recorded_pair_rows(self, n, way, repeated):
+        head, protos, qs, rng = self._episode(n, way, 30 + n + way, repeated)
+        plain = head.scores(protos, qs)
+        self._assert_same_pass(plain, self._recorded_pair_rows(head, protos, qs))
+        scores, trace = plain
+        init = head.relevance_init(scores, scaled_softmax(scores, head.beta))
+        rels = lrp_through_head(head, protos, qs, trace, init, np.argmax(scores, axis=1),
+                                LrpConfig())
+        for weights in (rng.choice([0.0, 1.0, 2.0], size=(n, 64, 2, 2)),
+                        np.array([lrp_weights(normalize_relevance(r)) for r in rels])):
+            self._assert_same_pass(head.scores(protos, qs, weights),
+                                   self._recorded_pair_rows(head, protos, qs, weights))
+
+    @pytest.mark.parametrize("n,way", [(16, 5), (1, 2)])
+    def test_backward_and_lrp_agree_on_both_traces(self, n, way):
+        head, protos, qs, rng = self._episode(n, way, 40 + n)
+        weights = rng.choice([0.0, 1.0, 2.0], size=(n, 64, 2, 2))
+        grads = rng.standard_normal((n, way))
+        outputs = []
+        for score in (lambda w=None: head.scores(protos, qs, w),
+                      lambda w=None: self._recorded_pair_rows(head, protos, qs, w)):
+            scores, trace = score()
+            scores_w, trace_w = score(weights)
+            d_protos, d_qs, param_grads = head.backward(
+                protos, qs, [(None, scores, trace, grads), (weights, scores_w, trace_w, grads)])
+            rels = lrp_through_head(head, protos, qs, trace, scores,
+                                    np.argmax(scores, axis=1), LrpConfig())
+            outputs.append([d_protos, d_qs, rels] + [
+                g[name] for g in param_grads if g is not None for name in sorted(g)])
+        for got, want in zip(*outputs):
+            self._assert_same_bits(got, want)
 
 
 class TestBlockScores:

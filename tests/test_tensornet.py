@@ -296,13 +296,14 @@ def _ref_windows(x, kh, kw, stride, oh, ow):
     return win
 
 
-def _ref_fold(win, kh, kw, stride, h, w):
+def _ref_fold(win, kh, kw, stride, h, w, pad=0):
+    """Fold onto the ``h x w`` grid padded by ``pad``, then copy out its interior."""
     b, c, _, oh, ow = win.shape
-    out = np.zeros((b, c, h, w))
+    out = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
             out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += win[:, :, i * kw + j]
-    return out
+    return np.ascontiguousarray(out[:, :, pad:pad + h, pad:pad + w])
 
 
 def _signed_data(rng, shape):
@@ -404,6 +405,61 @@ class TestSummedProducts:
         a, b = _signed_data(rng, (10, 4, 6)), _signed_data(rng, (10, 6, 5))
         monkeypatch.setattr(tensornet, "_PRODUCT_BUFFER_BYTES", 8 * 4 * 5 * (rows + 1))
         _assert_same_bits(tensornet._summed_products(a, b), np.matmul(a, b).sum(axis=0))
+
+
+# (B, C, H, W, kernel, stride, padding): padding 1 and 2, stride 1 and 2,
+# 1x1, odd and non-square maps, output widths 1, 2, 3, 4, 5, 7 and 8.
+_PADDED_CASES = [
+    (3, 2, 1, 1, 3, 1, 1),
+    (2, 1, 2, 2, 3, 2, 1),
+    (80, 64, 2, 2, 3, 1, 1),
+    (5, 3, 4, 4, 3, 1, 1),
+    (2, 3, 8, 8, 3, 1, 1),
+    (4, 3, 15, 15, 3, 2, 1),
+    (2, 3, 5, 7, 3, 2, 1),
+    (2, 2, 1, 1, 3, 1, 2),
+    (2, 2, 3, 5, 3, 1, 2),
+    (3, 2, 7, 3, 3, 2, 2),
+    (2, 2, 6, 6, 5, 2, 2),
+]
+
+
+class TestInteriorFold:
+    """A padded convolution's input pull-back folds onto the unpadded grid
+    only; it equals folding onto the padded grid and slicing, signed zeros
+    included, in either layout of the window kernel."""
+
+    @pytest.mark.parametrize("case", _PADDED_CASES, ids=str)
+    def test_fold_matches_padded_fold_sliced(self, layout, case):
+        b, c, h, w, k, stride, p = case
+        rng = np.random.default_rng(b * 100 + h * 10 + w)
+        oh, ow = (h + 2 * p - k) // stride + 1, (w + 2 * p - k) // stride + 1
+        win = _signed_data(rng, (b, c, k * k, oh, ow))
+        win[rng.uniform(size=win.shape) < 0.3] = -0.0
+        got = _fold(win, k, k, stride, h, w, p)
+        assert got.flags.c_contiguous
+        want = _fold(win, k, k, stride, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("case", _PADDED_CASES, ids=str)
+    def test_grad_input_matches_padded_fold_sliced(self, layout, case):
+        b, c, h, w, k, stride, p = case
+        rng = np.random.default_rng(b * 100 + h * 10 + w + 1)
+        o = max(1, c // 2)
+        conv = Conv2d(_signed_data(rng, (o, c, k, k)), np.zeros(o), stride=stride, padding=p)
+        _, oh, ow = conv.out_shape((c, h, w))
+        cot = _signed_data(rng, (b, o, oh, ow))
+        cot[rng.uniform(size=cot.shape) < 0.3] = -0.0
+        for weight in (None, np.maximum(conv.weight, 0.0)):
+            kernel = conv.weight if weight is None else weight
+            dcols = np.matmul(kernel.reshape(o, -1).T, cot.reshape(b, o, oh * ow))
+            padded = _fold(dcols.reshape(b, c, k * k, oh, ow), k, k, stride,
+                           h + 2 * p, w + 2 * p)
+            want = padded[:, :, p:p + h, p:p + w]
+            got = conv.grad_input(cot, (c, h, w), weight)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestWindowKernelLayouts:

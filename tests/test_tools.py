@@ -70,3 +70,13 @@ def test_layer_bench_times_every_encoder_layer(load_tool):
     for row in rows:
         for key in ("forward_ms", "recorded_ms", "backward_ms", "lrp_ms"):
             assert row[key]["median"] > 0
+
+
+def test_layer_bench_times_the_relation_head(load_tool):
+    layer_bench = load_tool("layer_bench")
+    rows = layer_bench.relation_head_rows(2, np.random.default_rng(0))
+    assert [row["op"] for row in rows] == ["scores", "scores_weighted",
+                                           "lrp_through_head", "backward"]
+    for row in rows:
+        assert (row["queries"], row["classes"]) == (16, 5)
+        assert row["ms"]["q1"] > 0, row["op"]

@@ -16,7 +16,15 @@ max pooling's winners) as training and explanation do:
 * the relation net at its pair shape: 80 rows (16 queries x 5 classes)
   of 64 channels x 2x2, hidden 64.
 
-Part 2, ``sweep``: ``_windows``, ``_fold``, ``Conv2d.forward`` and
+Part 2, ``relation_head``: the relation head's own operations at the
+gate's episode, 16 queries x 5 classes of 32x2x2 maps (widths 8/16/32),
+hidden 64: ``head.scores`` plain and re-weighted (they build the first
+convolution's columns from the prototype and query unrolls, which the
+per-layer table, timing ``relation.0`` on ready-made pair rows, cannot
+show), ``lrp_through_head`` on the plain pass, and ``head.backward`` over
+both passes, as a training episode runs them.
+
+Part 3, ``sweep``: ``_windows``, ``_fold``, ``Conv2d.forward`` and
 ``Conv2d.grad_input`` (a C -> C 3x3 conv with padding 1 on a square
 ``ow x ow`` map) over output width ``ow`` x B*C, once in each memory
 layout of the window kernel.  The layout is forced by setting the range
@@ -50,7 +58,8 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from egt import tensornet  # noqa: E402
-from egt.lrp import lrp_alpha, lrp_epsilon, lrp_passthrough  # noqa: E402
+from egt.heads import RelationHead, lrp_through_head  # noqa: E402
+from egt.lrp import LrpConfig, lrp_alpha, lrp_epsilon, lrp_passthrough  # noqa: E402
 from egt.model import build_encoder, build_relation_net  # noqa: E402
 from egt.tensornet import Conv2d, Linear, _fold, _windows  # noqa: E402
 
@@ -114,6 +123,28 @@ def layer_rows(name: str, net, x, repeats: int, rng) -> list[dict]:
     return rows
 
 
+def relation_head_rows(repeats: int, rng) -> list[dict]:
+    """Time the relation head's scoring, relevance and gradient passes on one episode."""
+    n, way = 16, 5
+    head = RelationHead(build_relation_net((64, 2, 2), rng, hidden=64))
+    # encoder maps are relu'd and average-pooled, so never negative
+    protos, qs = rng.uniform(size=(way, 32, 2, 2)), rng.uniform(size=(n, 32, 2, 2))
+    weights = rng.uniform(0.0, 2.0, size=(n, 64, 2, 2))
+    scores, trace = head.scores(protos, qs)
+    scores_w, trace_w = head.scores(protos, qs, weights)
+    targets, grads = np.argmax(scores, axis=1), rng.standard_normal((n, way))
+    passes = [(None, scores, trace, grads), (weights, scores_w, trace_w, grads)]
+    ops = {
+        "scores": lambda: head.scores(protos, qs),
+        "scores_weighted": lambda: head.scores(protos, qs, weights),
+        "lrp_through_head": lambda: lrp_through_head(head, protos, qs, trace, scores,
+                                                     targets, LrpConfig()),
+        "backward": lambda: head.backward(protos, qs, passes),
+    }
+    return [{"op": op, "queries": n, "classes": way, "ms": timed(fn, repeats)}
+            for op, fn in ops.items()]
+
+
 def sweep_cell(b: int, c: int, ow: int, repeats: int, rng) -> dict:
     """Both layouts of the window kernel on one ``(B, C, ow)`` cell."""
     conv = Conv2d(rng.standard_normal((c, c, 3, 3)), np.zeros(c), padding=1)
@@ -168,6 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{row['net'] + '.' + str(row['index']) + ' ' + row['kind']:<22}"
               f"{'x'.join(map(str, row['input'])):<18}{cells}")
 
+    head_rows = relation_head_rows(args.repeats, rng)
+    print(f"\n{'relation head, 16 x 5':<22}{'ms':>16}")
+    for row in head_rows:
+        ms = row["ms"]
+        print(f"{row['op']:<22}{ms['median']:>9.3f} ±{(ms['q3'] - ms['q1']) / 2:<6.3f}")
+
     sweep = []
     spatial = tensornet._SPATIAL_MAJOR_OW
     print(f"\nspatial-major / channel-major time, median of {args.repeats}; "
@@ -190,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "spatial_major_ow": [spatial.start, spatial.stop - 1],
         "layers": layers,
+        "relation_head": head_rows,
         "sweep": sweep,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
