@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, Container, ContractError, DataFormatError, parse_dims,
-                     parse_fields, write_container)
+from .errors import (ConfigError, Container, ContractError, DataFormatError, format_dims,
+                     parse_dims, parse_fields, write_container)
 
 Array = np.ndarray
 
@@ -81,8 +81,8 @@ class Episode:
     positions in that array.  Supports and queries are both grouped
     class-major in that order, so the local labels follow from the
     shape: ``support_local`` is each class repeated ``shot`` times, and
-    ``query_local`` spreads ``n_query`` evenly with the first classes
-    taking the remainder.  ``support_images`` and ``query_images``
+    ``query_local`` is each class repeated by its :func:`query_shares`
+    entry.  ``support_images`` and ``query_images``
     gather their rows on first use and keep the copy; the dataset labels
     are gathered on each access.
     """
@@ -110,9 +110,7 @@ class Episode:
 
     @cached_property
     def query_local(self) -> Array:
-        base, extra = divmod(self.n_query, self.way)
-        local = np.arange(self.way)
-        return np.repeat(local, base + (local < extra))
+        return np.repeat(np.arange(self.way), query_shares(self.n_query, self.way))
 
     @cached_property
     def support_images(self) -> Array:
@@ -131,33 +129,36 @@ class Episode:
         return self.data.labels[self.query_rows]
 
 
+def query_shares(n_query: int, way: int) -> list[int]:
+    """Queries per class of an episode: even shares, the first classes taking the remainder."""
+    base, extra = divmod(n_query, way)
+    return [base + (k < extra) for k in range(way)]
+
+
 def sample_episode(data: LabeledImageSet, way: int, shot: int, n_query: int,
                    rng: np.random.Generator) -> Episode:
     """Draw a `way`-class episode with `shot` supports and `n_query` queries.
 
-    Eligible classes hold at least shot + ceil(n_query/way) images, so a
-    class can fill its support column and its query share without reuse.
-    Queries are spread evenly; the first classes in sampled order absorb
-    the remainder.  The episode holds row indices into ``data``; its
-    local labels follow from that class-major layout, and no image is
-    copied here.
+    Class ``k`` of the sampled order draws ``shot`` supports and entry
+    ``k`` of :func:`query_shares` as queries; eligible classes hold at
+    least ``shot`` plus the first (largest) share.  The episode holds row
+    indices into ``data``; its local labels follow from that class-major
+    layout, and no image is copied here.
     """
     if way < 2 or shot < 1 or n_query < 1:
         raise ContractError(f"invalid episode shape way={way} shot={shot} n_query={n_query}")
-    need = shot + -(-n_query // way)
+    shares = query_shares(n_query, way)
+    need = shot + shares[0]
     eligible = np.flatnonzero(data.class_counts() >= need)
     if eligible.size < way:
         raise ContractError(
             f"need {way} classes with at least {need} images each, "
             f"only {eligible.size} qualify")
     chosen = rng.choice(eligible, size=way, replace=False)
-    base, extra = divmod(n_query, way)
     support_rows: list[Array] = []
     query_rows: list[Array] = []
-    for k, cls in enumerate(chosen):
-        n_q_k = base + (1 if k < extra else 0)
-        picked = rng.choice(data.class_indices(int(cls)), size=shot + n_q_k,
-                            replace=False)
+    for cls, share in zip(chosen, shares):
+        picked = rng.choice(data.class_indices(int(cls)), size=shot + share, replace=False)
         support_rows.append(picked[:shot])
         query_rows.append(picked[shot:])
     return Episode(
@@ -393,10 +394,9 @@ def save_dataset(data: LabeledImageSet, path: str) -> None:
     tag = data.domain_tag or "untagged"
     if not (tag.isascii() and tag.replace("-", "").replace("_", "").replace(".", "").isalnum()):
         raise ContractError(f"domain tag {tag!r} is not filesystem-safe")
-    c, h, w = data.image_shape
     manifest = (f"classes={data.n_classes} "
                 f"per_class={','.join(str(int(n)) for n in data.class_counts())} "
-                f"shape={c}x{h}x{w} domain={tag}")
+                f"shape={format_dims(data.image_shape)} domain={tag}")
     write_container(path, DATASET_MAGIC, [manifest], DATASET_END,
                     [data.images[order].astype("<f4", copy=False),
                      data.labels[order].astype("<i4", copy=False)])

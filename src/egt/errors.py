@@ -6,7 +6,8 @@ problems exit 1, data problems exit 2, numeric failures exit 3.
 ``.egtd`` datasets and ``.egt1`` checkpoints share one container: a
 magic, ascii ``key=value`` header lines up to a terminator, then raw
 typed blocks (:func:`write_container`, :class:`Container`).  Each format
-keeps only its own grammar.  Every malformed file raises
+keeps only its own grammar, with its shapes written by :func:`format_dims`
+and read by :func:`parse_dims`.  Every malformed file raises
 :class:`DataFormatError`, naming the byte where it failed.
 """
 
@@ -40,6 +41,11 @@ class DataFormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric invariant broke: non-finite values, degenerate embeddings."""
+
+
+def format_dims(dims: tuple[int, ...]) -> str:
+    """``(3, 16, 16)`` -> ``"3x16x16"``, the token :func:`parse_dims` reads."""
+    return "x".join(map(str, dims))
 
 
 def parse_dims(text: str) -> tuple[int, ...]:

@@ -24,14 +24,14 @@ from the log-odds against chance (it has no logits) and explains with
 one rule, epsilon over the terms q_i * phat_i, on all query rows at
 once; its f_p is the query vector ``[D]``.  The relation head scores
 each channel-wise concatenated (prototype, query) pair with a small
-trained network whose raw logits double as the relevance
-initialization; its f_p is the pair
-``[2C, H, W]``, and query ``i``'s weights multiply each of its K pairs.
-When the relation net opens with a convolution, the head hands it the
-pairs' im2col columns: a pair's columns are its prototype's unroll
-stacked on its query's, so the K prototypes and n queries are unrolled
-once instead of the n*K pairs, with the same columns to the bit.
-Evaluation's ``block_scores`` runs the same pass unrecorded.
+trained network whose raw logits double as the relevance initialization;
+its f_p is the pair ``[2C, H, W]``, and query ``i``'s weights multiply
+each of its K pairs.  :func:`relation_pairs` builds the pair rows from
+the maps and, when the relation net opens with a convolution, that
+conv's im2col columns from the maps' unrolls, so the K prototypes and n
+queries are unrolled once instead of the n*K pairs, with the same
+columns to the bit.  Evaluation's ``block_scores`` runs the same pass
+unrecorded.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
-from .lrp import LrpConfig, lrp_backward
+from .lrp import LrpConfig, epsilon_divide, lrp_backward
 from .tensornet import Conv2d, ForwardTrace, Network
 
 Array = np.ndarray
@@ -131,16 +131,26 @@ def relevance_init_nonparametric(probs: Array) -> Array:
 
 
 def relation_pairs(protos: Array, query_maps: Array) -> Array:
-    """Channel-wise (prototype, query) concatenations: ``[n, K, 2C, H, W]``.
+    """Channel-wise (prototype, query) concatenations: ``[n, K, 2C, ...]``.
 
-    ``protos`` is ``[K, C, H, W]`` and ``query_maps`` is ``[n, C, H, W]``;
-    entry ``[i, k]`` pairs prototype ``k`` with query ``i``.
+    ``protos`` is ``[K, C, ...]`` and ``query_maps`` is ``[n, C, ...]``;
+    entry ``[i, k]`` pairs prototype ``k`` with query ``i``.  Maps give
+    the pair rows, their first-conv unrolls ``[., C*kh*kw, oh*ow]`` the columns.
     """
-    n, way = query_maps.shape[0], protos.shape[0]
-    return np.concatenate(
-        [np.broadcast_to(protos[None], (n,) + protos.shape),
-         np.broadcast_to(query_maps[:, None], (n, way) + query_maps.shape[1:])],
-        axis=2)
+    (way, c), n = protos.shape[:2], query_maps.shape[0]
+    pairs = np.empty((n, way, 2 * c) + protos.shape[2:])
+    pairs[:, :, :c] = protos
+    pairs[:, :, c:] = query_maps[:, None]
+    return pairs
+
+
+def _weigh_pairs(pairs: Array, weights: Array) -> Array:
+    """Scale ``pairs`` ``[n, K, ...]`` in place: query ``i``'s K pairs by ``weights[i]``."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != pairs.shape[:1] + pairs.shape[2:]:
+        raise ContractError(f"weight shape {w.shape} does not fit pairs {pairs.shape}")
+    pairs *= w[:, None]
+    return pairs
 
 
 def weighted_features(features: Array, weights: Array) -> Array:
@@ -183,10 +193,7 @@ def cosine_explain(query_rows: Array, protos: Array, targets, relevance: Array,
     if (pn == 0).any():
         raise NumericError("zero-norm prototype in cosine explanation")
     contrib = q * (p[targets] / pn[:, None])
-    total = contrib.sum(axis=1)
-    denom = (total + epsilon * np.where(total >= 0, 1.0, -1.0))[:, None]
-    num = relevance[:, None] * contrib
-    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0)
+    return epsilon_divide(relevance[:, None] * contrib, contrib.sum(axis=1)[:, None], epsilon)
 
 
 def _check_beta(beta: float) -> None:
@@ -265,13 +272,12 @@ class RelationHead:
         channel-wise concatenation (prototype k, query i), times
         ``weights[i]`` when weights are given.  When the net opens with a
         convolution, that layer's columns are not unrolled from the n*K
-        pair rows: a pair's columns are prototype k's unroll stacked on
-        query i's, so the K prototypes and n queries are unrolled once
-        and broadcast into place, and a weighted pass multiplies them by
-        the unroll of ``weights[i]``.  Every column is the value (and the
-        padding the ``+0.0``) that unrolling the pair rows gives, so the
-        trace and the logits are those of ``net.forward_recorded`` on the
-        pair rows, bit for bit.
+        pair rows: :func:`relation_pairs` pairs the unrolls of the K
+        prototypes and n queries as it pairs the maps, and a weighted pass
+        weighs the columns as the rows, by the unroll of ``weights[i]``.
+        Every column is the value (and the padding the ``+0.0``) that
+        unrolling the pair rows gives, so the trace and the logits are
+        those of ``net.forward_recorded`` on the pair rows, bit for bit.
         """
         return self._pass(protos, query_maps, weights, record=True)
 
@@ -292,21 +298,14 @@ class RelationHead:
         if protos.shape[1:] != q.shape[1:]:
             raise ContractError(
                 f"prototype shape {protos.shape[1:]} does not match query {q.shape[1:]}")
-        pairs = relation_pairs(protos, q)
-        if weights is not None:
-            pairs = weighted_features(pairs, np.broadcast_to(weights[:, None], pairs.shape))
         first = self.net.layers[0]
-        cols = None
-        if isinstance(first, Conv2d):
-            cp, cq = first.unroll(protos), first.unroll(q)
-            half = cp.shape[1]
-            cols = np.empty(pairs.shape[:2] + (2 * half, cp.shape[2]))
-            cols[:, :, :half] = cp
-            cols[:, :, half:] = cq[:, None]
-            if weights is not None:
-                cols *= first.unroll(weights)[:, None]
-            cols = cols.reshape((-1,) + cols.shape[2:])
-        logits, trace = self.net._run(pairs.reshape((-1,) + pairs.shape[2:]), record, cols)
+        # the pair rows from the maps, and the first conv's columns from their unrolls
+        views = [np.asarray] + ([first.unroll] if isinstance(first, Conv2d) else [])
+        built = [relation_pairs(view(protos), view(q)) for view in views]
+        if weights is not None:
+            built = [_weigh_pairs(b, view(weights)) for b, view in zip(built, views)]
+        pairs, *cols = [b.reshape((-1,) + b.shape[2:]) for b in built]
+        logits, trace = self.net._run(pairs, record, *cols)
         return logits[:, 0].reshape(q.shape[0], protos.shape[0]), trace
 
     def relevance_init(self, scores: Array, probs: Array) -> Array:
@@ -326,7 +325,7 @@ class RelationHead:
         for weights, _, trace, grads in passes:
             d_in, pg = self.net.backward_grad(trace, grads.reshape(n * way, 1))
             d_in = d_in.reshape(d_pairs.shape)
-            d_pairs += d_in if weights is None else d_in * weights[:, None]
+            d_pairs += d_in if weights is None else _weigh_pairs(d_in, weights)
             param_grads = pg if param_grads is None else [
                 None if a is None else {k: a[k] + b[k] for k in a}
                 for a, b in zip(param_grads, pg)]

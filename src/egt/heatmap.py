@@ -45,9 +45,9 @@ def read_ppm(path: str) -> Array:
         raw = fh.read()
     if not raw.startswith(b"P6"):
         raise DataFormatError("not a binary PPM file", offset=0)
-    fields: list[bytes] = []
+    fields: list[int] = []
     pos = 2
-    while len(fields) < 3:
+    for name in ("width", "height", "max value"):
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
         start = pos
@@ -55,11 +55,14 @@ def read_ppm(path: str) -> Array:
             pos += 1
         if start == pos:
             raise DataFormatError("truncated PPM header", offset=pos)
-        fields.append(raw[start:pos])
+        field = raw[start:pos]
+        if not field.isdigit() or int(field) < 1:
+            raise DataFormatError(f"PPM {name} {field!r} is not a positive integer", start)
+        fields.append(int(field))
     pos += 1
-    w, h, maxval = (int(f) for f in fields)
+    w, h, maxval = fields
     if maxval != 255:
-        raise DataFormatError(f"unsupported PPM max value {maxval}", offset=2)
+        raise DataFormatError(f"unsupported PPM max value {maxval}", offset=start)
     body = raw[pos:pos + w * h * 3]
     if len(body) != w * h * 3:
         raise DataFormatError("truncated PPM pixel data", offset=len(raw))

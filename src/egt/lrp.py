@@ -82,6 +82,13 @@ def _safe_div(num: Array, denom: Array, keep) -> Array:
     return np.divide(num, denom, out=np.zeros_like(num), where=keep)
 
 
+def epsilon_divide(num: Array, z: Array, epsilon: float) -> Array:
+    """The epsilon rule's one division: ``num / (z + epsilon*sign(z))``, ``sign(0) := +1``,
+    and 0 where that is 0; :func:`lrp_epsilon` and ``heads.cosine_explain`` divide here."""
+    denom = z + epsilon * np.where(z >= 0, 1.0, -1.0)
+    return _safe_div(num, denom, denom != 0)
+
+
 def _check_rows(layer, x: Array, *outs: Array) -> None:
     """Refuse ``x`` unless it is rows ``(B, *in_shape)``, ``outs`` unless ``(B, *out_shape)``."""
     try:
@@ -101,9 +108,7 @@ def lrp_epsilon(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array,
     _check_rows(layer, x, y, rel_out)
     if not epsilon >= 0:
         raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
-    denom = y + epsilon * np.where(y >= 0, 1.0, -1.0)
-    s = _safe_div(rel_out, denom, denom != 0)
-    return x * layer.grad_input(s, x.shape[1:])
+    return x * layer.grad_input(epsilon_divide(rel_out, y, epsilon), x.shape[1:])
 
 
 def lrp_alpha(layer: Linear | Conv2d, x: Array, y: Array, rel_out: Array) -> Array:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, Container, ContractError, DataFormatError, parse_dims,
-                     parse_fields, write_container)
+from .errors import (ConfigError, Container, ContractError, DataFormatError, format_dims,
+                     parse_dims, parse_fields, write_container)
 from .heads import (
     CosineHead,
     RelationHead,
@@ -236,16 +236,12 @@ def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
                          for e in trace.entries])
 
 
-def _shape_token(shape: tuple[int, ...]) -> str:
-    return "x".join(str(d) for d in shape)
-
-
 def describe_layer(layer: Layer) -> str:
     if isinstance(layer, Linear):
         return f"linear in={layer.weight.shape[1]} out={layer.weight.shape[0]}"
     if isinstance(layer, Conv2d):
-        o, c, kh, kw = layer.weight.shape
-        return (f"conv2d in={c} out={o} kernel={kh}x{kw} "
+        o, c = layer.weight.shape[:2]
+        return (f"conv2d in={c} out={o} kernel={format_dims(layer.weight.shape[2:])} "
                 f"stride={layer.stride} padding={layer.padding}")
     if isinstance(layer, (MaxPool2d, AvgPool2d)):
         return f"{layer.kind} kernel={layer.kernel} stride={layer.stride}"
@@ -294,10 +290,10 @@ def save_model(model: FewShotModel, path: str) -> None:
     if not isinstance(head, (CosineHead, RelationHead)):
         raise ConfigError(f"cannot save head {type(head).__name__!r}")
     lines = [f"head kind={head.kind} beta={head.beta!r}",
-             f"encoder input={_shape_token(model.encoder.input_shape)}"]
+             f"encoder input={format_dims(model.encoder.input_shape)}"]
     lines += [f"layer {describe_layer(layer)}" for layer in model.encoder.layers]
     if isinstance(head, RelationHead):
-        lines.append(f"relation input={_shape_token(head.net.input_shape)}")
+        lines.append(f"relation input={format_dims(head.net.input_shape)}")
         lines += [f"layer {describe_layer(layer)}" for layer in head.net.layers]
     write_container(path, CHECKPOINT_MAGIC, lines, CHECKPOINT_END,
                     [arr.astype("<f4") for arr in _parameters(model.networks())])

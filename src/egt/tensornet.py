@@ -213,18 +213,28 @@ class Layer:
         return {}
 
 
-class Linear(Layer):
-    kind = "linear"
+class _Parameterized(Layer):
+    """A layer with a float64 ``ndim``-d weight, no axis of it empty, and a bias per output;
+    ``backward(..., input_grad=False)`` skips the input pull-back and returns ``None`` for it."""
+
+    ndim: int
 
     def __init__(self, weight: Array, bias: Array):
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
-        _require(weight.ndim == 2, f"linear weight must be 2-d, got {weight.shape}")
+        _require(weight.ndim == self.ndim and weight.size > 0, f"{self.kind} weight must be "
+                 f"{self.ndim}-d without an empty axis, got {weight.shape}")
         _require(bias.shape == (weight.shape[0],),
-                 f"linear bias shape {bias.shape} does not match weight {weight.shape}")
-        self.weight = weight
-        self.bias = bias
+                 f"{self.kind} bias shape {bias.shape} does not match weight {weight.shape}")
+        self.weight, self.bias = weight, bias
         self.velocity: dict[str, Array] = {}
+
+    def params(self) -> dict[str, Array]:
+        return {"weight": self.weight, "bias": self.bias}
+
+
+class Linear(_Parameterized):
+    kind, ndim = "linear", 2
 
     @classmethod
     def he_init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "Linear":
@@ -240,7 +250,6 @@ class Linear(Layer):
 
     def backward(self, entry: LayerTrace, grad_out: Array,
                  input_grad: bool = True) -> tuple[Array | None, dict[str, Array]]:
-        """``input_grad=False`` skips the input pull-back and returns ``None`` in its place."""
         x = entry.input
         grad_in = self.grad_input(grad_out, x.shape[1:]) if input_grad else None
         return grad_in, {"weight": grad_out.T @ x, "bias": grad_out.sum(axis=0)}
@@ -250,11 +259,8 @@ class Linear(Layer):
         """``grad_out @ weight``, the stored weight unless given; as :meth:`Conv2d.grad_input`."""
         return grad_out @ (self.weight if weight is None else weight)
 
-    def params(self) -> dict[str, Array]:
-        return {"weight": self.weight, "bias": self.bias}
 
-
-class Conv2d(Layer):
+class Conv2d(_Parameterized):
     """2-d convolution (cross-correlation) via window unrolling.
 
     Weight layout ``(out_ch, in_ch, kh, kw)``; zero padding; square or
@@ -262,21 +268,13 @@ class Conv2d(Layer):
     keeps forward, gradient, and relevance passes on the same code path.
     """
 
-    kind = "conv2d"
+    kind, ndim = "conv2d", 4
 
     def __init__(self, weight: Array, bias: Array, stride: int = 1, padding: int = 0):
-        weight = np.asarray(weight, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        _require(weight.ndim == 4, f"conv2d weight must be 4-d, got {weight.shape}")
-        _require(bias.shape == (weight.shape[0],),
-                 f"conv2d bias shape {bias.shape} does not match weight {weight.shape}")
+        super().__init__(weight, bias)
         _require(stride >= 1, f"conv2d stride must be >= 1, got {stride}")
         _require(padding >= 0, f"conv2d padding must be >= 0, got {padding}")
-        self.weight = weight
-        self.bias = bias
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.velocity: dict[str, Array] = {}
+        self.stride, self.padding = int(stride), int(padding)
 
     @classmethod
     def he_init(cls, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
@@ -334,11 +332,7 @@ class Conv2d(Layer):
 
     def backward(self, entry: LayerTrace, grad_out: Array,
                  input_grad: bool = True) -> tuple[Array | None, dict[str, Array]]:
-        """Gradients for ``entry``, the weight's from its recorded columns.
-
-        ``input_grad=False`` skips the input pull-back and returns
-        ``None`` in its place.
-        """
+        """Gradients for ``entry``, the weight's from its recorded columns."""
         b, o = grad_out.shape[:2]
         g2 = grad_out.reshape(b, o, -1)
         dw = _summed_products(g2, entry.kept["cols"].transpose(0, 2, 1))
@@ -360,9 +354,6 @@ class Conv2d(Layer):
         dcols = np.matmul(w.reshape(o, -1).T, grad_out.reshape(b, o, oh * ow))
         return _fold(dcols.reshape(b, c, kh * kw, oh, ow), kh, kw, self.stride, h, wd,
                      self.padding)
-
-    def params(self) -> dict[str, Array]:
-        return {"weight": self.weight, "bias": self.bias}
 
 
 class ReLU(Layer):

@@ -46,6 +46,7 @@ from .errors import ConfigError, ContractError, NumericError
 
 # cosine_explain, cosine_scores, lrp_backward: not called here; benchmarks/spans.py wraps them here.
 from .heads import (
+    PROB_CLAMP_LOW,
     class_prototypes,
     cosine_explain,
     cosine_scores,
@@ -57,8 +58,6 @@ from .model import FewShotModel, save_model
 from .tensornet import sgd_step
 
 Array = np.ndarray
-
-CE_CLAMP = 1e-12
 
 
 def default_loss_weights(head_kind: str, shot: int, baseline: bool) -> tuple[float, float]:
@@ -118,7 +117,7 @@ class EpisodeResult:
 
 def cross_entropy(label: int, probs: Array) -> float:
     """Negative log probability of the true class, clamped away from 0."""
-    return -math.log(max(float(probs[label]), CE_CLAMP))
+    return -math.log(max(float(probs[label]), PROB_CLAMP_LOW))
 
 
 def lrp_weights(rel_norm: Array) -> Array:
@@ -134,14 +133,14 @@ def lrp_weights(rel_norm: Array) -> Array:
 def _softmax_ce_grads(probs: Array, labels: Array, beta: float, coef: float) -> Array:
     """d(coef * sum_i CE_i)/d(scores): beta * (p - onehot), clamp-aware.
 
-    Rows whose true-class probability sits at the CE clamp contribute a
-    locally constant loss, hence a zero gradient.
+    Rows whose true-class probability sits at the floor ``PROB_CLAMP_LOW``
+    contribute a locally constant loss, hence a zero gradient.
     """
     n = probs.shape[0]
     g = probs.copy()
     g[np.arange(n), labels] -= 1.0
     g *= beta * coef
-    g[probs[np.arange(n), labels] <= CE_CLAMP] = 0.0
+    g[probs[np.arange(n), labels] <= PROB_CLAMP_LOW] = 0.0
     return g
 
 

@@ -533,6 +533,31 @@ class TestEval:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    # the run's last conv ("in=4 out=8 kernel=3x3") rewritten with an empty
+    # axis, and the float32 parameters its header then asks for: the first
+    # conv's 4*3*9 + 4, plus the 8 biases a 0x0 kernel keeps
+    EMPTY_AXES = {"no-output-channels": (b"in=4 out=0 kernel=3x3", 112),
+                  "no-kernel": (b"in=4 out=8 kernel=0x0", 120)}
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_AXES))
+    def test_layer_with_an_empty_axis_exits_2(self, corpus, run_dir, tmp_path, capsys, case):
+        raw = (run_dir / "model.egt1").read_bytes()
+        cut = raw.index(b"\nend\n") + len(b"\nend\n")
+        fields, floats = self.EMPTY_AXES[case]
+        header = raw[:cut].replace(b"in=4 out=8 kernel=3x3", fields, 1)
+        assert header != raw[:cut]
+        bad = tmp_path / "bad.egt1"
+        bad.write_bytes(header + raw[cut:cut + 4 * floats])
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--data", str(corpus / "dark.egtd"),
+                     "--out", str(tmp_path), "--episodes", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "empty axis" in err
+        assert f"(byte offset {header.index(b'layer conv2d ' + fields)})" in err
+
+
 class TestExplain:
     def test_all_targets_write_ppm_and_npy(self, corpus, run_dir, tmp_path):
         code = main(["explain", "--checkpoint", str(run_dir / "model.egt1"),

@@ -9,10 +9,11 @@ from egt.data import (
     LabeledImageSet,
     gen_synthetic_domains,
     load_dataset,
+    query_shares,
     sample_episode,
     save_dataset,
 )
-from egt.errors import ConfigError, ContractError, DataFormatError
+from egt.errors import ConfigError, ContractError, DataFormatError, format_dims, parse_dims
 
 from util_nets import FUZZ_BYTES, loads_or_fails_cleanly, with_f4
 
@@ -114,6 +115,20 @@ class TestSampleEpisode:
                             rng=np.random.default_rng(7))
         counts = np.bincount(ep.query_local, minlength=5)
         np.testing.assert_array_equal(counts, [3, 3, 3, 2, 2])
+
+    @pytest.mark.parametrize("n_query, way, shares", [
+        (16, 5, [4, 3, 3, 3, 3]), (13, 5, [3, 3, 3, 2, 2]), (3, 5, [1, 1, 1, 0, 0]),
+        (10, 5, [2, 2, 2, 2, 2]), (1, 2, [1, 0])])
+    def test_query_shares(self, n_query, way, shares):
+        assert query_shares(n_query, way) == shares
+
+    def test_eligibility_needs_the_largest_share(self):
+        # 3 queries over 2 classes: shares [2, 1], so a class needs shot + 2
+        data = _toy_set([2, 3, 3])
+        for seed in range(20):
+            ep = sample_episode(data, 2, 1, 3, np.random.default_rng(seed))
+            assert 0 not in ep.classes
+            np.testing.assert_array_equal(ep.query_local, [0, 0, 1])
 
     def test_determinism(self):
         data = _toy_set([6] * 8)
@@ -284,6 +299,22 @@ class TestDatasetIo:
         np.testing.assert_array_equal(loaded.labels, [0, 0, 1, 1])
         np.testing.assert_array_equal(loaded.images[0], images[1])
         np.testing.assert_array_equal(loaded.images[2], images[0])
+
+    def test_manifest_text(self, tmp_path):
+        # a non-square shape pins the CxHxW order of the dims token
+        images = np.zeros((5, 3, 4, 2), dtype=np.float32)
+        data = LabeledImageSet(images, np.array([1, 0, 1, 0, 1], np.int32), domain_tag="toy")
+        path = tmp_path / "toy.egtd"
+        save_dataset(data, str(path))
+        raw = path.read_bytes()
+        manifest = b"EGTD classes=2 per_class=2,3 shape=3x4x2 domain=toy\n"
+        assert raw[:raw.index(b"\n") + 1] == manifest
+        assert len(raw) - raw.index(b"\n") - 1 == 5 * 3 * 4 * 2 * 4 + 5 * 4
+
+    @pytest.mark.parametrize("dims", [(3, 16, 16), (3, 1), (7,), (0, 2)])
+    def test_dims_token_round_trip(self, dims):
+        assert format_dims(dims) == "x".join(str(d) for d in dims)
+        assert parse_dims(format_dims(dims)) == dims
 
     @pytest.mark.parametrize("tag", ["café", "a b", "x/y", "ｄａｒｋ"])
     def test_unsafe_tag_refused_before_writing(self, tmp_path, tag):

@@ -449,6 +449,25 @@ class TestHeatmap:
             render_heatmap(np.ones((2, 2)), str(tmp_path / "c.ppm"),
                            underlay=np.ones((1, 3, 3)))
 
+    # header -> the byte of the field at fault
+    BAD_PPM_FIELDS = {
+        "non-numeric-width": (b"P6\nab 2\n255\n", 3),
+        "zero-width": (b"P6\n0 2\n255\n", 3),
+        "negative-height": (b"P6\n2 -1\n255\n", 5),
+        "signed-height": (b"P6\n2 +2\n255\n", 5),
+        "non-numeric-max-value": (b"P6\n2 2\n25x\n", 7),
+        "unsupported-max-value": (b"P6\n2 2\n65535\n", 7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_PPM_FIELDS))
+    def test_read_ppm_refuses_bad_header_fields(self, tmp_path, case):
+        header, offset = self.BAD_PPM_FIELDS[case]
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(DataFormatError) as info:
+            read_ppm(str(path))
+        assert info.value.offset == offset
+
     def test_read_ppm_rejects_foreign(self, tmp_path):
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P5\n2 2\n255\n....")

@@ -323,6 +323,19 @@ class TestRelationHead:
         with pytest.raises(ContractError, match="prototype shape"):
             head.scores(np.ones((4, 1, 2, 2)), np.ones((1, 1, 3, 3)))
 
+    @pytest.mark.parametrize("conv", [False, True])
+    @pytest.mark.parametrize("shape", [(3, 4, 2, 2), (2, 4, 2, 1), (2, 1, 1, 1), (2, 2, 2, 2)])
+    def test_weight_shape_checked(self, conv, shape):
+        # weights are one f_p per query, [n, 2C, H, W]; nothing broadcasts
+        rng = np.random.default_rng(11)
+        net = (build_relation_net((4, 2, 2), rng, hidden=3) if conv
+               else _relation_net(rng, 4, 2))
+        head = RelationHead(net)
+        protos, qs = rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(2, 2, 2, 2))
+        head.scores(protos, qs, np.ones((2, 4, 2, 2)))
+        with pytest.raises(ContractError, match="weight shape"):
+            head.scores(protos, qs, np.ones(shape))
+
     def test_two_logit_net_rejected(self):
         rng = np.random.default_rng(10)
         net = Network((2, 2, 2), [Flatten(), Linear.he_init(8, 2, rng)])

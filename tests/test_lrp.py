@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from egt.errors import ConfigError, ContractError
-from egt.lrp import (LrpConfig, lrp_alpha, lrp_backward, lrp_epsilon,
+from egt.lrp import (LrpConfig, epsilon_divide, lrp_alpha, lrp_backward, lrp_epsilon,
                      lrp_passthrough, normalize_relevance)
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, LayerTrace, Linear,
                            MaxPool2d, Network, ReLU)
@@ -64,6 +64,23 @@ class TestEpsilonRule:
         layer, x, y = _run_linear([[1.0, -1.0]], [1.0, 1.0])
         rel = lrp_epsilon(layer, x, y, np.array([[1.0]]), epsilon=0.5)
         np.testing.assert_allclose(rel, [[2.0, -2.0]])
+
+
+class TestEpsilonDivide:
+    def test_hand_values(self):
+        # sign(0) is +1, so z = 0 divides by +epsilon
+        got = epsilon_divide(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, -1.0, 2.0, -0.5]), 0.5)
+        np.testing.assert_array_equal(got, [2.0, 2.0 / -1.5, 1.2, -4.0])
+
+    def test_zero_denominator_gives_plus_zero(self):
+        got = epsilon_divide(np.array([-1.0, 1.0]), np.array([0.0, -0.0]), 0.0)
+        np.testing.assert_array_equal(got, [0.0, 0.0])
+        assert not np.signbit(got).any()
+
+    def test_broadcasts_one_denominator_per_row(self):
+        num = np.arange(6.0).reshape(2, 3)
+        z = np.array([[2.0], [-4.0]])
+        np.testing.assert_array_equal(epsilon_divide(num, z, 1.0), num / np.array([[3.0], [-5.0]]))
 
 
 class TestAlphaRule:

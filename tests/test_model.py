@@ -10,6 +10,7 @@ from egt.model import (
     build_encoder,
     build_model,
     build_relation_net,
+    describe_layer,
     episode_probs,
     explain_input,
     load_model,
@@ -18,7 +19,7 @@ from egt.model import (
 )
 from egt import model as model_module
 from egt.lrp import LrpConfig, lrp_backward
-from egt.tensornet import Flatten, Linear, Network
+from egt.tensornet import Conv2d, Flatten, Linear, Network
 
 from util_nets import FUZZ_BYTES, count_grad_input, loads_or_fails_cleanly, with_f4
 
@@ -146,6 +147,41 @@ class TestCheckpoint:
         np.testing.assert_array_equal(_param_blob(loaded), want)
         assert loaded.head.kind == head
         assert loaded.encoder.input_shape == (1, 16, 16)
+
+    def test_header_text(self, tmp_path):
+        model = build_model("relation", (3, 16, 16), np.random.default_rng(0),
+                            widths=(4, 8), beta=2.5, hidden=6)
+        path = tmp_path / "m.egt1"
+        save_model(model, str(path))
+        raw = path.read_bytes()
+        cut = raw.index(b"\nend\n") + len(b"\nend\n")
+        assert raw[:cut].decode("ascii").split("\n") == [
+            "EGT1",
+            "head kind=relation beta=2.5",
+            "encoder input=3x16x16",
+            "layer conv2d in=3 out=4 kernel=3x3 stride=1 padding=1",
+            "layer relu",
+            "layer maxpool2d kernel=2 stride=2",
+            "layer conv2d in=4 out=8 kernel=3x3 stride=1 padding=1",
+            "layer relu",
+            "layer avgpool2d kernel=2 stride=2",
+            "relation input=16x4x4",
+            "layer conv2d in=16 out=8 kernel=3x3 stride=1 padding=1",
+            "layer relu",
+            "layer avgpool2d kernel=2 stride=2",
+            "layer flatten",
+            "layer linear in=32 out=6",
+            "layer relu",
+            "layer linear in=6 out=1",
+            "end",
+            "",
+        ]
+        params = 4 * 3 * 9 + 4 + 8 * 4 * 9 + 8 + 8 * 16 * 9 + 8 + 32 * 6 + 6 + 6 + 1
+        assert len(raw) - cut == 4 * params
+
+    def test_kernel_token_is_height_by_width(self):
+        conv = Conv2d(np.zeros((2, 1, 3, 1)), np.zeros(2), stride=2)
+        assert describe_layer(conv) == "conv2d in=1 out=2 kernel=3x1 stride=2 padding=0"
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -274,6 +274,27 @@ class TestInitAndDescriptions:
         w2 = he_uniform((50, 20), fan_in=20, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(w, w2)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Linear(np.zeros((0, 3)), np.zeros(0)), "empty axis"),
+        (lambda: Linear(np.zeros((4, 0)), np.zeros(4)), "empty axis"),
+        (lambda: Conv2d(np.zeros((0, 3, 3, 3)), np.zeros(0)), "empty axis"),
+        (lambda: Conv2d(np.zeros((4, 0, 3, 3)), np.zeros(4)), "empty axis"),
+        (lambda: Conv2d(np.zeros((4, 3, 0, 0)), np.zeros(4)), "empty axis"),
+        (lambda: Linear(np.zeros((2, 3, 1)), np.zeros(2)), "linear weight must be 2-d"),
+        (lambda: Conv2d(np.zeros((2, 3)), np.zeros(2)), "conv2d weight must be 4-d"),
+        (lambda: Linear(np.zeros((2, 3)), np.zeros(3)), "linear bias shape"),
+        (lambda: Conv2d(np.zeros((2, 1, 3, 3)), np.zeros((2, 1))), "conv2d bias shape"),
+    ], ids=["linear-out", "linear-in", "conv-out", "conv-in", "conv-kernel",
+            "linear-3d", "conv-2d", "linear-bias", "conv-bias"])
+    def test_parameter_checks(self, make, message):
+        with pytest.raises(ContractError, match=message):
+            make()
+
+    def test_parameters_are_float64_copies_of_int_input(self):
+        layer = Conv2d(np.ones((2, 1, 1, 1), dtype=np.int32), [1, 2])
+        assert layer.weight.dtype == layer.bias.dtype == np.float64
+        assert set(layer.params()) == {"weight", "bias"} and layer.velocity == {}
+
     def test_describe_round_trip(self):
         rng = np.random.default_rng(2)
         layers = [rand_conv(rng, 3, 8, 3, stride=1, padding=1), ReLU(),
