@@ -27,9 +27,10 @@ import numpy as np
 from .data import GeneratorSpec, gen_synthetic_domains, load_dataset, sample_episode, save_dataset
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
 from .evaluation import TransductiveConfig, dataset_feature_stats, evaluate
-from .heatmap import render_heatmap
+from .heatmap import DEFAULT_BLEND, render_heatmap
 from .lrp import LrpConfig
-from .model import build_model, explain_input, load_model, save_model
+from .model import (DEFAULT_HIDDEN, DEFAULT_WIDTHS, build_model, explain_input, load_model,
+                    save_model)
 from .training import TrainConfig, default_loss_weights, train
 
 EXIT_OK = 0
@@ -71,13 +72,15 @@ def _at_least(n: int) -> tuple:
     return (lambda v: v >= n, f"at least {n}")
 
 
-# Settings several commands share.
+# Settings several commands share.  A default the library also has is
+# read from its owner; a list setting holds it comma-joined.
 _PATH = (str, REQUIRED, None)
 _INPUTS = {"checkpoint": _PATH, "data": _PATH, "out": _PATH}
-_EPISODE = {"way": (int, 5, _at_least(2)), "shot": (int, 5, _at_least(1)),
-            "queries": (int, 16, _at_least(1))}
+_EPISODE = {"way": (int, TrainConfig.way, _at_least(2)),
+            "shot": (int, TrainConfig.shot, _at_least(1)),
+            "queries": (int, TrainConfig.n_query, _at_least(1))}
 _SEED = {"seed": (int, 0, _at_least(0))}
-_LRP = {"epsilon": (finite_float, 0.001, None)}
+_LRP = {"epsilon": (finite_float, LrpConfig.epsilon, None)}
 _RESOLVED_BY_TRAIN = (finite_float, None, None)
 
 # command -> key -> (kind, default, range).  A kind is a type, a tuple of
@@ -86,29 +89,34 @@ _RESOLVED_BY_TRAIN = (finite_float, None, None)
 # A range is (accepts, what is accepted) or None.
 SETTINGS = {
     "gen-data": {
-        "out": _PATH, "classes": (int, 20, None), "per_class": (int, 60, None),
-        "height": (int, 32, None), "width": (int, 32, None),
-        "domains": (str, "bright,dark", None), **_SEED,
-        "min_gap": (finite_float, 0.05, None), "max_primitives": (int, 3, None)},
+        "out": _PATH, "classes": (int, GeneratorSpec.classes, None),
+        "per_class": (int, GeneratorSpec.images_per_class, None),
+        "height": (int, GeneratorSpec.height, None), "width": (int, GeneratorSpec.width, None),
+        "domains": (str, ",".join(GeneratorSpec.domains), None), **_SEED,
+        "min_gap": (finite_float, GeneratorSpec.min_channel_gap, None),
+        "max_primitives": (int, GeneratorSpec.max_primitives, None)},
     "train": {
         "data": _PATH, "out": _PATH, "mode": (("egt", "baseline"), "egt", None),
         "head": (("cosine", "relation"), "cosine", None), **_EPISODE,
-        "epochs": (int, 100, None), "episodes_per_epoch": (int, 100, None),
-        "lr": (finite_float, 1e-3, None), "momentum": (finite_float, 0.9, None),
+        "epochs": (int, TrainConfig.epochs, None),
+        "episodes_per_epoch": (int, TrainConfig.episodes_per_epoch, None),
+        "lr": (finite_float, TrainConfig.lr, None),
+        "momentum": (finite_float, TrainConfig.momentum, None),
         "xi": _RESOLVED_BY_TRAIN, "lam": _RESOLVED_BY_TRAIN, "beta": _RESOLVED_BY_TRAIN,
-        **_LRP, "lr_decay": (finite_float, 0.5, None), "lr_decay_every": (int, 40, None),
-        **_SEED, "widths": (str, "8,16,32", (lambda v: min(_parse_ints(v, "widths")) >= 1,
-                                             "a list of positive ints")),
-        "hidden": (int, 64, _at_least(1))},
+        **_LRP, "lr_decay": (finite_float, TrainConfig.lr_decay, None),
+        "lr_decay_every": (int, TrainConfig.lr_decay_every, None), **_SEED,
+        "widths": (str, ",".join(map(str, DEFAULT_WIDTHS)),
+                   (lambda v: min(_parse_ints(v, "widths")) >= 1, "a list of positive ints")),
+        "hidden": (int, DEFAULT_HIDDEN, _at_least(1))},
     "eval": {  # "data" keeps its place in _INPUTS but takes one or more files
         **_INPUTS, "data": (list, REQUIRED, None), **_EPISODE,
-        "episodes": (int, 2000, _at_least(1)), **_SEED,
-        "transductive": (bool, False, None), "iterations": (int, 2, None),
-        "candidates": (str, "4,8", None)},
+        "episodes": (int, 2000, _at_least(1)), **_SEED, "transductive": (bool, False, None),
+        "iterations": (int, TransductiveConfig.iterations, None),
+        "candidates": (str, ",".join(map(str, TransductiveConfig.candidates_per_iter)), None)},
     "explain": {
         **_INPUTS, **_EPISODE, **_SEED, "query": (int, 0, None),
         "targets": (("all", "predicted"), "all", None), **_LRP,
-        "blend": (finite_float, 0.6, (lambda v: 0 <= v <= 1, "between 0 and 1"))},
+        "blend": (finite_float, DEFAULT_BLEND, (lambda v: 0 <= v <= 1, "between 0 and 1"))},
     "stats": {
         **_INPUTS,
         "limit": (int, 0, (lambda v: v == 0 or v >= 2, "0 (all images) or at least 2"))},
@@ -228,11 +236,8 @@ def _cmd_gen_data(params: dict) -> None:
 
 def _train_config(params: dict) -> TrainConfig:
     baseline = params["mode"] == "baseline"
-    xi, lam = default_loss_weights(params["head"], params["shot"], baseline)
-    if params["xi"] is not None:
-        xi = params["xi"]
-    if params["lam"] is not None:
-        lam = params["lam"]
+    defaults = default_loss_weights(params["head"], params["shot"], baseline)
+    xi, lam = (d if params[k] is None else params[k] for k, d in zip(("xi", "lam"), defaults))
     if baseline and lam != 0.0:
         raise ConfigError("baseline mode requires lam=0")
     return TrainConfig(
@@ -256,14 +261,11 @@ def _cmd_train(params: dict) -> None:
         beta=params["beta"], hidden=params["hidden"])
     params["beta"] = model.head.beta
 
-    def stream():
-        while True:
-            yield sample_episode(data, cfg.way, cfg.shot, cfg.n_query,
-                                 rng_episodes)
-
+    stream = iter(lambda: sample_episode(data, cfg.way, cfg.shot, cfg.n_query, rng_episodes),
+                  None)  # endless: an episode is never None
     log_path = os.path.join(params["out"], "train_log.csv")
     ckpt_path = os.path.join(params["out"], "model.egt1")
-    rows = train(model, stream(), cfg, log_path=log_path,
+    rows = train(model, stream, cfg, log_path=log_path,
                  checkpoint_path=ckpt_path)
     if rows:
         tail = rows[-min(len(rows), cfg.episodes_per_epoch):]
@@ -284,11 +286,9 @@ def _cmd_eval(params: dict) -> None:
             raise ConfigError(f"more than one --data file has the stem {stem!r}; "
                               f"each would write eval_{stem}.csv")
     model = load_model(params["checkpoint"])
-    trans = None
-    if params["transductive"]:
-        trans = TransductiveConfig(
-            iterations=params["iterations"],
-            candidates_per_iter=_parse_ints(params["candidates"], "candidates"))
+    trans = (TransductiveConfig(params["iterations"],
+                                _parse_ints(params["candidates"], "candidates"))
+             if params["transductive"] else None)
     for path, stem in zip(paths, stems):
         data = load_dataset(path)
         rng = np.random.default_rng([params["seed"], 2])

@@ -10,7 +10,7 @@ import numpy as np
 from .data import Episode, LabeledImageSet, sample_episode
 from .errors import ConfigError, ContractError
 from .heads import class_prototypes  # noqa: F401 -- not called here; benchmarks/spans.py wraps it
-from .heads import class_sums
+from .heads import class_means, class_sums
 from .model import FewShotModel, probs_from_maps
 
 Array = np.ndarray
@@ -23,7 +23,6 @@ class EvalReport:
     ci95: float
     episodes: int
     degenerate: bool
-    config: dict
 
 
 def confidence_interval(values) -> tuple[float, float, bool]:
@@ -76,11 +75,10 @@ def _block_predictions(model: FewShotModel, sums: Array, counts: Array, query_ma
     n = query_maps.shape[1]
     eps = np.arange(len(query_maps))
     counts = np.tile(counts, (len(eps), 1))
-    per_map = (...,) + (None,) * (sums.ndim - 2)  # counts [E, K] against maps [E, K, ...]
     absorbed = np.zeros(query_maps.shape[:2], dtype=bool)
     rounds = []
     for t in range(cfg.iterations):
-        probs = probs_from_maps(model, sums / counts[per_map], query_maps)
+        probs = probs_from_maps(model, class_means(sums, counts), query_maps)
         left = n - sum(c.shape[1] for c in rounds)
         want = cfg.candidates_per_iter[t]
         take = min(want, left)
@@ -96,8 +94,7 @@ def _block_predictions(model: FewShotModel, sums: Array, counts: Array, query_ma
             sums[eps, labels[:, j]] += query_maps[eps, chosen[:, j]]
             counts[eps, labels[:, j]] += 1
         rounds.append(chosen)
-    protos = sums / counts[per_map]
-    return probs_from_maps(model, protos, query_maps).argmax(axis=-1), rounds
+    return probs_from_maps(model, class_means(sums, counts), query_maps).argmax(axis=-1), rounds
 
 
 def transductive_infer(model: FewShotModel, support_maps: Array, support_local: Array,
@@ -191,14 +188,8 @@ def evaluate(model: FewShotModel, data: LabeledImageSet, way: int, shot: int,
         accs.append(_block_accuracies(model, block, maps, cfg))
     accs = np.concatenate(accs)
     mean, ci95, degenerate = confidence_interval(accs)
-    config = {"way": way, "shot": shot, "n_query": n_query,
-              "episodes": episodes, "domain": data.domain_tag,
-              "transductive": transductive is not None}
-    if transductive is not None:
-        config["iterations"] = transductive.iterations
-        config["candidates_per_iter"] = list(transductive.candidates_per_iter)
     return EvalReport(accuracies=accs, mean=mean, ci95=ci95,
-                      episodes=episodes, degenerate=degenerate, config=config)
+                      episodes=episodes, degenerate=degenerate)
 
 
 def spatial_quantile_pool(feature_map: Array, q: float) -> Array:

@@ -78,13 +78,14 @@ def class_sums(features: Array, labels: Array, num_classes: int) -> tuple[Array,
     return sums, counts
 
 
-def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
-    """Mean support embedding per class; labels are episode-local 0..K-1.
+def class_means(sums: Array, counts: Array) -> Array:
+    """Per-class sums ``[..., K, ...]`` divided by their counts ``[..., K]``, as ``mean`` does."""
+    return sums / counts.reshape(counts.shape + (1,) * (sums.ndim - counts.ndim))
 
-    Each class's sum divided by its count, which is what ``mean`` does.
-    """
-    sums, counts = class_sums(features, labels, num_classes)
-    return sums / counts.reshape((-1,) + (1,) * (sums.ndim - 1))
+
+def class_prototypes(features: Array, labels: Array, num_classes: int) -> Array:
+    """Mean support embedding per class; labels are episode-local 0..K-1."""
+    return class_means(*class_sums(features, labels, num_classes))
 
 
 def cosine_scores(query_feat: Array, protos: Array) -> Array:

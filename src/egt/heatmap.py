@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ContractError, DataFormatError
 
 Array = np.ndarray
+DEFAULT_BLEND = 0.6  # render_heatmap's share of heat color in a pixel over an underlay
 
 
 def relevance_to_rgb(relevance: Array) -> Array:
@@ -70,7 +71,7 @@ def read_ppm(path: str) -> Array:
 
 
 def render_heatmap(relevance: Array, path: str, underlay: Array | None = None,
-                   alpha: float = 0.6) -> Array:
+                   alpha: float = DEFAULT_BLEND) -> Array:
     """Render input-level relevance to a PPM file; returns the pixels.
 
     A [C, H, W] relevance tensor is summed over channels first.  With an

@@ -57,7 +57,8 @@ Array = np.ndarray
 CHECKPOINT_MAGIC = b"EGT1\n"
 CHECKPOINT_END = b"\nend\n"
 
-DEFAULT_WIDTHS = (8, 16, 32)
+DEFAULT_WIDTHS = (8, 16, 32)  # encoder conv widths, one pooled block each
+DEFAULT_HIDDEN = 64  # the relation net's dense hidden width
 
 
 @dataclass
@@ -116,7 +117,7 @@ def build_encoder(in_shape: tuple[int, int, int], rng: np.random.Generator,
 
 
 def build_relation_net(pair_shape: tuple[int, int, int], rng: np.random.Generator,
-                       hidden: int = 64) -> Network:
+                       hidden: int = DEFAULT_HIDDEN) -> Network:
     """Pair scorer: conv block, pooled, then a two-layer dense tail to one logit."""
     c2, h, w = pair_shape
     if c2 % 2:
@@ -134,14 +135,14 @@ def build_relation_net(pair_shape: tuple[int, int, int], rng: np.random.Generato
 
 def build_model(head_kind: str, in_shape: tuple[int, int, int],
                 rng: np.random.Generator, widths: tuple[int, ...] = DEFAULT_WIDTHS,
-                beta: float | None = None, hidden: int = 64) -> FewShotModel:
+                beta: float | None = None, hidden: int = DEFAULT_HIDDEN) -> FewShotModel:
     encoder = build_encoder(in_shape, rng, widths)
     c, h, w = encoder.output_shape
+    given = {} if beta is None else {"beta": beta}
     if head_kind == "cosine":
-        head = CosineHead(beta=7.0 if beta is None else beta)
+        head = CosineHead(**given)
     elif head_kind == "relation":
-        net = build_relation_net((2 * c, h, w), rng, hidden=hidden)
-        head = RelationHead(net, beta=1.0 if beta is None else beta)
+        head = RelationHead(build_relation_net((2 * c, h, w), rng, hidden=hidden), **given)
     else:
         raise ConfigError(f"unknown head kind {head_kind!r}")
     return FewShotModel(encoder, head)
@@ -270,8 +271,11 @@ def layer_from_description(text: str) -> Layer:
         return Linear(np.zeros((kv["out"], kv["in"])), np.zeros(kv["out"]))
     if kind == "conv2d":
         kh, kw = kv["kernel"]
-        return Conv2d(np.zeros((kv["out"], kv["in"], kh, kw)), np.zeros(kv["out"]),
+        conv = Conv2d(np.zeros((kv["out"], kv["in"], kh, kw)), np.zeros(kv["out"]),
                       stride=kv["stride"], padding=kv["padding"])
+        if conv.padding >= min(kh, kw):  # border outputs would see only zeros
+            raise ContractError(f"conv2d padding {conv.padding} is not below kernel {kh}x{kw}")
+        return conv
     if kind == "maxpool2d":
         return MaxPool2d(kv["kernel"], kv["stride"])
     if kind == "avgpool2d":

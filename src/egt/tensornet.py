@@ -57,6 +57,14 @@ def _require(cond: bool, message: str) -> None:
         raise ContractError(message)
 
 
+def _out_sides(sides, kh: int, kw: int, stride: int, padding: int = 0) -> tuple[int, int]:
+    """Output height and width of ``kh x kw`` windows over ``sides`` padded by ``padding``."""
+    h, w = sides[0] + 2 * padding, sides[1] + 2 * padding
+    _require(h >= kh and w >= kw,
+             f"kernel {kh}x{kw} larger than {'padded ' * bool(padding)}input {h}x{w}")
+    return (h - kh) // stride + 1, (w - kw) // stride + 1
+
+
 # Output widths ``ow`` for which the window kernel works spatial-major.
 # ``tools/layer_bench.py`` sweeps both layouts (3x3 conv, padding 1, B*C
 # 16..5120): at ``ow`` 2 and 4 the spatial-major fold runs at 0.1-0.9x the
@@ -287,11 +295,7 @@ class Conv2d(_Parameterized):
         _require(len(in_shape) == 3, f"expects (C, H, W) input, got {in_shape}")
         o, c, kh, kw = self.weight.shape
         _require(in_shape[0] == c, f"expects {c} input channels, got {in_shape[0]}")
-        h = in_shape[1] + 2 * self.padding
-        w = in_shape[2] + 2 * self.padding
-        _require(h >= kh and w >= kw,
-                 f"kernel {kh}x{kw} larger than padded input {h}x{w}")
-        return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
+        return (o, *_out_sides(in_shape[1:], kh, kw, self.stride, self.padding))
 
     def unroll(self, x: Array) -> Array:
         """The im2col columns ``(B, C*kh*kw, oh*ow)`` of rows ``x``, zero-padded.
@@ -304,7 +308,7 @@ class Conv2d(_Parameterized):
         b, c, h, w = x.shape
         _, _, kh, kw = self.weight.shape
         p, s = self.padding, self.stride
-        oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+        oh, ow = _out_sides((h, w), kh, kw, s, p)
         xp = x
         if p:  # a plain copy into zeros: ``np.pad``'s own cost dwarfs it on small batches
             xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -379,9 +383,7 @@ class _Pool(Layer):
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         _require(len(in_shape) == 3, f"expects (C, H, W) input, got {in_shape}")
         c, h, w = in_shape
-        k, s = self.kernel, self.stride
-        _require(h >= k and w >= k, f"pool kernel {k} larger than input {h}x{w}")
-        return (c, (h - k) // s + 1, (w - k) // s + 1)
+        return (c, *_out_sides((h, w), self.kernel, self.kernel, self.stride))
 
     def windows(self, x: Array) -> Array:
         _, oh, ow = self.out_shape(x.shape[1:])

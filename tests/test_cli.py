@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from egt import cli
 from egt.cli import REQUIRED, SETTINGS, _config_value, build_parser, finite_float, main
 from egt.data import LabeledImageSet, load_dataset, save_dataset
 
@@ -227,6 +228,47 @@ class TestConfigValues:
         loaded = _config_value(kind, key, default)
         assert (type(loaded), loaded) == (type(default), default)
         assert check is None or check[0](default)
+
+    # What each command resolves from only its required settings, paths
+    # aside.  The defaults are read from the library's owners, so one that
+    # moves there shows here.  ``train`` resolves xi and lam by head and
+    # mode, and beta from the head it builds.
+    _EPISODE = {"way": 5, "shot": 5, "queries": 16, "seed": 0}
+    RESOLVED = {
+        "gen-data": {"classes": 20, "per_class": 60, "height": 32, "width": 32,
+                     "domains": "bright,dark", "seed": 0, "min_gap": 0.05,
+                     "max_primitives": 3},
+        "train": {**_EPISODE, "mode": "egt", "head": "cosine", "epochs": 100,
+                  "episodes_per_epoch": 100, "lr": 0.001, "momentum": 0.9, "xi": 0.0,
+                  "lam": 1.0, "beta": 7.0, "epsilon": 0.001, "lr_decay": 0.5,
+                  "lr_decay_every": 40, "widths": "8,16,32", "hidden": 64},
+        "eval": {**_EPISODE, "episodes": 2000, "transductive": False, "iterations": 2,
+                 "candidates": "4,8"},
+        "explain": {**_EPISODE, "query": 0, "targets": "all", "epsilon": 0.001,
+                    "blend": 0.6},
+        "stats": {"limit": 0},
+    }
+    RELATION = {**RESOLVED["train"], "head": "relation", "xi": 1.0, "beta": 1.0}
+
+    @pytest.mark.parametrize("command,head", [
+        ("gen-data", None), ("train", None), ("train", "relation"), ("eval", None),
+        ("explain", None), ("stats", None)])
+    def test_resolved_defaults(self, corpus, run_dir, tmp_path, monkeypatch, command, head):
+        # the training loop is stubbed out: its defaults ask for 10,000 episodes
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: [])
+        paths = {"out": str(tmp_path), "data": str(corpus / "dark.egtd"),
+                 "checkpoint": str(run_dir / "model.egt1")}
+        required = [k for k, (_, default, _) in SETTINGS[command].items() if default is REQUIRED]
+        argv = [command] + [a for k in required for a in ("--" + k, paths[k])]
+        assert main(argv + (["--head", head] if head else [])) == 0
+        echoed = json.loads((tmp_path / f"{command}.config.json").read_text())
+        assert echoed.pop("command") == command
+        echoed_paths = {k: echoed.pop(k) for k in required}
+        assert echoed_paths == {k: [paths[k]] if (command, k) == ("eval", "data") else paths[k]
+                                for k in required}
+        want = self.RELATION if head else self.RESOLVED[command]
+        assert echoed == want
+        assert {k: type(v) for k, v in echoed.items()} == {k: type(v) for k, v in want.items()}
 
     def test_config_for_another_command_exits_1(self, run_dir, tmp_path, capsys):
         cfg_path = tmp_path / "train.json"
@@ -556,6 +598,23 @@ class TestEval:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "empty axis" in err
         assert f"(byte offset {header.index(b'layer conv2d ' + fields)})" in err
+
+    @pytest.mark.parametrize("padding", [10 ** 6, 10 ** 9])
+    def test_conv_padding_of_a_kernel_side_exits_2(self, corpus, run_dir, tmp_path, capsys,
+                                                   padding):
+        # such a padding made the encoder's map petabytes large, and eval
+        # died allocating it (10**6) or shaping it (10**9)
+        raw = (run_dir / "model.egt1").read_bytes()
+        line = b"layer conv2d in=4 out=8 kernel=3x3 stride=1 padding=1"
+        bad = tmp_path / "bad.egt1"
+        bad.write_bytes(raw.replace(line, line[:-1] + str(padding).encode(), 1))
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(corpus / "dark.egtd"),
+                     "--out", str(tmp_path), "--episodes", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"padding {padding} is not below kernel 3x3" in err
+        assert f"(byte offset {raw.index(line)})" in err
 
 
 class TestExplain:

@@ -86,15 +86,6 @@ class TestEvaluate:
         report = evaluate(model, data, 3, 2, 6, 1, np.random.default_rng(13))
         assert report.degenerate and report.ci95 == 0.0
 
-    def test_config_echo(self):
-        data = _toy_set([6] * 8, seed=14)
-        model = _tiny_model(seed=15)
-        report = evaluate(model, data, 3, 2, 6, 2, np.random.default_rng(16),
-                          transductive=TransductiveConfig(1, (2,)))
-        assert report.config["transductive"] is True
-        assert report.config["domain"] == "toy"
-        assert report.config["candidates_per_iter"] == [2]
-
 
 @pytest.fixture(scope="module")
 def corpus():

@@ -305,6 +305,24 @@ class TestInitAndDescriptions:
             for name, arr in layer.params().items():
                 assert clone.params()[name].shape == arr.shape
 
+    @pytest.mark.parametrize("kernel,padding,loads", [
+        ("3x3", 2, True), ("3x3", 3, False), ("3x1", 0, True), ("3x1", 1, False),
+        ("1x1", 0, True), ("1x1", 2, False)])
+    def test_description_refuses_a_padding_of_a_kernel_side(self, kernel, padding, loads):
+        # such a padding only adds outputs that see nothing but zeros
+        text = f"conv2d in=2 out=4 kernel={kernel} stride=1 padding={padding}"
+        if loads:
+            assert describe_layer(layer_from_description(text)) == text
+        else:
+            with pytest.raises(ContractError, match="is not below kernel"):
+                layer_from_description(text)
+
+    def test_unroll_skips_the_channel_check(self):
+        conv = Conv2d(np.zeros((3, 4, 3, 3)), np.zeros(3), padding=1)
+        assert conv.unroll(np.ones((1, 2, 5, 5))).shape == (1, 2 * 9, 25)
+        with pytest.raises(ContractError, match="expects 4 input channels"):
+            conv.out_shape((2, 5, 5))
+
 
 # --- the window kernel: both memory layouts against a channel-major loop ---
 

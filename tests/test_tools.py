@@ -2,7 +2,9 @@
 
 ``tools/eval_bench.py`` imports the ``infer`` shapes from
 ``benchmarks/bench.py`` and the tracer from ``benchmarks/spans.py``;
-``tools/layer_bench.py`` imports private names of the tensor stack.  No
+``tools/layer_bench.py`` imports private names of the tensor stack;
+``tools/gate_bench.py`` imports the gate's schedule from
+``tests/test_acceptance.py``.  No
 other test runs them, so a rename in the package or the benchmark would
 break them unnoticed.  Each tool is loaded from its file without writing
 bytecode, and ``os.environ``, ``sys.path`` and the modules it imports
@@ -58,6 +60,21 @@ def test_eval_bench_runs(load_tool, tmp_path):
     assert set(eval_bench.STAGES) == {"sampling", "encoding", "scoring"}
     for stage in ("total", "split", *eval_bench.STAGES):
         assert result["us_per_episode"][stage]["q1"] > 0, stage
+
+
+def test_gate_bench_smoke(load_tool, tmp_path):
+    out = tmp_path / "BENCH_gate.json"
+    gate_bench = load_tool("gate_bench")
+    assert gate_bench.main(["--smoke", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["seed"] == 0 and result["smoke"] is True
+    for mode in ("baseline", "egt"):
+        run = result[mode]
+        assert run["train_episodes"] == 3 and 0 <= run["acc"] <= 1
+        assert set(run["stages"]) == {"train", "eval", "spread"}
+        for stage in run["stages"].values():
+            assert stage["wall_s"] > 0 and stage["minor_faults"] >= 0
+            assert stage["user_s"] >= 0 and stage["sys_s"] >= 0
 
 
 def test_layer_bench_times_every_encoder_layer(load_tool):
