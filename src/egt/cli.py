@@ -10,8 +10,8 @@ and range there give the command its flag ``--<key with - for _>``,
 check and convert ``--config`` values, and fill in what a run leaves
 out.  Adding a setting means adding one entry there.
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 missing or
-malformed data, 3 numeric failure.
+Exit codes: 0 success, 1 usage, configuration or allocation problem,
+2 missing or malformed data, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# Each error main reports as one line, with its exit code (see errors.py).
+_EXIT_CODES = {
+    ConfigError: EXIT_USAGE, json.JSONDecodeError: EXIT_USAGE, MemoryError: EXIT_USAGE,
+    DataFormatError: EXIT_DATA, ContractError: EXIT_DATA, FileNotFoundError: EXIT_DATA,
+    IsADirectoryError: EXIT_DATA, NotADirectoryError: EXIT_DATA, PermissionError: EXIT_DATA,
+    NumericError: EXIT_NUMERIC, FloatingPointError: EXIT_NUMERIC, OverflowError: EXIT_NUMERIC,
+    ZeroDivisionError: EXIT_NUMERIC}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -286,15 +293,14 @@ def _cmd_eval(params: dict) -> None:
             raise ConfigError(f"more than one --data file has the stem {stem!r}; "
                               f"each would write eval_{stem}.csv")
     model = load_model(params["checkpoint"])
-    trans = (TransductiveConfig(params["iterations"],
-                                _parse_ints(params["candidates"], "candidates"))
-             if params["transductive"] else None)
+    trans = TransductiveConfig(params["iterations"],
+                               _parse_ints(params["candidates"], "candidates"))
     for path, stem in zip(paths, stems):
         data = load_dataset(path)
         rng = np.random.default_rng([params["seed"], 2])
         report = evaluate(model, data, params["way"], params["shot"],
                           params["queries"], params["episodes"], rng,
-                          transductive=trans)
+                          transductive=trans if params["transductive"] else None)
         csv_path = os.path.join(params["out"], f"eval_{stem}.csv")
         with open(csv_path, "w") as fh:
             fh.write("episode,acc\n")
@@ -403,17 +409,9 @@ def main(argv=None) -> int:
             json.dump({"command": args.command, **params}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return EXIT_OK
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataFormatError, ContractError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericError, FloatingPointError, OverflowError,
-            ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -180,7 +180,6 @@ class Primitive:
 class DomainStyle:
     """Nuisance factors of one rendering domain."""
 
-    tag: str
     background: str
     bg_colors: tuple[tuple[float, float, float], tuple[float, float, float]]
     fg_palette: tuple[tuple[float, float, float], ...]
@@ -191,25 +190,25 @@ class DomainStyle:
 
 STYLES: dict[str, DomainStyle] = {
     "bright": DomainStyle(
-        tag="bright", background="hgrad",
+        background="hgrad",
         bg_colors=((0.84, 0.82, 0.78), (0.95, 0.93, 0.90)),
         fg_palette=((0.55, 0.10, 0.10), (0.10, 0.10, 0.55), (0.10, 0.45, 0.10),
                     (0.42, 0.10, 0.45), (0.50, 0.32, 0.05)),
         outline=False, noise=0.02),
     "dark": DomainStyle(
-        tag="dark", background="vgrad",
+        background="vgrad",
         bg_colors=((0.05, 0.06, 0.10), (0.20, 0.22, 0.30)),
         fg_palette=((0.90, 0.85, 0.20), (0.20, 0.90, 0.90), (0.95, 0.50, 0.15),
                     (0.70, 0.90, 0.30), (0.90, 0.40, 0.70)),
         outline=False, noise=0.05),
     "stripe": DomainStyle(
-        tag="stripe", background="stripes",
+        background="stripes",
         bg_colors=((0.42, 0.48, 0.54), (0.58, 0.62, 0.68)),
         fg_palette=((0.85, 0.15, 0.20), (0.15, 0.25, 0.80), (0.95, 0.80, 0.10),
                     (0.10, 0.60, 0.50)),
         outline=True, stroke=0.45, noise=0.03),
     "noisy": DomainStyle(
-        tag="noisy", background="checker",
+        background="checker",
         bg_colors=((0.30, 0.26, 0.36), (0.50, 0.46, 0.56)),
         fg_palette=((0.95, 0.95, 0.90), (0.85, 0.60, 0.20), (0.30, 0.85, 0.40),
                     (0.90, 0.25, 0.35)),
@@ -315,7 +314,7 @@ def _background(style: DomainStyle, yy: Array, xx: Array,
 
 
 def sample_class_geometries(n_classes: int, rng: np.random.Generator,
-                            max_primitives: int = 3) -> list[list[Primitive]]:
+                            max_primitives: int) -> list[list[Primitive]]:
     geoms = []
     for _ in range(n_classes):
         n_p = int(rng.integers(1, max_primitives + 1))
@@ -376,11 +375,10 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
                 images[row] = _render_image(geoms[cls], style, yy, xx, rng)
                 row += 1
         sets.append(LabeledImageSet(images, labels, domain_tag=tag))
+    means = [s.images.mean(axis=(0, 2, 3)) for s in sets]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            mi = sets[i].images.mean(axis=(0, 2, 3))
-            mj = sets[j].images.mean(axis=(0, 2, 3))
-            gap = float(np.abs(mi - mj).max())
+            gap = float(np.abs(means[i] - means[j]).max())
             if gap < spec.min_channel_gap:
                 raise ContractError(
                     f"domains {sets[i].domain_tag!r} and {sets[j].domain_tag!r} "

@@ -1,7 +1,8 @@
 """Exception types, the header tokenizer, and the binary container.
 
 The CLI maps these onto process exit codes: usage and configuration
-problems exit 1, data problems exit 2, numeric failures exit 3.
+problems exit 1, as does a size whose arrays cannot be allocated
+(``MemoryError``), data problems exit 2, numeric failures exit 3.
 
 ``.egtd`` datasets and ``.egt1`` checkpoints share one container: a
 magic, ascii ``key=value`` header lines up to a terminator, then raw

@@ -56,6 +56,7 @@ Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"EGT1\n"
 CHECKPOINT_END = b"\nend\n"
+_SECTIONS = ("encoder", "relation")  # network section tags, in ``networks()`` order
 
 DEFAULT_WIDTHS = (8, 16, 32)  # encoder conv widths, one pooled block each
 DEFAULT_HIDDEN = 64  # the relation net's dense hidden width
@@ -293,12 +294,10 @@ def save_model(model: FewShotModel, path: str) -> None:
     head = model.head
     if not isinstance(head, (CosineHead, RelationHead)):
         raise ConfigError(f"cannot save head {type(head).__name__!r}")
-    lines = [f"head kind={head.kind} beta={head.beta!r}",
-             f"encoder input={format_dims(model.encoder.input_shape)}"]
-    lines += [f"layer {describe_layer(layer)}" for layer in model.encoder.layers]
-    if isinstance(head, RelationHead):
-        lines.append(f"relation input={format_dims(head.net.input_shape)}")
-        lines += [f"layer {describe_layer(layer)}" for layer in head.net.layers]
+    lines = [f"head kind={head.kind} beta={head.beta!r}"]
+    for tag, net in zip(_SECTIONS, model.networks()):
+        lines.append(f"{tag} input={format_dims(net.input_shape)}")
+        lines += [f"layer {describe_layer(layer)}" for layer in net.layers]
     write_container(path, CHECKPOINT_MAGIC, lines, CHECKPOINT_END,
                     [arr.astype("<f4") for arr in _parameters(model.networks())])
 
@@ -329,7 +328,7 @@ def load_model(path: str) -> FewShotModel:
     current: list[Layer] | None = None
     for offset, line in lines[1:]:
         tag, *tokens = line.split() or [""]
-        if tag in ("encoder", "relation"):
+        if tag in _SECTIONS:
             current = []
             in_shape = parse_fields(tokens, {"input": parse_dims}, offset)["input"]
             sections.append((tag, in_shape, current))
@@ -343,7 +342,7 @@ def load_model(path: str) -> FewShotModel:
                 raise DataFormatError(f"bad layer line {line!r}: {exc}", offset) from exc
         else:
             raise DataFormatError(f"unknown checkpoint header line {line!r}", offset)
-    want = ["encoder", "relation"] if kind == "relation" else ["encoder"]
+    want = list(_SECTIONS if kind == "relation" else _SECTIONS[:1])
     if [tag for tag, _, _ in sections] != want:
         raise DataFormatError(f"a {kind} checkpoint needs the sections {want}, in order")
 

@@ -204,11 +204,6 @@ class Layer:
         """
         raise NotImplementedError
 
-    def forward_recorded(self, x: Array) -> LayerTrace:
-        """Apply the layer through ``forward`` and record the application."""
-        kept: dict[str, Array] = {}
-        return LayerTrace(x, self.forward(x, kept), kept)
-
     def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, dict[str, Array] | None]:
         """Return ``(grad_in, param_grads)`` for the recorded application ``entry``.
 

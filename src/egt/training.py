@@ -258,13 +258,11 @@ def train(model: FewShotModel, episodes: Iterator, cfg: TrainConfig,
                     res = step_fn(model, next(episodes), cfg, lr=lr)
                 except NumericError as exc:
                     raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
-                row = {"epoch": epoch, "step": step,
-                       "loss_plain": res.loss_plain, "loss_lrp": res.loss_lrp,
-                       "loss_total": res.loss_total, "acc": res.accuracy}
-                rows.append(row)
+                values = (epoch, step, res.loss_plain, res.loss_lrp, res.loss_total,
+                          res.accuracy)
+                rows.append(dict(zip(LOG_HEADER.split(","), values)))
                 if log:
-                    log.write(f"{epoch},{step},{res.loss_plain!r},{res.loss_lrp!r},"
-                              f"{res.loss_total!r},{res.accuracy!r}\n")
+                    log.write(",".join(map(repr, values)) + "\n")
             if checkpoint_path:
                 save_model(model, checkpoint_path)
         if checkpoint_path and cfg.epochs == 0:

@@ -342,6 +342,17 @@ class TestTrain:
         assert lines[0] == "epoch,step,loss_plain,loss_lrp,loss_total,acc"
         assert len(lines) == 1 + 2 * 3
 
+    def test_size_beyond_any_address_space_exits_1(self, corpus, run_dir, tmp_path, capsys):
+        # the relation net's first dense weight would take 2**51 x 32 float64s
+        # (512 PiB), more than an x86-64 address space holds
+        settings = {**_settings("train", corpus, run_dir, tmp_path), "head": "relation",
+                    "hidden": 2 ** 51}
+        assert main(_argv("train", settings)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "train.config.json").exists()
+
     def test_config_echo_resolves_loss_weights(self, run_dir):
         cfg = json.loads((run_dir / "train.config.json").read_text())
         # cosine head default: plain term off, explanation term on
@@ -459,6 +470,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'dark'" in err
         assert not (tmp_path / "eval_dark.csv").exists()
+
+    # transductive settings a run without --transductive still checks
+    UNUSED_TRANSDUCTIVE = {"candidates": "x,y", "iterations": -7}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(UNUSED_TRANSDUCTIVE))
+    def test_bad_transductive_setting_without_the_flag_exits_1(self, corpus, run_dir,
+                                                               tmp_path, capsys, key, source):
+        settings = {**_settings("eval", corpus, run_dir, tmp_path),
+                    key: self.UNUSED_TRANSDUCTIVE[key]}
+        if source == "flag":
+            code = main(_argv("eval", settings))
+        else:
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps({"command": "eval", **settings}))
+            code = main(["eval", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "eval_dark.csv").exists()
+        assert not (tmp_path / "eval.config.json").exists()
 
     def _eval_echo(self, corpus, run_dir, out, *paths):
         assert main(["eval", "--checkpoint", str(run_dir / "model.egt1"),

@@ -11,7 +11,7 @@ from egt.lrp import (LrpConfig, epsilon_divide, lrp_alpha, lrp_backward, lrp_eps
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, LayerTrace, Linear,
                            MaxPool2d, Network, ReLU)
 from util_nets import (conservation_net, count_grad_input, dense_alpha_oracle,
-                       dense_epsilon_oracle, rand_conv, rand_linear,
+                       dense_epsilon_oracle, rand_conv, rand_linear, recorded_entry,
                        relu_tower, unrolled_dense)
 
 
@@ -229,7 +229,7 @@ class TestConvAgainstUnrolledDense:
 
 def _passthrough(layer, x, rel_out):
     """``lrp_passthrough`` on the recorded application of ``layer`` to ``x``."""
-    return lrp_passthrough(layer, layer.forward_recorded(x), rel_out)
+    return lrp_passthrough(layer, recorded_entry(layer, x), rel_out)
 
 
 class TestPassthrough:
@@ -296,7 +296,7 @@ class TestRowLayout:
         make, row_shape = self.CASES[rule, kind]
         layer = make(rng)
         x = rng.uniform(size=(3,) + row_shape)
-        entry = layer.forward_recorded(x)
+        entry = recorded_entry(layer, x)
         r = rng.standard_normal(entry.output.shape)
         assert self.RULES[rule](layer, entry, r).shape == x.shape
         if layout == "unbatched":

@@ -179,6 +179,28 @@ class TestCheckpoint:
         params = 4 * 3 * 9 + 4 + 8 * 4 * 9 + 8 + 8 * 16 * 9 + 8 + 32 * 6 + 6 + 6 + 1
         assert len(raw) - cut == 4 * params
 
+    def test_cosine_header_text(self, tmp_path):
+        model = build_model("cosine", (3, 16, 16), np.random.default_rng(0),
+                            widths=(4, 8), beta=2.5)
+        path = tmp_path / "m.egt1"
+        save_model(model, str(path))
+        raw = path.read_bytes()
+        cut = raw.index(b"\nend\n") + len(b"\nend\n")
+        assert raw[:cut].decode("ascii").split("\n") == [
+            "EGT1",
+            "head kind=cosine beta=2.5",
+            "encoder input=3x16x16",
+            "layer conv2d in=3 out=4 kernel=3x3 stride=1 padding=1",
+            "layer relu",
+            "layer maxpool2d kernel=2 stride=2",
+            "layer conv2d in=4 out=8 kernel=3x3 stride=1 padding=1",
+            "layer relu",
+            "layer avgpool2d kernel=2 stride=2",
+            "end",
+            "",
+        ]
+        assert len(raw) - cut == 4 * (4 * 3 * 9 + 4 + 8 * 4 * 9 + 8)
+
     def test_kernel_token_is_height_by_width(self):
         conv = Conv2d(np.zeros((2, 1, 3, 1)), np.zeros(2), stride=2)
         assert describe_layer(conv) == "conv2d in=1 out=2 kernel=3x1 stride=2 padding=0"

@@ -11,7 +11,8 @@ from egt.lrp import lrp_backward
 from egt.model import build_encoder, describe_layer, layer_from_description
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU, he_uniform, _fold, _windows, sgd_step)
-from util_nets import central_diff, count_grad_input, max_rel_err, rand_conv, rand_linear
+from util_nets import (central_diff, count_grad_input, max_rel_err, rand_conv, rand_linear,
+                       recorded_entry)
 
 
 class TestForward:
@@ -432,7 +433,7 @@ def _unrolled_max_pool_backward(pool, x, cot):
 
 
 def _recorded_backward(layer, x, cot):
-    return layer.backward(layer.forward_recorded(x), cot)
+    return layer.backward(recorded_entry(layer, x), cot)
 
 
 class TestSummedProducts:

@@ -406,6 +406,21 @@ class TestTrainLoop:
             loaded.encoder.param_layers()[0][1].weight,
             model.encoder.param_layers()[0][1].weight.astype("<f4").astype(np.float64))
 
+    def test_log_lines_are_the_rows_reprs(self, tmp_path):
+        data = _toy_set([8] * 4, seed=22)
+        cfg = TrainConfig(way=3, shot=2, n_query=4, epochs=1, episodes_per_epoch=2,
+                          lr=0.01)
+        log = tmp_path / "log.csv"
+        rows = train(_tiny_model("cosine", seed=23), self._stream(data, cfg, 24), cfg,
+                     log_path=str(log))
+        assert log.read_text().split("\n") == [
+            "epoch,step,loss_plain,loss_lrp,loss_total,acc",
+            *(f"{r['epoch']},{r['step']},{r['loss_plain']!r},{r['loss_lrp']!r},"
+              f"{r['loss_total']!r},{r['acc']!r}" for r in rows),
+            "",
+        ]
+        assert [(r["epoch"], r["step"]) for r in rows] == [(1, 1), (1, 2)]
+
     def test_zero_epochs_writes_header_only(self, tmp_path):
         data = _toy_set([8] * 4, seed=25)
         cfg = TrainConfig(way=3, shot=2, n_query=4, epochs=0)

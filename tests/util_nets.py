@@ -24,6 +24,11 @@ def central_diff(fn, arr, step=1e-4):
     return grad
 
 
+def recorded_entry(layer, x):
+    """The recorded application of ``layer`` to rows ``x``, from a one-layer network."""
+    return Network(x.shape[1:], [layer]).forward_recorded(x)[1].entries[0]
+
+
 def max_rel_err(got, want):
     scale = max(np.max(np.abs(want)), 1e-12)
     return float(np.max(np.abs(got - want)) / scale)

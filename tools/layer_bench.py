@@ -5,11 +5,13 @@ Usage (from the repository root):
 
     python3 tools/layer_bench.py [--out BENCH_layers.json] [--repeats 15]
 
-Part 1, ``layers``: forward, recorded forward, backward and
-relevance-rule time of every layer of two networks, each on its own
-recorded input.  The backward and the rule run on the layer's entry of
-one recorded pass, so they reuse what it kept (a convolution's columns,
-max pooling's winners) as training and explanation do:
+Part 1, ``layers``: forward, recorded forward (``layer.forward(x, {})``,
+which keeps what ``backward`` reuses, as a recording pass runs it),
+backward and relevance-rule time of every layer of two networks, each
+on its own recorded input.  The backward and the rule run on the
+layer's entry of one recorded pass, so they reuse what it kept (a
+convolution's columns, max pooling's winners) as training and
+explanation do:
 
 * the encoder at the acceptance gate's shapes: batch 41 (5-way 5-shot
   plus 16 queries), 3x16x16 images, widths 8/16/32;
@@ -116,7 +118,7 @@ def layer_rows(name: str, net, x, repeats: int, rng) -> list[dict]:
             "net": name, "index": i, "kind": layer.kind,
             "input": list(xin.shape), "output": list(y.shape),
             "forward_ms": timed(lambda: layer.forward(xin), repeats),
-            "recorded_ms": timed(lambda: layer.forward_recorded(xin), repeats),
+            "recorded_ms": timed(lambda: layer.forward(xin, {}), repeats),
             "backward_ms": timed(lambda: layer.backward(entry, cot), repeats),
             "lrp_ms": timed(rule, repeats),
         })
