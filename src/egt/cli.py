@@ -11,7 +11,8 @@ check and convert ``--config`` values, and fill in what a run leaves
 out.  Adding a setting means adding one entry there.
 
 Exit codes: 0 success, 1 usage, configuration or allocation problem,
-2 missing or malformed data, 3 numeric failure.
+2 missing or malformed data, 3 numeric failure.  A warning the library
+raises during a run is printed as one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -394,21 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_help()
-            return EXIT_USAGE
-        params = _resolve_params(args)
-        if not os.path.isdir(params["out"]):
-            raise FileNotFoundError(f"output directory {params['out']!r} does not exist")
-        args.func(params)
-        with open(os.path.join(params["out"], f"{args.command}.config.json"), "w") as fh:
-            json.dump({"command": args.command, **params}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return EXIT_OK
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            args = parser.parse_args(argv)
+            if getattr(args, "func", None) is None:
+                parser.print_help()
+                return EXIT_USAGE
+            params = _resolve_params(args)
+            if not os.path.isdir(params["out"]):
+                raise FileNotFoundError(f"output directory {params['out']!r} does not exist")
+            args.func(params)
+            with open(os.path.join(params["out"], f"{args.command}.config.json"), "w") as fh:
+                json.dump({"command": args.command, **params}, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            return EXIT_OK
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, Container, ContractError, DataFormatError, format_dims,
-                     parse_dims, parse_fields, write_container)
+from .errors import (ConfigError, Container, ContractError, DataFormatError,
+                     check_addressable, format_dims, parse_dims, parse_fields, write_container)
 
 Array = np.ndarray
 
@@ -365,8 +365,9 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
     sets = []
     for tag in spec.domains:
         style = STYLES[tag]
-        images = np.empty((spec.classes * spec.images_per_class, 3,
-                           spec.height, spec.width), dtype=np.float32)
+        shape = (spec.classes * spec.images_per_class, 3, spec.height, spec.width)
+        check_addressable(shape, 4, f"images of domain {tag!r}")
+        images = np.empty(shape, dtype=np.float32)
         labels = np.repeat(np.arange(spec.classes, dtype=np.int32),
                            spec.images_per_class)
         row = 0

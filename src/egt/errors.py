@@ -15,6 +15,7 @@ and read by :func:`parse_dims`.  Every malformed file raises
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -42,6 +43,17 @@ class DataFormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric invariant broke: non-finite values, degenerate embeddings."""
+
+
+def check_addressable(shape: tuple[int, ...], itemsize: int, what: str) -> None:
+    """Raise ``MemoryError`` if an array of ``shape`` needs more bytes than numpy can address.
+
+    numpy refuses such an array with a ``ValueError`` before it tries to
+    allocate; this turns it into the error of any other size too large.
+    """
+    if math.prod(shape) * itemsize > sys.maxsize:
+        raise MemoryError(f"{what} of shape {format_dims(shape)} would need more than "
+                          f"{sys.maxsize} bytes")
 
 
 def format_dims(dims: tuple[int, ...]) -> str:

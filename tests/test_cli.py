@@ -120,6 +120,15 @@ class TestGenData:
         bad.write_text("{not json")
         assert main(["gen-data", "--config", str(bad)]) == 1
 
+    def test_size_past_numpys_limit_exits_1(self, tmp_path, capsys):
+        # 10**24 images per class: numpy refuses the array's dimension itself
+        assert main(["gen-data", "--out", str(tmp_path),
+                     "--per-class", "1000000000000000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigValues:
     # name -> (command, config file content, text the error line names)
@@ -353,6 +362,18 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "train.config.json").exists()
 
+    @pytest.mark.parametrize("key", ["hidden", "widths"])
+    def test_size_past_numpys_limit_exits_1(self, corpus, run_dir, tmp_path, capsys, key):
+        # a 10**18-row weight holds more bytes than numpy can address, so
+        # numpy refuses it with a ValueError before any allocation
+        settings = {**_settings("train", corpus, run_dir, tmp_path), "head": "relation",
+                    key: {"hidden": 10 ** 18, "widths": f"4,{10 ** 18}"}[key]}
+        assert main(_argv("train", settings)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "train.config.json").exists()
+
     def test_config_echo_resolves_loss_weights(self, run_dir):
         cfg = json.loads((run_dir / "train.config.json").read_text())
         # cosine head default: plain term off, explanation term on
@@ -558,6 +579,17 @@ class TestEval:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["eval", "--config", str(cfg_path)]) == 0
         assert _hash(out2 / "eval_dark.csv") == _hash(tmp_path / "eval_dark.csv")
+
+    def test_transductive_clamp_warns_on_one_line(self, corpus, run_dir, tmp_path, capsys):
+        # 4 queries: round 0 absorbs all of them, so round 1's 8 candidates
+        # clamp to 0 in every block of episodes; the warning shows once
+        code = main(["eval", "--checkpoint", str(run_dir / "model.egt1"),
+                     "--data", str(corpus / "dark.egtd"), "--out", str(tmp_path),
+                     "--way", "3", "--shot", "2", "--queries", "4", "--episodes", "70",
+                     "--transductive", "--candidates", "4,8"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: round 1: only 0 unabsorbed queries left, clamping candidate count 8 -> 0\n")
 
     def test_missing_checkpoint_exits_2(self, corpus, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "absent.egt1"),

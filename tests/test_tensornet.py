@@ -433,7 +433,9 @@ def _unrolled_max_pool_backward(pool, x, cot):
 
 
 def _recorded_backward(layer, x, cot):
-    return layer.backward(recorded_entry(layer, x), cot)
+    # a weight gradient over more than one buffer chunk comes back pending
+    grad_in, grads = layer.backward(recorded_entry(layer, x), cot)
+    return grad_in, tensornet.joined([grads])[0]
 
 
 class TestSummedProducts:

@@ -4,14 +4,19 @@ schedule/logging behavior."""
 
 import copy
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import egt.training
+from egt import tensornet
 from egt.cli import main
 from egt.data import GeneratorSpec, LabeledImageSet, sample_episode, save_dataset
 from egt.errors import ConfigError, ContractError, NumericError
+from egt.evaluation import evaluate
 from egt.heads import (
     CosineHead,
     class_prototypes,
@@ -23,7 +28,7 @@ from egt.heads import (
     weighted_features,
 )
 from egt.lrp import LrpConfig, lrp_backward, normalize_relevance
-from egt.model import build_model, load_model
+from egt.model import build_model, explain_input, load_model
 from egt.training import (
     TrainConfig,
     cross_entropy,
@@ -494,3 +499,123 @@ class TestTrainLoop:
         assert capsys.readouterr().err == "error: epoch 2 step 3: embedding has zero norm\n"
         assert ((tmp_path / "failed" / "model.egt1").read_bytes()
                 == (tmp_path / "clean" / "model.egt1").read_bytes())
+
+
+def _gate_model(head, seed):
+    """A model at the gate's shapes: 3x16x16 images, widths 8/16/32, hidden 64."""
+    return build_model(head, (3, 16, 16), np.random.default_rng(seed), widths=(8, 16, 32),
+                       hidden=64)
+
+
+def _gate_cfg(xi=1.0, lam=1.0):
+    return TrainConfig(way=5, shot=5, n_query=16, xi=xi, lam=lam, lr=2e-3, momentum=0.5)
+
+
+@pytest.fixture(scope="module")
+def gate_data():
+    return _toy_set([21] * 6, channels=3, side=16, seed=31)
+
+
+@pytest.fixture()
+def queued(monkeypatch):
+    """Every task handed to the reduction worker, in submission order."""
+    tasks, real = [], tensornet._later
+
+    def spy(fn, *args):
+        tasks.append(fn)
+        return real(fn, *args)
+    monkeypatch.setattr(tensornet, "_later", spy)
+    return tasks
+
+
+class TestReductionWorker:
+    """At the gate's shapes the relation net's first-conv weight gradient (80
+    pair rows) takes more than one chunk of the product buffer, so it is
+    summed on the background worker; nothing else is."""
+
+    @pytest.mark.parametrize("xi,lam,tasks", [(1.0, 1.0, 3), (0.0, 1.0, 1), (1.0, 0.0, 1)])
+    def test_worker_step_equals_the_inline_step_bitwise(self, gate_data, queued, monkeypatch,
+                                                        xi, lam, tasks):
+        # one model reduces on the worker (two reductions and their sum with
+        # both passes), its copy with a buffer so large that every reduction
+        # is one inline chunk; gradients, reports and updates stay equal
+        cfg = _gate_cfg(xi, lam)
+        models = [_gate_model("relation", 32), _gate_model("relation", 32)]
+        buffers = (tensornet._PRODUCT_BUFFER_BYTES, 1 << 40)
+        rng = np.random.default_rng(33)
+        for _ in range(4):
+            ep = sample_episode(gate_data, 5, 5, 16, rng)
+            outputs = []
+            for model, buffer, want in zip(models, buffers, (tasks, 0)):
+                monkeypatch.setattr(tensornet, "_PRODUCT_BUFFER_BYTES", buffer)
+                del queued[:]
+                res, enc_grads, rel_grads = episode_gradients(model, ep, cfg)
+                assert len(queued) == want
+                outputs.append([res.loss_plain, res.loss_lrp, res.probs, res.probs_lrp,
+                                _flat_grads(model, enc_grads, rel_grads)])
+                egt.training._apply(model, enc_grads, rel_grads, cfg.lr, cfg.momentum)
+            for got, want in zip(*outputs):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            for got, want in zip(*map(_param_arrays, models)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_cosine_training_eval_and_explain_start_no_thread(self, gate_data, queued):
+        threads = threading.active_count()
+        cosine, relation = _gate_model("cosine", 34), _gate_model("relation", 35)
+        rng = np.random.default_rng(36)
+        for _ in range(3):
+            train_episode(cosine, sample_episode(gate_data, 5, 5, 16, rng), _gate_cfg(0.0, 1.0))
+        for model in (cosine, relation):
+            evaluate(model, gate_data, 5, 5, 16, 70, np.random.default_rng(37))
+            ep = sample_episode(gate_data, 5, 5, 16, rng)
+            explain_input(model, ep.support_images, ep.support_local, 5, ep.query_images[0])
+        assert queued == []
+        assert threading.active_count() == threads
+
+    def test_forked_child_trains_a_relation_step(self, gate_data):
+        # the child has no copy of the parent's worker thread; it must start
+        # its own instead of queueing behind one that does not exist
+        model, cfg = _gate_model("relation", 38), _gate_cfg()
+        rng = np.random.default_rng(39)
+        train_episode(model, sample_episode(gate_data, 5, 5, 16, rng), cfg)
+        assert tensornet._worker is not None
+        ep = sample_episode(gate_data, 5, 5, 16, rng)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                train_episode(model, ep, cfg)
+                code = 0
+            except BaseException:
+                code = 1
+            os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's relation step did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_reduction_error_reaches_the_caller_unchanged(self, gate_data, monkeypatch):
+        class ReductionFault(Exception):
+            pass
+        real = tensornet._summed_products
+
+        def faulty(a, b):
+            if threading.current_thread() is not threading.main_thread():
+                raise ReductionFault("raised on the reduction worker")
+            return real(a, b)
+        monkeypatch.setattr(tensornet, "_summed_products", faulty)
+        model, cfg = _gate_model("relation", 40), _gate_cfg()
+        rng = np.random.default_rng(41)
+        with pytest.raises(ReductionFault, match="reduction worker"):
+            episode_gradients(model, sample_episode(gate_data, 5, 5, 16, rng), cfg)
+        monkeypatch.undo()
+        # the worker outlives the error
+        _, _, rel_grads = episode_gradients(model, sample_episode(gate_data, 5, 5, 16, rng), cfg)
+        assert all(isinstance(g, np.ndarray) for grads in rel_grads if grads
+                   for g in grads.values())
