@@ -147,6 +147,8 @@ def sample_episode(data: LabeledImageSet, way: int, shot: int, n_query: int,
     """
     if way < 2 or shot < 1 or n_query < 1:
         raise ContractError(f"invalid episode shape way={way} shot={shot} n_query={n_query}")
+    if way > data.n_classes:  # checked before the shares, a list of ``way`` entries
+        raise ContractError(f"need {way} classes, the dataset has {data.n_classes}")
     shares = query_shares(n_query, way)
     need = shot + shares[0]
     eligible = np.flatnonzero(data.class_counts() >= need)
@@ -216,6 +218,18 @@ STYLES: dict[str, DomainStyle] = {
 }
 
 
+# The most primitives one class may draw.  Each is a Python object kept
+# for the whole run and one full-image mask pass in every render of its
+# class.  Their centres fall in the middle quarter of the image and their
+# sizes are at least 0.12 of its side, so 64 of even the smallest disks
+# add up to about 11 times that quarter's area: more primitives only fill
+# the same blob, and slow rendering.
+MAX_PRIMITIVES = 64
+# The most classes a label can name: labels are int32, in memory and in
+# the EGTD container.
+LABEL_LIMIT = np.iinfo(np.int32).max + 1
+
+
 @dataclass
 class GeneratorSpec:
     classes: int = 20
@@ -239,8 +253,14 @@ class GeneratorSpec:
         if unknown:
             raise ConfigError(
                 f"unknown domains {unknown}; available: {sorted(STYLES)}")
-        if self.max_primitives < 1:
-            raise ConfigError("max_primitives must be >= 1")
+        if not 1 <= self.max_primitives <= MAX_PRIMITIVES:
+            raise ConfigError(f"max_primitives must be between 1 and {MAX_PRIMITIVES}, "
+                              f"got {self.max_primitives}")
+        if self.classes > LABEL_LIMIT:
+            raise ConfigError(f"classes must be at most {LABEL_LIMIT} (int32 labels), "
+                              f"got {self.classes}")
+        check_addressable((self.classes * self.images_per_class, 3, self.height, self.width),
+                          4, "images of one domain")
         if not 0 <= self.min_channel_gap < math.inf:
             raise ConfigError(
                 f"min_channel_gap must be finite and >= 0, got {self.min_channel_gap}")
@@ -365,9 +385,8 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
     sets = []
     for tag in spec.domains:
         style = STYLES[tag]
-        shape = (spec.classes * spec.images_per_class, 3, spec.height, spec.width)
-        check_addressable(shape, 4, f"images of domain {tag!r}")
-        images = np.empty(shape, dtype=np.float32)
+        images = np.empty((spec.classes * spec.images_per_class, 3, spec.height, spec.width),
+                          dtype=np.float32)
         labels = np.repeat(np.arange(spec.classes, dtype=np.int32),
                            spec.images_per_class)
         row = 0

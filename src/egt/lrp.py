@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
 from .tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, LayerTrace,
-                        Linear, MaxPool2d, Network, ReLU, _fold)
+                        Linear, MaxPool2d, Network, ReLU)
 
 Array = np.ndarray
 
@@ -134,12 +134,11 @@ def lrp_passthrough(layer, entry: LayerTrace, rel_out: Array) -> Array:
         return layer.backward(entry, rel_out)[0]
     if not isinstance(layer, AvgPool2d):
         raise ConfigError(f"layer kind {layer.kind!r} has no pass-through rule")
-    win_x = layer.windows(x)
-    sums = win_x.sum(axis=2, keepdims=True)
-    ratio = _safe_div(win_x, sums, sums != 0)
-    ratio += (sums == 0) * (1.0 / (layer.kernel * layer.kernel))
-    return _fold(ratio * rel_out[:, :, None], layer.kernel, layer.kernel,
-                 layer.stride, *x.shape[2:])
+    sums = layer.window_sums(x)
+    keep = sums != 0
+    spread = (~keep) * (1.0 / (layer.kernel * layer.kernel))
+    return layer.untap(((_safe_div(tap, sums, keep) + spread) * rel_out
+                        for tap in layer.taps(x)), x.shape)
 
 
 def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,

@@ -12,12 +12,11 @@ nothing.  The parameterized layers expose their input pull-back as
 ``grad_input(grad_out, in_shape, weight=None)``, which the relevance
 rules reuse with their own weights.
 
-One window kernel serves every spatial layer: :func:`_windows` unrolls
-sliding windows and :func:`_fold` scatter-adds them back.  The
-convolution unrolls its padded input (:meth:`Conv2d.unroll`), the pools
-their input.  The convolution's input pull-back folds onto the unpadded
-interior only: additions that would land on the padding are skipped, so
-no padded grid is built and sliced.
+The convolution's window kernel is :func:`_windows`, which unrolls the
+sliding windows of its padded input (:meth:`Conv2d.unroll`), and
+:func:`_fold`, which scatter-adds them back.  The convolution's input
+pull-back folds onto the unpadded interior only: additions that would
+land on the padding are skipped, so no padded grid is built and sliced.
 Both loop over the kernel offsets ``(i, j)`` with one slice op each, and
 take their working array's memory layout from the output width ``ow``
 (:func:`_kernel_array`): spatial-major, ``(..., B, C)``, for ``ow`` in
@@ -27,6 +26,17 @@ hand back a C-contiguous ``(B, C, ...)`` array, so callers and GEMMs see
 one layout.  The results are bit-identical in either layout: the unroll
 only copies, and every folded element receives its additions in the same
 ``(i, j)`` order, starting from ``+0.0``.
+
+The pools stack no windows.  They work on their taps
+(:meth:`_Pool.taps`), one strided view of the input per kernel offset:
+max pooling reduces them with ``np.maximum`` in offset order, average
+pooling adds them onto ``+0.0`` in that order, and the pull-backs add one
+part per tap onto a ``+0.0`` grid (:meth:`_Pool.untap`).  Those are the
+orders of :func:`_fold`'s additions and of numpy's ``max`` and ``mean``
+along a stacked window axis, so the results are a window stack's to the
+bit.  The exception is one output position over 3x3 or larger windows:
+there numpy reduces a stack in its own vectorized order, which can move
+a sum's last bit or a tied zero maximum's sign.
 
 A convolution's weight gradient is a sum of per-row products
 (:func:`_summed_products`).  One that takes more than one chunk of the
@@ -111,8 +121,9 @@ def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
     """Stack the sliding windows of ``x`` along axis 2: ``(B, C, kh*kw, oh, ow)``.
 
     Window index ``i*kw + j`` holds kernel offset ``(i, j)``.  This is
-    the one unroll behind the convolution and both pools.  The result is
-    C-contiguous whatever layout :func:`_kernel_array` picked.
+    the convolution's unroll; the pools read the same offsets as strided
+    views instead (:meth:`_Pool.taps`).  The result is C-contiguous
+    whatever layout :func:`_kernel_array` picked.
     """
     b, c = x.shape[:2]
     win = _kernel_array(np.empty, (b, c, kh * kw, oh, ow), ow, x.dtype)
@@ -471,46 +482,77 @@ class _Pool(Layer):
         return (c, *_out_sides((h, w), self.kernel, self.kernel, self.stride))
 
     def windows(self, x: Array) -> Array:
+        """The stacked windows of ``x``, ``(B, C, k*k, oh, ow)``; no pass builds them."""
         _, oh, ow = self.out_shape(x.shape[1:])
         return _windows(x, self.kernel, self.kernel, self.stride, oh, ow)
+
+    def taps(self, x: Array) -> list[Array]:
+        """The ``k*k`` strided views ``(B, C, oh, ow)`` of ``x``; entry ``i*k + j``
+        holds kernel offset ``(i, j)`` of every window, as window index ``i*k + j`` does."""
+        _, oh, ow = self.out_shape(x.shape[1:])
+        k, s = self.kernel, self.stride
+        return [x[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
+
+    def untap(self, parts, in_shape: tuple[int, ...]) -> Array:
+        """Adjoint of :meth:`taps`: a ``+0.0`` grid of ``in_shape`` with part ``t`` added
+        onto tap ``t``, in tap order, so overlapping taps sum in kernel-offset order."""
+        grid = np.zeros(in_shape)
+        for tap, part in zip(self.taps(grid), parts):
+            tap += part
+        return grid
 
 
 class MaxPool2d(_Pool):
     kind = "maxpool2d"
 
     def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
-        """Window maxima; a recorded pass also keeps each window's winner.
+        """Window maxima, reduced tap by tap; a recorded pass also keeps each window's winner.
 
-        The winners are a boolean mask shaped like the windows, true at
-        the lowest window index that holds the maximum.
+        The winners are a boolean mask shaped like the stacked windows,
+        ``(B, C, k*k, oh, ow)``, true at the lowest window index that
+        holds the maximum: a view of a ``(k*k, B, C, oh, ow)`` array, so
+        that each tap's mask is one contiguous block.
         """
-        win = self.windows(x)
-        y = win.max(axis=2)
+        taps = self.taps(x)
+        y = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(y, tap, out=y)
         if kept is not None:
-            winners = win == y[:, :, None]
-            taken = winners[:, :, 0].copy()
-            for k in range(1, winners.shape[2]):
-                winners[:, :, k] &= ~taken
-                taken |= winners[:, :, k]
-            kept["winners"] = winners
+            winners = np.empty((len(taps),) + y.shape, dtype=bool)
+            taken = np.equal(taps[0], y, out=winners[0]).copy()
+            for won, tap in zip(winners[1:], taps[1:]):
+                np.equal(tap, y, out=won)
+                won &= ~taken
+                taken |= won
+            kept["winners"] = winners.transpose(1, 2, 0, 3, 4)
         return y
 
     def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
         """Route each window's cotangent to its recorded winner, the lowest index on ties."""
-        win = np.where(entry.kept["winners"], grad_out[:, :, None], 0.0)
-        return _fold(win, self.kernel, self.kernel, self.stride, *entry.input.shape[2:]), None
+        winners = entry.kept["winners"]
+        parts = (np.where(winners[:, :, t], grad_out, 0.0) for t in range(winners.shape[2]))
+        return self.untap(parts, entry.input.shape), None
 
 
 class AvgPool2d(_Pool):
     kind = "avgpool2d"
 
+    def window_sums(self, x: Array) -> Array:
+        """Each window's sum, its taps added in order onto ``+0.0``."""
+        taps = self.taps(x)
+        sums = taps[0] + 0.0  # maps -0.0 to +0.0
+        for tap in taps[1:]:
+            sums += tap
+        return sums
+
     def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
-        return self.windows(x).mean(axis=2)
+        y = self.window_sums(x)
+        y /= self.kernel * self.kernel
+        return y
 
     def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
         k2 = self.kernel * self.kernel
-        win = np.broadcast_to(grad_out[:, :, None] / k2, grad_out.shape[:2] + (k2,) + grad_out.shape[2:])
-        return _fold(win, self.kernel, self.kernel, self.stride, *entry.input.shape[2:]), None
+        return self.untap([grad_out / k2] * k2, entry.input.shape), None
 
 
 class Flatten(Layer):

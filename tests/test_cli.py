@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import egt.data
 from egt import cli
 from egt.cli import REQUIRED, SETTINGS, _config_value, build_parser, finite_float, main
 from egt.data import LabeledImageSet, load_dataset, save_dataset
@@ -124,6 +125,33 @@ class TestGenData:
         # 10**24 images per class: numpy refuses the array's dimension itself
         assert main(["gen-data", "--out", str(tmp_path),
                      "--per-class", "1000000000000000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+    # case -> (setting, value): sizes no run can generate.  Each is refused
+    # before the class geometry is drawn.
+    TOO_LARGE = {
+        "height-1e30": ("height", 10 ** 30),
+        "width-1e30": ("width", 10 ** 30),
+        "classes-1e12": ("classes", 10 ** 12),
+        "classes-1e30": ("classes", 10 ** 30),
+        "max-primitives-65": ("max_primitives", 65),
+        "max-primitives-1e12": ("max_primitives", 10 ** 12),
+        "max-primitives-1e30": ("max_primitives", 10 ** 30),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TOO_LARGE))
+    def test_size_no_run_can_generate_exits_1_first(self, tmp_path, capsys, monkeypatch,
+                                                    case):
+        def drawn(*args):
+            raise AssertionError("class geometry drawn before the size check")
+        monkeypatch.setattr(egt.data, "sample_class_geometries", drawn)
+        key, value = self.TOO_LARGE[case]
+        assert main(["gen-data", "--out", str(tmp_path),
+                     "--" + key.replace("_", "-"), str(value)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -338,6 +366,22 @@ class TestConfigValues:
         assert main(["train", "--config", str(cfg_path)]) == 0
         cfg = json.loads((tmp_path / "train.config.json").read_text())
         assert (cfg["way"], cfg["epochs"], cfg["lr"]) == (3, 0, 0.01)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_way_beyond_the_classes_exits_2_first(corpus, run_dir, tmp_path, capsys, monkeypatch,
+                                             command):
+    # a way of 10**12 once built a 10**12-entry share list before the check
+    def built(*args):
+        raise AssertionError("query shares built before the class-count check")
+    monkeypatch.setattr(egt.data, "query_shares", built)
+    settings = {**_settings(command, corpus, run_dir, tmp_path), "way": 10 ** 12}
+    if command == "train":
+        settings["epochs"] = 1
+    assert main(_argv(command, settings)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 1000000000000 classes") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestTrain:

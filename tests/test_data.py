@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import egt.data
 from egt.data import (
     Episode,
     GeneratorSpec,
@@ -88,6 +89,15 @@ class TestSampleEpisode:
         data = _toy_set([4, 4, 4])
         with pytest.raises(ContractError, match="qualify"):
             sample_episode(data, way=3, shot=4, n_query=3,
+                           rng=np.random.default_rng(4))
+
+    def test_way_beyond_the_classes_rejected_before_the_shares(self, monkeypatch):
+        # a way of 10**12 would build a 10**12-entry share list first
+        def built(*args):
+            raise AssertionError("query shares built before the class-count check")
+        monkeypatch.setattr(egt.data, "query_shares", built)
+        with pytest.raises(ContractError, match="need 1000000000000 classes"):
+            sample_episode(_toy_set([4, 4, 4]), way=10 ** 12, shot=1, n_query=16,
                            rng=np.random.default_rng(4))
 
     def test_bad_episode_shape_rejected(self):

@@ -75,9 +75,10 @@ def test_traced_episode_and_explanation_reach_every_rule(spans):
 
 def test_traced_cosine_episode_keeps_its_layer_attribution(spans):
     # The recorded pass still runs through ``Layer.forward``, which the
-    # tracer wraps, and the gradient pass reuses the kept unrolls: two
-    # max-pool unrolls (both in forward) and two conv input pull-backs
-    # (none for the encoder's first conv, whose input gradient is unused).
+    # tracer wraps, and the gradient pass reuses the kept unrolls: no
+    # max-pool window stack (pools reduce their taps) and two conv input
+    # pull-backs (none for the encoder's first conv, whose input gradient
+    # is unused).
     rng = np.random.default_rng(1)
     data = LabeledImageSet(rng.uniform(size=(24, 1, 8, 8)).astype(np.float32),
                            np.repeat(np.arange(4, dtype=np.int32), 6), domain_tag="toy")
@@ -95,5 +96,5 @@ def test_traced_cosine_episode_keeps_its_layer_attribution(spans):
                  "tensornet.conv2d.backward", "tensornet.maxpool2d.backward"):
         assert tracer.calls["test", name] > 0, name
     assert tracer.calls["test", "tensornet.conv2d.backward"] == 3
-    assert tracer.counts["test", "tensornet.maxpool2d.windows_calls"] == 2
+    assert tracer.counts["test", "tensornet.maxpool2d.windows_calls"] == 0
     assert tracer.counts["test", "tensornet.conv2d.grad_input_calls"] == 2

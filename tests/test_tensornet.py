@@ -7,7 +7,7 @@ import pytest
 
 from egt import tensornet
 from egt.errors import ContractError, NumericError
-from egt.lrp import lrp_backward
+from egt.lrp import lrp_backward, lrp_passthrough
 from egt.model import build_encoder, describe_layer, layer_from_description
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU, he_uniform, _fold, _windows, sgd_step)
@@ -389,6 +389,12 @@ _POOL_CASES = [
     (2, 5, 5, 5, 2, 2),
     (3, 2, 5, 5, 3, 2),
 ]
+# One output position over 4x4: overlapping 3x3 windows at stride 2, and
+# non-tiling 3x3 windows at stride 3.
+_ONE_WINDOW_POOL_CASES = [
+    (4, 3, 4, 4, 3, 2),
+    (4, 3, 4, 4, 3, 3),
+]
 # The shape's own choice, then each layout forced for every shape.
 _LAYOUT_RANGES = {"auto": tensornet._SPATIAL_MAJOR_OW, "channel": range(0),
                   "spatial": range(1, 1 << 30)}
@@ -421,15 +427,33 @@ def _unrolled_conv_backward(conv, x, cot):
     return conv.grad_input(cot, x.shape[1:]), grads
 
 
-def _unrolled_max_pool_backward(pool, x, cot):
-    """Max-pool input gradient from a fresh unroll and its argmax, no trace."""
+def _stacked_pool(pool, x, cot):
+    """A pool and its pull-backs computed on a stacked window copy: the forward,
+    max pooling's winners, the input gradient, and the avg-pool relevance rule
+    for output relevance ``cot``.  Window reductions run window by window in
+    index order, the sums from ``+0.0``; the pull-backs fold with the reference
+    loop."""
     _, oh, ow = pool.out_shape(x.shape[1:])
-    k = pool.kernel
+    k, k2 = pool.kernel, pool.kernel * pool.kernel
     win = _ref_windows(x, k, k, pool.stride, oh, ow)
-    idx = win.argmax(axis=2)[:, :, None]
-    win.fill(0.0)
-    np.put_along_axis(win, idx, cot[:, :, None], axis=2)
-    return _ref_fold(win, k, k, pool.stride, *x.shape[2:]), None
+
+    def fold(parts):
+        return _ref_fold(parts, k, k, pool.stride, *x.shape[2:])
+    if isinstance(pool, MaxPool2d):
+        y = win[:, :, 0].copy()
+        for t in range(1, k2):
+            y = np.maximum(y, win[:, :, t])
+        first = (win == y[:, :, None]).argmax(axis=2)
+        winners = np.arange(k2)[:, None, None] == first[:, :, None]
+        return y, winners, fold(np.where(winners, cot[:, :, None], 0.0)), None
+    sums = np.zeros(win.shape[:2] + win.shape[3:])
+    for t in range(k2):
+        sums = sums + win[:, :, t]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sums[:, :, None] != 0, win / sums[:, :, None], 0.0)
+    ratio = ratio + (sums[:, :, None] == 0) * (1.0 / k2)
+    grad = fold(np.broadcast_to(cot[:, :, None] / k2, win.shape))
+    return sums / k2, None, grad, fold(ratio * cot[:, :, None])
 
 
 def _recorded_backward(layer, x, cot):
@@ -545,27 +569,54 @@ class TestWindowKernelLayouts:
         for got, ref in zip(run(_recorded_backward), want):
             _assert_same_bits(got, ref)
 
-    @pytest.mark.parametrize("case", _POOL_CASES, ids=str)
+    @pytest.mark.parametrize("case", _POOL_CASES + _ONE_WINDOW_POOL_CASES, ids=str)
     @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
-    def test_pools(self, layout, pool_cls, case, monkeypatch):
+    def test_pools(self, layout, pool_cls, case):
         b, c, h, w, k, stride = case
         rng = np.random.default_rng(b * 1000 + h + 2)
         pool = pool_cls(k, stride)
-        # few distinct values, so max-pool windows hold ties
-        x = rng.integers(-2, 3, size=(b, c, h, w)).astype(np.float64)
-        cot = _signed_data(rng, (b,) + pool.out_shape((c, h, w)))
-        unrolled = (_unrolled_max_pool_backward if pool_cls is MaxPool2d
-                    else _recorded_backward)
+        # few distinct values, so max-pool windows hold ties, some of them
+        # between +0.0 and -0.0; then signed normal draws
+        ties = rng.integers(-2, 3, size=(b, c, h, w)).astype(np.float64)
+        ties[(ties == 0) & (rng.uniform(size=ties.shape) < 0.5)] = -0.0
+        for x in (ties, _signed_data(rng, (b, c, h, w))):
+            cot = _signed_data(rng, (b,) + pool.out_shape((c, h, w)))
+            want_y, want_winners, want_grad, want_rel = _stacked_pool(pool, x, cot)
+            entry = recorded_entry(pool, x)
+            _assert_same_bits(entry.output, want_y)
+            _assert_same_bits(pool.forward(x), want_y)
+            if want_winners is not None:
+                assert np.array_equal(entry.kept["winners"], want_winners)
+            _assert_same_bits(pool.backward(entry, cot)[0], want_grad)
+            if want_rel is not None:
+                _assert_same_bits(lrp_passthrough(pool, entry, cot), want_rel)
 
-        def run(backward):
-            return [pool.forward(x), backward(pool, x, cot)[0]]
+    @pytest.mark.parametrize("case", _POOL_CASES, ids=str)
+    def test_window_order_matches_numpys_stacked_reductions(self, case):
+        # What the pools did before they reduced tap by tap: ``max`` and
+        # ``mean`` over the stacked windows' axis 2.  At these shapes numpy
+        # runs that reduction window by window as well, so the bits agree.
+        # With one output position and 3x3 windows it reduces along the
+        # window axis in its own vectorized order instead, which is why
+        # ``_ONE_WINDOW_POOL_CASES`` are left out here.
+        b, c, h, w, k, stride = case
+        rng = np.random.default_rng(b * 1000 + h + 3)
+        x = _signed_data(rng, (b, c, h, w))
+        cot = _signed_data(rng, (b,) + MaxPool2d(k, stride).out_shape((c, h, w)))
+        win = _ref_windows(x, k, k, stride, *cot.shape[2:])
+        _assert_same_bits(_stacked_pool(MaxPool2d(k, stride), x, cot)[0], win.max(axis=2))
+        _assert_same_bits(_stacked_pool(AvgPool2d(k, stride), x, cot)[0], win.mean(axis=2))
 
-        # max pooling's backward from its recorded winners equals a fresh
-        # unroll and argmax, ties included
-        want = _reference(monkeypatch, lambda: run(unrolled))
-        for got, ref in zip(run(_recorded_backward), want):
-            assert got.flags.c_contiguous
-            _assert_same_bits(got, ref)
+    def test_pools_build_no_window_stack(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a pool reached the convolution's window kernel")
+        monkeypatch.setattr(tensornet, "_windows", refused)
+        monkeypatch.setattr(tensornet, "_fold", refused)
+        x = np.random.default_rng(4).standard_normal((2, 3, 5, 5))
+        for pool in (MaxPool2d(2), MaxPool2d(3, 1), AvgPool2d(2), AvgPool2d(3, 2)):
+            entry = recorded_entry(pool, x)
+            pool.backward(entry, np.ones_like(entry.output))
+            lrp_passthrough(pool, entry, np.ones_like(entry.output))
 
     def test_max_pool_tie_goes_to_lowest_index(self, layout):
         x = np.zeros((2, 3, 4, 4))
