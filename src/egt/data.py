@@ -377,16 +377,17 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
     two domains come out closer than ``spec.min_channel_gap`` in their
     largest per-channel mean difference.
     """
+    shape = (spec.classes * spec.images_per_class, 3, spec.height, spec.width)
+    # every domain's images first: a corpus no memory holds fails before any draw
+    domain_images = [np.empty(shape, dtype=np.float32) for _ in spec.domains]
     rng = np.random.default_rng(seed)
     geoms = sample_class_geometries(spec.classes, rng, spec.max_primitives)
     ys = (np.arange(spec.height) + 0.5) / spec.height
     xs = (np.arange(spec.width) + 0.5) / spec.width
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     sets = []
-    for tag in spec.domains:
+    for tag, images in zip(spec.domains, domain_images):
         style = STYLES[tag]
-        images = np.empty((spec.classes * spec.images_per_class, 3, spec.height, spec.width),
-                          dtype=np.float32)
         labels = np.repeat(np.arange(spec.classes, dtype=np.int32),
                            spec.images_per_class)
         row = 0

@@ -101,7 +101,12 @@ def parse_fields(tokens: list[str], schema: dict, offset: int | None,
 
 def write_container(path: str, magic: bytes, lines: list[str], terminator: bytes,
                     blocks: list[np.ndarray]) -> None:
-    """Write ``magic``, the ascii ``lines`` joined by newlines, ``terminator``, then each block."""
+    """Write ``magic``, the ascii ``lines`` joined by newlines, ``terminator``, then each block.
+
+    A float block holding a non-finite value is refused before the file is opened, as
+    :meth:`Container.blocks` refuses it on read: a file already at ``path`` stays whole."""
+    if any(block.dtype.kind == "f" and not np.isfinite(block).all() for block in blocks):
+        raise NumericError(f"refusing to write {path}: it would hold a non-finite value")
     with open(path, "wb") as fh:
         fh.write(magic + "\n".join(lines).encode("ascii") + terminator)
         for block in blocks:

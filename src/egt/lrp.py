@@ -18,10 +18,11 @@ Bias terms sit inside ``y_j`` but never receive an input share: bias
 relevance is absorbed.  Conservation is therefore exact only on
 bias-free stacks.  Parameter-free layers pass relevance through: relu
 keeps it unchanged, flatten and max pooling apply their own ``backward``
-to it (max pooling routes each window's relevance to the winner its
-recorded forward pass kept, lowest flat index on ties), and average
-pooling splits proportionally to each input's contribution, falling back
-to an equal split when a window sums to exactly zero.
+to it (max pooling routes each window's relevance to the winner that
+``backward`` derives again from the recorded input and output, the
+lowest tap on ties), and average pooling splits proportionally to each
+input's contribution, falling back to an equal split when a window sums
+to exactly zero.
 
 Every array carries the trace's leading row axis, and rows never mix:
 row ``b`` of an input relevance depends only on row ``b`` of the

@@ -225,17 +225,15 @@ def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
     """``trace`` repeated ``reps`` times along its rows: row ``t*B + b`` is row ``b``.
 
     Only what the relevance rules read is tiled: each entry's input and
-    output, and max pooling's kept ``winners``.  A convolution's kept
-    columns serve only the gradient pass and are dropped.
+    output, from which max pooling derives its winners again.  A
+    convolution's kept columns serve only the gradient pass and are dropped.
     """
     if trace is None:
         return None
 
     def tile(a: Array) -> Array:
         return np.tile(a, (reps,) + (1,) * (a.ndim - 1))
-    return ForwardTrace([LayerTrace(tile(e.input), tile(e.output),
-                                    {k: tile(a) for k, a in e.kept.items() if k == "winners"})
-                         for e in trace.entries])
+    return ForwardTrace([LayerTrace(tile(e.input), tile(e.output)) for e in trace.entries])
 
 
 def describe_layer(layer: Layer) -> str:

@@ -4,39 +4,37 @@ Implements the closed layer vocabulary used by the relevance engine and
 the episodic trainer: ``linear``, ``conv2d``, ``relu``, ``maxpool2d``,
 ``avgpool2d``, ``flatten``.  A forward pass can be recorded into a
 :class:`ForwardTrace` that keeps every per-layer input and output, plus
-what a layer unrolled and its ``backward`` needs again: the convolution's
-im2col columns and max pooling's winners (:class:`LayerTrace`).  Both
-the gradient pass and the relevance pass replay that trace instead of
-touching global state or unrolling again; the unrecorded pass keeps
-nothing.  The parameterized layers expose their input pull-back as
-``grad_input(grad_out, in_shape, weight=None)``, which the relevance
-rules reuse with their own weights.
+the convolution's im2col columns, which its ``backward`` reuses
+(:class:`LayerTrace`).  Both the gradient pass and the relevance pass
+replay that trace instead of touching global state or unrolling again;
+max pooling derives its winners again from the recorded input and
+output.  The unrecorded pass keeps nothing.  The parameterized layers
+expose their input pull-back as ``grad_input(grad_out, in_shape,
+weight=None)``, which the relevance rules reuse with their own weights.
 
-The convolution's window kernel is :func:`_windows`, which unrolls the
-sliding windows of its padded input (:meth:`Conv2d.unroll`), and
-:func:`_fold`, which scatter-adds them back.  The convolution's input
-pull-back folds onto the unpadded interior only: additions that would
-land on the padding are skipped, so no padded grid is built and sliced.
-Both loop over the kernel offsets ``(i, j)`` with one slice op each, and
-take their working array's memory layout from the output width ``ow``
-(:func:`_kernel_array`): spatial-major, ``(..., B, C)``, for ``ow`` in
-``_SPATIAL_MAJOR_OW``, so that a slice op's innermost loop spans B*C
-elements instead of ``ow``, and channel-major otherwise.  Both
-hand back a C-contiguous ``(B, C, ...)`` array, so callers and GEMMs see
-one layout.  The results are bit-identical in either layout: the unroll
-only copies, and every folded element receives its additions in the same
+There is one window kernel, for convolution and pooling alike.  Its
+offset table (:func:`_offsets`) holds, per kernel offset ``(i, j)``, the
+slices of an input padded by ``pad`` that the offset taps and of the
+windows that read them, so no padded copy is ever built.
+:func:`_windows` unrolls through it (:meth:`Conv2d.unroll`), leaving
+taps on the padding ``+0.0``, and :func:`_fold` scatter-adds one window
+part per offset back onto the unpadded grid.  Both take their working
+array's memory layout from the output width ``ow`` (:func:`_kernel_array`):
+spatial-major, ``(..., B, C)``, for ``ow`` in ``_SPATIAL_MAJOR_OW``, so
+that a slice op's innermost loop spans B*C elements instead of ``ow``,
+and channel-major otherwise.  Both hand back a C-contiguous ``(B, C, ...)``
+array.  The results are bit-identical in either layout: the unroll only
+copies, and every folded element receives its additions in the same
 ``(i, j)`` order, starting from ``+0.0``.
 
-The pools stack no windows.  They work on their taps
-(:meth:`_Pool.taps`), one strided view of the input per kernel offset:
-max pooling reduces them with ``np.maximum`` in offset order, average
-pooling adds them onto ``+0.0`` in that order, and the pull-backs add one
-part per tap onto a ``+0.0`` grid (:meth:`_Pool.untap`).  Those are the
-orders of :func:`_fold`'s additions and of numpy's ``max`` and ``mean``
-along a stacked window axis, so the results are a window stack's to the
-bit.  The exception is one output position over 3x3 or larger windows:
-there numpy reduces a stack in its own vectorized order, which can move
-a sum's last bit or a tied zero maximum's sign.
+The pools stack no windows.  Their taps (:meth:`_Pool.taps`) are the
+table's grid slices, as strided views: max pooling reduces them with
+``np.maximum`` in offset order, average pooling adds them onto ``+0.0``
+in that order, and the pull-backs hand :func:`_fold` one part per tap
+(:meth:`_Pool.untap`).  Those are the orders of numpy's ``max`` and
+``mean`` along a stacked window axis, so the results are a window
+stack's to the bit, except at one output position over 3x3 or larger
+windows, where numpy reduces a stack in its own vectorized order.
 
 A convolution's weight gradient is a sum of per-row products
 (:func:`_summed_products`).  One that takes more than one chunk of the
@@ -117,41 +115,50 @@ def _kernel_array(alloc, shape: tuple[int, ...], ow: int, dtype) -> Array:
     return alloc(shape[2:] + shape[:2], dtype).transpose(n, n + 1, *range(n))
 
 
-def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
-    """Stack the sliding windows of ``x`` along axis 2: ``(B, C, kh*kw, oh, ow)``.
+def _offsets(kh: int, kw: int, stride: int, oh: int, ow: int, h: int, w: int, pad: int) -> list:
+    """The window kernel's offset table: entry ``i*kw + j`` serves kernel offset ``(i, j)``.
 
-    Window index ``i*kw + j`` holds kernel offset ``(i, j)``.  This is
-    the convolution's unroll; the pools read the same offsets as strided
-    views instead (:meth:`_Pool.taps`).  The result is C-contiguous
-    whatever layout :func:`_kernel_array` picked.
+    An entry is ``(grid, windows)``, the slices of an ``h x w`` input padded
+    by ``pad`` that the offset taps and of the ``oh x ow`` windows that read
+    them (:func:`_interior`).  Taps on the padding are in neither.
     """
-    b, c = x.shape[:2]
-    win = _kernel_array(np.empty, (b, c, kh * kw, oh, ow), ow, x.dtype)
+    rows = [_interior(i, stride, oh, pad, h) for i in range(kh)]
+    cols = [_interior(j, stride, ow, pad, w) for j in range(kw)]
+    return [((grid_y, grid_x), (win_y, win_x)) for grid_y, win_y in rows for grid_x, win_x in cols]
+
+
+def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int, pad: int) -> Array:
+    """The windows of ``x`` padded by ``pad``, stacked along axis 2: ``(B, C, kh*kw, oh, ow)``.
+
+    Window index ``i*kw + j`` holds kernel offset ``(i, j)``.  ``x`` is read
+    unpadded, through :func:`_offsets`, and a tap on the padding stays
+    ``+0.0``.  The result is C-contiguous whatever layout
+    :func:`_kernel_array` picked.
+    """
+    b, c, h, w = x.shape
+    win = _kernel_array(np.zeros, (b, c, kh * kw, oh, ow), ow, x.dtype)
     x_s, win_s = x.transpose(2, 3, 0, 1), win.transpose(2, 3, 4, 0, 1)
-    for i in range(kh):
-        for j in range(kw):
-            win_s[i * kw + j] = x_s[i:i + stride * oh:stride, j:j + stride * ow:stride]
+    for t, (grid, part) in enumerate(_offsets(kh, kw, stride, oh, ow, h, w, pad)):
+        win_s[t][part] = x_s[grid]
     return np.ascontiguousarray(win)
 
 
-def _fold(win: Array, kh: int, kw: int, stride: int, h: int, w: int, pad: int = 0) -> Array:
-    """Scatter-add stacked windows back onto an ``h x w`` grid (adjoint of :func:`_windows`).
+def _fold(parts, kh: int, kw: int, stride: int, h: int, w: int, pad: int) -> Array:
+    """Scatter-add window parts onto an ``h x w`` grid (adjoint of :func:`_windows`).
 
-    With ``pad``, the windows tile that grid zero-padded by ``pad`` on
-    every side, and only the interior is written: an addition that would
-    land on the border is skipped.  Each written element receives its
-    additions in kernel-offset order ``(i, j)`` in either layout,
-    starting from ``+0.0``, so the sums are those of folding onto the
-    padded grid and slicing, to the bit.  The result is C-contiguous.
+    ``parts`` yields one ``(B, C, oh, ow)`` part per window index, each
+    read once as it comes.  An addition that would land on the padding is
+    skipped.  Each element receives its additions in kernel-offset order
+    ``(i, j)`` in either layout, starting from ``+0.0``, so the sums are
+    those of folding onto the padded grid and slicing, to the bit.  The
+    result is C-contiguous.
     """
-    b, c, _, oh, ow = win.shape
-    out = _kernel_array(np.zeros, (b, c, h, w), ow, np.float64)
-    out_s, win_s = out.transpose(2, 3, 0, 1), win.transpose(2, 3, 4, 0, 1)
-    rows = [_interior(i, stride, oh, pad, h) for i in range(kh)]
-    cols = [_interior(j, stride, ow, pad, w) for j in range(kw)]
-    for i, (out_y, win_y) in enumerate(rows):
-        for j, (out_x, win_x) in enumerate(cols):
-            out_s[out_y, out_x] += win_s[i * kw + j][win_y, win_x]
+    oh, ow = _out_sides((h, w), kh, kw, stride, pad)
+    out = None
+    for part, (grid, win) in zip(parts, _offsets(kh, kw, stride, oh, ow, h, w, pad)):
+        if out is None:
+            out = _kernel_array(np.zeros, part.shape[:2] + (h, w), ow, np.float64)
+        out.transpose(2, 3, 0, 1)[grid] += part.transpose(2, 3, 0, 1)[win]
     return np.ascontiguousarray(out)
 
 
@@ -265,12 +272,10 @@ class LayerTrace:
     """One recorded layer application: its input and output rows, and ``kept``.
 
     ``kept`` holds what the layer unrolled in ``forward`` and its
-    ``backward`` reuses, every array leading with the row axis: a
-    convolution's im2col columns (``"cols"``, ``(B, C*kh*kw, oh*ow)``)
-    and max pooling's winners (``"winners"``, a boolean mask over its
-    windows, ``(B, C, kh*kw, oh, ow)``).  Other layers keep nothing.  For the
-    encoder at the gate's shapes (41 images, 3x16x16, widths 8/16/32)
-    that is about 4.7 MB per trace, almost all of it columns.
+    ``backward`` reuses: only a convolution keeps anything, its im2col
+    columns (``"cols"``, ``(B, C*kh*kw, oh*ow)``).  For the encoder at the
+    gate's shapes (41 images, 3x16x16, widths 8/16/32) that is about
+    4.5 MB per trace.
     """
     input: Array
     output: Array
@@ -288,10 +293,11 @@ class Layer:
     def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
         """Apply the layer to input rows ``(B, *in_shape)``.
 
-        A recording caller passes an empty dict as ``kept``, and the layer
-        stores there what its ``backward`` reuses; without it the layer
-        keeps nothing and does no extra work.  A convolution also takes
-        its columns from ``kept`` when they are there (:meth:`Conv2d.forward`).
+        A recording caller passes an empty dict as ``kept``, and a
+        convolution stores its columns there for ``backward``; every other
+        layer leaves it empty.  Without it no layer keeps anything or does
+        extra work.  A convolution also takes its columns from ``kept``
+        when they are there (:meth:`Conv2d.forward`).
         """
         raise NotImplementedError
 
@@ -388,19 +394,16 @@ class Conv2d(_Parameterized):
         """The im2col columns ``(B, C*kh*kw, oh*ow)`` of rows ``x``, zero-padded.
 
         Row ``c*kh*kw + i*kw + j`` of a column block holds channel ``c`` at
-        kernel offset ``(i, j)``.  The channel count C is not checked
-        against the kernel: the relation head unrolls each half of a
-        pair on its own.
+        kernel offset ``(i, j)``; a tap on the padding holds ``+0.0``, and
+        no padded copy of ``x`` is made.  The channel count C is not
+        checked against the kernel: the relation head unrolls each half
+        of a pair on its own.
         """
         b, c, h, w = x.shape
         _, _, kh, kw = self.weight.shape
-        p, s = self.padding, self.stride
-        oh, ow = _out_sides((h, w), kh, kw, s, p)
-        xp = x
-        if p:  # a plain copy into zeros: ``np.pad``'s own cost dwarfs it on small batches
-            xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            xp[:, :, p:-p, p:-p] = x
-        return _windows(xp, kh, kw, s, oh, ow).reshape(b, c * kh * kw, oh * ow)
+        oh, ow = _out_sides((h, w), kh, kw, self.stride, self.padding)
+        return _windows(x, kh, kw, self.stride, oh, ow, self.padding).reshape(
+            b, c * kh * kw, oh * ow)
 
     def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
         """One GEMM over the columns ``unroll(x)``.
@@ -452,8 +455,8 @@ class Conv2d(_Parameterized):
         c, h, wd = in_shape
         _, _, kh, kw = w.shape
         dcols = np.matmul(w.reshape(o, -1).T, grad_out.reshape(b, o, oh * ow))
-        return _fold(dcols.reshape(b, c, kh * kw, oh, ow), kh, kw, self.stride, h, wd,
-                     self.padding)
+        parts = dcols.reshape(b, c, kh * kw, oh, ow).transpose(2, 0, 1, 3, 4)
+        return _fold(parts, kh, kw, self.stride, h, wd, self.padding)
 
 
 class ReLU(Layer):
@@ -484,54 +487,44 @@ class _Pool(Layer):
     def windows(self, x: Array) -> Array:
         """The stacked windows of ``x``, ``(B, C, k*k, oh, ow)``; no pass builds them."""
         _, oh, ow = self.out_shape(x.shape[1:])
-        return _windows(x, self.kernel, self.kernel, self.stride, oh, ow)
+        return _windows(x, self.kernel, self.kernel, self.stride, oh, ow, 0)
 
     def taps(self, x: Array) -> list[Array]:
-        """The ``k*k`` strided views ``(B, C, oh, ow)`` of ``x``; entry ``i*k + j``
-        holds kernel offset ``(i, j)`` of every window, as window index ``i*k + j`` does."""
-        _, oh, ow = self.out_shape(x.shape[1:])
-        k, s = self.kernel, self.stride
-        return [x[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
+        """The ``k*k`` strided views ``(B, C, oh, ow)`` of ``x``: the grid slices of
+        :func:`_offsets`, so entry ``i*k + j`` holds kernel offset ``(i, j)`` of every window."""
+        (_, oh, ow), k, s = self.out_shape(x.shape[1:]), self.kernel, self.stride
+        return [x[..., gy, gx] for (gy, gx), _ in _offsets(k, k, s, oh, ow, *x.shape[2:], 0)]
 
     def untap(self, parts, in_shape: tuple[int, ...]) -> Array:
-        """Adjoint of :meth:`taps`: a ``+0.0`` grid of ``in_shape`` with part ``t`` added
-        onto tap ``t``, in tap order, so overlapping taps sum in kernel-offset order."""
-        grid = np.zeros(in_shape)
-        for tap, part in zip(self.taps(grid), parts):
-            tap += part
-        return grid
+        """Adjoint of :meth:`taps`: part ``t`` added onto tap ``t`` by :func:`_fold`."""
+        return _fold(parts, self.kernel, self.kernel, self.stride, *in_shape[2:], 0)
 
 
 class MaxPool2d(_Pool):
     kind = "maxpool2d"
 
     def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
-        """Window maxima, reduced tap by tap; a recorded pass also keeps each window's winner.
-
-        The winners are a boolean mask shaped like the stacked windows,
-        ``(B, C, k*k, oh, ow)``, true at the lowest window index that
-        holds the maximum: a view of a ``(k*k, B, C, oh, ow)`` array, so
-        that each tap's mask is one contiguous block.
-        """
+        """Window maxima, reduced tap by tap; nothing is kept."""
         taps = self.taps(x)
         y = taps[0].copy()
         for tap in taps[1:]:
             np.maximum(y, tap, out=y)
-        if kept is not None:
-            winners = np.empty((len(taps),) + y.shape, dtype=bool)
-            taken = np.equal(taps[0], y, out=winners[0]).copy()
-            for won, tap in zip(winners[1:], taps[1:]):
-                np.equal(tap, y, out=won)
-                won &= ~taken
-                taken |= won
-            kept["winners"] = winners.transpose(1, 2, 0, 3, 4)
         return y
 
     def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
-        """Route each window's cotangent to its recorded winner, the lowest index on ties."""
-        winners = entry.kept["winners"]
-        parts = (np.where(winners[:, :, t], grad_out, 0.0) for t in range(winners.shape[2]))
-        return self.untap(parts, entry.input.shape), None
+        """Route each window's cotangent to its winner: the lowest tap of the recorded input
+        equal to the recorded maximum.  The masks are written in place; ``np.where`` routes,
+        as ``grad_out * mask`` would make an infinite cotangent at a losing tap NaN."""
+        y = entry.output
+        won, free = np.empty(y.shape, dtype=bool), np.ones(y.shape, dtype=bool)
+
+        def parts():
+            for tap in self.taps(entry.input):
+                np.equal(tap, y, out=won)
+                np.logical_and(won, free, out=won)
+                np.logical_xor(free, won, out=free)  # won lies within free: clears it
+                yield np.where(won, grad_out, 0.0)
+        return self.untap(parts(), entry.input.shape), None
 
 
 class AvgPool2d(_Pool):

@@ -21,6 +21,7 @@ import egt.data
 from egt import cli
 from egt.cli import REQUIRED, SETTINGS, _config_value, build_parser, finite_float, main
 from egt.data import LabeledImageSet, load_dataset, save_dataset
+from egt.model import load_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -131,16 +132,20 @@ class TestGenData:
         assert list(tmp_path.iterdir()) == []
 
 
-    # case -> (setting, value): sizes no run can generate.  Each is refused
-    # before the class geometry is drawn.
+    # case -> settings: sizes no run can generate.  Each is refused before
+    # the class geometry is drawn.  The last is within every limit the
+    # settings are checked against, about 1.7 PB per domain: its image array
+    # fails to allocate, and is allocated first.
     TOO_LARGE = {
-        "height-1e30": ("height", 10 ** 30),
-        "width-1e30": ("width", 10 ** 30),
-        "classes-1e12": ("classes", 10 ** 12),
-        "classes-1e30": ("classes", 10 ** 30),
-        "max-primitives-65": ("max_primitives", 65),
-        "max-primitives-1e12": ("max_primitives", 10 ** 12),
-        "max-primitives-1e30": ("max_primitives", 10 ** 30),
+        "height-1e30": {"height": 10 ** 30},
+        "width-1e30": {"width": 10 ** 30},
+        "classes-1e12": {"classes": 10 ** 12},
+        "classes-1e30": {"classes": 10 ** 30},
+        "max-primitives-65": {"max_primitives": 65},
+        "max-primitives-1e12": {"max_primitives": 10 ** 12},
+        "max-primitives-1e30": {"max_primitives": 10 ** 30},
+        "classes-2e31-256x256": {"classes": 2 ** 31, "per_class": 1, "height": 256,
+                                 "width": 256},
     }
 
     @pytest.mark.parametrize("case", sorted(TOO_LARGE))
@@ -149,9 +154,7 @@ class TestGenData:
         def drawn(*args):
             raise AssertionError("class geometry drawn before the size check")
         monkeypatch.setattr(egt.data, "sample_class_geometries", drawn)
-        key, value = self.TOO_LARGE[case]
-        assert main(["gen-data", "--out", str(tmp_path),
-                     "--" + key.replace("_", "-"), str(value)]) == 1
+        assert main(_argv("gen-data", {"out": tmp_path, **self.TOO_LARGE[case]})) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -384,6 +387,40 @@ def test_way_beyond_the_classes_exits_2_first(corpus, run_dir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# The values every number and comma-list setting of every command is fed.
+# A comma list is a str setting with a default (the others are paths).
+SWEEP_VALUES = {int: (0, -1, 10 ** 12, 10 ** 30), finite_float: (0.0, -1.0, 1e308, -1e-320),
+                "list": ("", ",", "0", 10 ** 12)}
+# These take a huge value as a request for that much work, which a run
+# then does: they are swept at 0 and -1 only.
+LONG_WORK = {("train", "epochs"), ("train", "episodes_per_epoch"), ("eval", "episodes")}
+
+
+def _sweep_cases():
+    for command, table in SETTINGS.items():
+        for key, (kind, default, _) in table.items():
+            listed = kind is str and default is not REQUIRED
+            for value in SWEEP_VALUES.get("list" if listed else kind, ()):
+                if (command, key) not in LONG_WORK or value in (0, -1):
+                    yield command, key, value
+
+
+@pytest.mark.parametrize("command, key, value", list(_sweep_cases()), ids=str)
+def test_every_setting_ends_in_an_exit_code(corpus, run_dir, tmp_path, capsys, command, key,
+                                            value):
+    # train takes one step, so that --lr and its kin act on the weights
+    step = {"epochs": 1, "episodes_per_epoch": 1} if command == "train" else {}
+    settings = {**_settings(command, corpus, run_dir, tmp_path), **step, key: value}
+    code = main(_argv(command, settings))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    assert err.count("error:") == (code != 0)
+    if code != 0:
+        assert err.splitlines()[-1].startswith("error: ")
+    elif command == "train":
+        load_model(str(tmp_path / "model.egt1"))
+
+
 class TestTrain:
     def test_outputs_exist(self, run_dir):
         assert (run_dir / "model.egt1").exists()
@@ -417,6 +454,16 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "train.config.json").exists()
+
+    def test_non_finite_weights_exit_3_without_a_checkpoint(self, corpus, run_dir, tmp_path,
+                                                            capsys):
+        # one step at lr 1e40 leaves weights that float32 holds only as inf
+        settings = {**_settings("train", corpus, run_dir, tmp_path), "epochs": 1,
+                    "episodes_per_epoch": 1, "lr": 1e40}
+        assert main(_argv("train", settings)) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "non-finite" in err
+        assert not (tmp_path / "model.egt1").exists()
 
     def test_config_echo_resolves_loss_weights(self, run_dir):
         cfg = json.loads((run_dir / "train.config.json").read_text())

@@ -275,6 +275,16 @@ class TestGenerator:
             diff.append((a & c).sum() / max(1, (a | c).sum()))
         assert np.mean(same) > np.mean(diff)
 
+    def test_corpus_no_memory_holds_fails_before_any_draw(self, monkeypatch):
+        # 2**31 classes of one 256x256 image: about 1.7 PB per domain, past any
+        # address space, yet within numpy's addressable size and the int32 labels
+        def drawn(*args):
+            raise AssertionError("class geometry drawn before the images were allocated")
+        monkeypatch.setattr(egt.data, "sample_class_geometries", drawn)
+        spec = GeneratorSpec(classes=2 ** 31, images_per_class=1, height=256, width=256)
+        with pytest.raises(MemoryError):
+            gen_synthetic_domains(spec, seed=0)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError, match="unknown domains"):
             GeneratorSpec(domains=("bright", "sepia"))

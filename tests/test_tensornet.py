@@ -180,9 +180,9 @@ class TestGradientFiniteDifference:
 
 
 class TestRecordedPass:
-    """The trace keeps each layer's unroll; the gradient pass reuses it."""
+    """The trace keeps each conv's unroll, and nothing else; the gradient pass reuses it."""
 
-    def test_only_conv_and_max_pool_keep_arrays(self):
+    def test_only_conv_keeps_arrays(self):
         rng = np.random.default_rng(13)
         net = Network((2, 6, 6), [rand_conv(rng, 2, 3, 3, padding=1), ReLU(),
                                   MaxPool2d(2), AvgPool2d(3), Flatten(),
@@ -190,12 +190,20 @@ class TestRecordedPass:
         x = rng.standard_normal((4, 2, 6, 6))
         out, trace = net.forward_recorded(x)
         np.testing.assert_array_equal(out, net.forward(x))
-        assert [sorted(e.kept) for e in trace.entries] == [["cols"], [], ["winners"], [], [], []]
+        assert [sorted(e.kept) for e in trace.entries] == [["cols"], [], [], [], [], []]
         cols = trace.entries[0].kept["cols"]
-        want = _ref_windows(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), 3, 3, 1, 6, 6)
-        np.testing.assert_array_equal(cols, want.reshape(4, 18, 36))
-        winners = trace.entries[2].kept["winners"]
-        assert winners.shape == (4, 3, 4, 3, 3) and (winners.sum(axis=2) == 1).all()
+        np.testing.assert_array_equal(cols, _ref_windows(x, 3, 3, 1, 6, 6, 1).reshape(4, 18, 36))
+
+    def test_encoder_pass_keeps_exactly_each_convs_columns(self):
+        rng = np.random.default_rng(15)
+        net = build_encoder((3, 16, 16), rng)
+        _, trace = net.forward_recorded(rng.uniform(size=(5, 3, 16, 16)))
+        for layer, entry in zip(net.layers, trace.entries):
+            if isinstance(layer, Conv2d):
+                assert list(entry.kept) == ["cols"]
+                _assert_same_bits(entry.kept["cols"], layer.unroll(entry.input))
+            else:
+                assert entry.kept == {}
 
     @pytest.mark.parametrize("first", ["conv2d", "flatten"])
     def test_param_grads_bit_equal_without_input_grad(self, first, monkeypatch):
@@ -327,7 +335,9 @@ class TestInitAndDescriptions:
 
 # --- the window kernel: both memory layouts against a channel-major loop ---
 
-def _ref_windows(x, kh, kw, stride, oh, ow):
+def _ref_windows(x, kh, kw, stride, oh, ow, pad):
+    """Unroll a zero-padded copy of ``x``, window index by window index."""
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     b, c = x.shape[:2]
     win = np.empty((b, c, kh * kw, oh, ow))
     for i in range(kh):
@@ -336,14 +346,20 @@ def _ref_windows(x, kh, kw, stride, oh, ow):
     return win
 
 
-def _ref_fold(win, kh, kw, stride, h, w, pad=0):
+def _ref_fold(parts, kh, kw, stride, h, w, pad):
     """Fold onto the ``h x w`` grid padded by ``pad``, then copy out its interior."""
+    win = np.stack(list(parts), axis=2)
     b, c, _, oh, ow = win.shape
     out = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
             out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += win[:, :, i * kw + j]
     return np.ascontiguousarray(out[:, :, pad:pad + h, pad:pad + w])
+
+
+def _parts(win):
+    """The ``(B, C, oh, ow)`` parts of stacked windows, one per window index, as views."""
+    return win.transpose(2, 0, 1, 3, 4)
 
 
 def _signed_data(rng, shape):
@@ -419,8 +435,7 @@ def _unrolled_conv_backward(conv, x, cot):
     b, c = x.shape[:2]
     o, _, k, _ = conv.weight.shape
     p = conv.padding
-    cols = _ref_windows(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k, k, conv.stride,
-                        *cot.shape[2:]).reshape(b, c * k * k, -1)
+    cols = _ref_windows(x, k, k, conv.stride, *cot.shape[2:], p).reshape(b, c * k * k, -1)
     g2 = cot.reshape(b, o, -1)
     dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
     grads = {"weight": dw.reshape(conv.weight.shape), "bias": g2.sum(axis=(0, 2))}
@@ -429,23 +444,23 @@ def _unrolled_conv_backward(conv, x, cot):
 
 def _stacked_pool(pool, x, cot):
     """A pool and its pull-backs computed on a stacked window copy: the forward,
-    max pooling's winners, the input gradient, and the avg-pool relevance rule
-    for output relevance ``cot``.  Window reductions run window by window in
-    index order, the sums from ``+0.0``; the pull-backs fold with the reference
-    loop."""
+    the input gradient, and the avg-pool relevance rule for output relevance
+    ``cot``.  Window reductions run window by window in index order, the sums
+    from ``+0.0``; max pooling routes to the lowest window index that holds
+    the maximum; the pull-backs fold with the reference loop."""
     _, oh, ow = pool.out_shape(x.shape[1:])
     k, k2 = pool.kernel, pool.kernel * pool.kernel
-    win = _ref_windows(x, k, k, pool.stride, oh, ow)
+    win = _ref_windows(x, k, k, pool.stride, oh, ow, 0)
 
-    def fold(parts):
-        return _ref_fold(parts, k, k, pool.stride, *x.shape[2:])
+    def fold(stacked):
+        return _ref_fold(_parts(stacked), k, k, pool.stride, *x.shape[2:], 0)
     if isinstance(pool, MaxPool2d):
         y = win[:, :, 0].copy()
         for t in range(1, k2):
             y = np.maximum(y, win[:, :, t])
         first = (win == y[:, :, None]).argmax(axis=2)
         winners = np.arange(k2)[:, None, None] == first[:, :, None]
-        return y, winners, fold(np.where(winners, cot[:, :, None], 0.0)), None
+        return y, fold(np.where(winners, cot[:, :, None], 0.0)), None
     sums = np.zeros(win.shape[:2] + win.shape[3:])
     for t in range(k2):
         sums = sums + win[:, :, t]
@@ -453,7 +468,7 @@ def _stacked_pool(pool, x, cot):
         ratio = np.where(sums[:, :, None] != 0, win / sums[:, :, None], 0.0)
     ratio = ratio + (sums[:, :, None] == 0) * (1.0 / k2)
     grad = fold(np.broadcast_to(cot[:, :, None] / k2, win.shape))
-    return sums / k2, None, grad, fold(ratio * cot[:, :, None])
+    return sums / k2, grad, fold(ratio * cot[:, :, None])
 
 
 def _recorded_backward(layer, x, cot):
@@ -502,9 +517,9 @@ class TestInteriorFold:
         oh, ow = (h + 2 * p - k) // stride + 1, (w + 2 * p - k) // stride + 1
         win = _signed_data(rng, (b, c, k * k, oh, ow))
         win[rng.uniform(size=win.shape) < 0.3] = -0.0
-        got = _fold(win, k, k, stride, h, w, p)
+        got = _fold(_parts(win), k, k, stride, h, w, p)
         assert got.flags.c_contiguous
-        want = _fold(win, k, k, stride, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
+        want = _fold(_parts(win), k, k, stride, h + 2 * p, w + 2 * p, 0)[:, :, p:p + h, p:p + w]
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -520,8 +535,8 @@ class TestInteriorFold:
         for weight in (None, np.maximum(conv.weight, 0.0)):
             kernel = conv.weight if weight is None else weight
             dcols = np.matmul(kernel.reshape(o, -1).T, cot.reshape(b, o, oh * ow))
-            padded = _fold(dcols.reshape(b, c, k * k, oh, ow), k, k, stride,
-                           h + 2 * p, w + 2 * p)
+            padded = _fold(_parts(dcols.reshape(b, c, k * k, oh, ow)), k, k, stride,
+                           h + 2 * p, w + 2 * p, 0)
             want = padded[:, :, p:p + h, p:p + w]
             got = conv.grad_input(cot, (c, h, w), weight)
             assert np.array_equal(got, want)
@@ -535,18 +550,29 @@ class TestWindowKernelLayouts:
     def test_windows_and_fold(self, layout, case):
         b, c, h, w, k, stride, p = case
         rng = np.random.default_rng(b * 1000 + h)
-        hp, wp = h + 2 * p, w + 2 * p
-        oh, ow = (hp - k) // stride + 1, (wp - k) // stride + 1
-        x = _signed_data(rng, (b, c, hp, wp))
+        oh, ow = (h + 2 * p - k) // stride + 1, (w + 2 * p - k) // stride + 1
+        x = _signed_data(rng, (b, c, h, w))
         win = _signed_data(rng, (b, c, k * k, oh, ow))
-        got_win = _windows(x, k, k, stride, oh, ow)
-        got_fold = _fold(win, k, k, stride, hp, wp)
+        got_win = _windows(x, k, k, stride, oh, ow, p)
+        got_fold = _fold(_parts(win), k, k, stride, h, w, p)
         assert got_win.flags.c_contiguous and got_fold.flags.c_contiguous
-        _assert_same_bits(got_win, _ref_windows(x, k, k, stride, oh, ow))
-        _assert_same_bits(got_fold, _ref_fold(win, k, k, stride, hp, wp))
+        _assert_same_bits(got_win, _ref_windows(x, k, k, stride, oh, ow, p))
+        _assert_same_bits(got_fold, _ref_fold(_parts(win), k, k, stride, h, w, p))
         # fold is the adjoint of the unroll
         lhs, rhs = np.vdot(got_fold, x), np.vdot(win, got_win)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("case", _CONV_CASES, ids=str)
+    def test_windows_read_the_unpadded_input(self, layout, case):
+        # the unroll of the bare input is the unroll of its zero-padded copy,
+        # the padding's taps +0.0
+        b, c, h, w, k, stride, p = case
+        rng = np.random.default_rng(b * 1000 + h + 4)
+        oh, ow = (h + 2 * p - k) // stride + 1, (w + 2 * p - k) // stride + 1
+        x = _signed_data(rng, (b, c, h, w))
+        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        _assert_same_bits(_windows(x, k, k, stride, oh, ow, p),
+                          _ref_windows(padded, k, k, stride, oh, ow, 0))
 
     @pytest.mark.parametrize("case", _CONV_CASES, ids=str)
     def test_conv2d(self, layout, case, monkeypatch):
@@ -581,12 +607,11 @@ class TestWindowKernelLayouts:
         ties[(ties == 0) & (rng.uniform(size=ties.shape) < 0.5)] = -0.0
         for x in (ties, _signed_data(rng, (b, c, h, w))):
             cot = _signed_data(rng, (b,) + pool.out_shape((c, h, w)))
-            want_y, want_winners, want_grad, want_rel = _stacked_pool(pool, x, cot)
+            want_y, want_grad, want_rel = _stacked_pool(pool, x, cot)
             entry = recorded_entry(pool, x)
+            assert entry.kept == {}
             _assert_same_bits(entry.output, want_y)
             _assert_same_bits(pool.forward(x), want_y)
-            if want_winners is not None:
-                assert np.array_equal(entry.kept["winners"], want_winners)
             _assert_same_bits(pool.backward(entry, cot)[0], want_grad)
             if want_rel is not None:
                 _assert_same_bits(lrp_passthrough(pool, entry, cot), want_rel)
@@ -603,15 +628,16 @@ class TestWindowKernelLayouts:
         rng = np.random.default_rng(b * 1000 + h + 3)
         x = _signed_data(rng, (b, c, h, w))
         cot = _signed_data(rng, (b,) + MaxPool2d(k, stride).out_shape((c, h, w)))
-        win = _ref_windows(x, k, k, stride, *cot.shape[2:])
+        win = _ref_windows(x, k, k, stride, *cot.shape[2:], 0)
         _assert_same_bits(_stacked_pool(MaxPool2d(k, stride), x, cot)[0], win.max(axis=2))
         _assert_same_bits(_stacked_pool(AvgPool2d(k, stride), x, cot)[0], win.mean(axis=2))
 
     def test_pools_build_no_window_stack(self, monkeypatch):
+        # the pull-backs fold through ``_fold`` by design; the forward and the
+        # winners read strided views, never an unroll
         def refused(*args, **kwargs):
-            raise AssertionError("a pool reached the convolution's window kernel")
+            raise AssertionError("a pool unrolled its windows")
         monkeypatch.setattr(tensornet, "_windows", refused)
-        monkeypatch.setattr(tensornet, "_fold", refused)
         x = np.random.default_rng(4).standard_normal((2, 3, 5, 5))
         for pool in (MaxPool2d(2), MaxPool2d(3, 1), AvgPool2d(2), AvgPool2d(3, 2)):
             entry = recorded_entry(pool, x)
@@ -625,9 +651,17 @@ class TestWindowKernelLayouts:
         want[::2, ::2] = 1.0
         np.testing.assert_array_equal(grad, np.broadcast_to(want, grad.shape))
 
+    def test_max_pool_routes_an_infinite_cotangent_to_the_winner_only(self, layout):
+        # a product with the winner mask would put inf * 0 = NaN at the losing taps
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        grad = _recorded_backward(MaxPool2d(2), x, np.full((1, 1, 2, 2), np.inf))[0]
+        want = np.zeros((4, 4))
+        want[1::2, 1::2] = np.inf
+        np.testing.assert_array_equal(grad[0, 0], want)
+
     def test_unroll_keeps_the_input_dtype(self, layout):
         x = np.arange(2 * 3 * 4 * 4, dtype=np.float32).reshape(2, 3, 4, 4)
-        got = _windows(x, 2, 2, 2, 2, 2)
+        got = _windows(x, 2, 2, 2, 2, 2, 0)
         assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, _ref_windows(x, 2, 2, 2, 2, 2))
-        assert _fold(got, 2, 2, 2, 4, 4).dtype == np.float64
+        np.testing.assert_array_equal(got, _ref_windows(x, 2, 2, 2, 2, 2, 0))
+        assert _fold(_parts(got), 2, 2, 2, 4, 4, 0).dtype == np.float64

@@ -1,12 +1,12 @@
-"""The timing harnesses under ``tools/`` still run.
+"""The timing and fingerprint harnesses under ``tools/`` still run.
 
 ``tools/eval_bench.py`` imports the ``infer`` shapes from
 ``benchmarks/bench.py`` and the tracer from ``benchmarks/spans.py``;
 ``tools/layer_bench.py`` imports private names of the tensor stack;
 ``tools/gate_bench.py`` imports the gate's schedule from
-``tests/test_acceptance.py``.  No
-other test runs them, so a rename in the package or the benchmark would
-break them unnoticed.  Each tool is loaded from its file without writing
+``tests/test_acceptance.py``; ``tools/fingerprint.py`` runs a fixed chain
+of ``egt`` commands.  No other test runs them, so a rename in the
+package or the benchmark, or a changed flag, would break them unnoticed.  Each tool is loaded from its file without writing
 bytecode, and ``os.environ``, ``sys.path`` and the modules it imports
 from ``benchmarks/`` are put back afterwards.
 """
@@ -97,3 +97,17 @@ def test_layer_bench_times_the_relation_head(load_tool):
     for row in rows:
         assert (row["queries"], row["classes"]) == (16, 5)
         assert row["ms"]["q1"] > 0, row["op"]
+
+
+def test_fingerprint_chain_runs(load_tool, tmp_path):
+    fingerprint = load_tool("fingerprint")
+    entries = fingerprint.chain(str(tmp_path))
+    steps = [*fingerprint.CHAIN, "help", *(f"help-{cmd}" for cmd in fingerprint.COMMANDS)]
+    assert {name: entries[f"exit/{name}"] for name in steps} == dict.fromkeys(steps, "0")
+    for name in steps:
+        assert f"stdout/{name}" in entries and f"stderr/{name}" in entries
+    for path in ("gen-data/noisy.egtd", "train-cosine/model.egt1", "train-relation/model.egt1",
+                 "eval-cosine/eval_dark.csv", "eval-cosine/eval_noisy.csv",
+                 "eval-relation-transductive/eval_noisy.csv", "explain-relation/query0_class2.npy",
+                 "stats-cosine/stats_noisy_summary.csv"):
+        assert len(entries[f"file/{path}"]) == 64, path

@@ -10,8 +10,7 @@ which keeps what ``backward`` reuses, as a recording pass runs it),
 backward and relevance-rule time of every layer of two networks, each
 on its own recorded input.  The backward and the rule run on the
 layer's entry of one recorded pass, so they reuse what it kept (a
-convolution's columns, max pooling's winners) as training and
-explanation do.  A backward's timed call waits for a weight gradient
+convolution's columns) as training and explanation do.  A backward's timed call waits for a weight gradient
 summed on the reduction worker (``tensornet.joined``), so its time is
 the whole reduction, not its hand-off:
 
@@ -28,9 +27,11 @@ per-layer table, timing ``relation.0`` on ready-made pair rows, cannot
 show), ``lrp_through_head`` on the plain pass, and ``head.backward`` over
 both passes, as a training episode runs them, joined as above.
 
-Part 3, ``sweep``: ``_windows``, ``_fold``, ``Conv2d.forward`` and
-``Conv2d.grad_input`` (a C -> C 3x3 conv with padding 1 on a square
-``ow x ow`` map) over output width ``ow`` x B*C, once in each memory
+Part 3, ``sweep``: ``_windows`` (the conv's unroll of its unpadded
+input), ``_fold`` (of one part per window index, as the conv's input
+pull-back hands them), ``Conv2d.forward`` and ``Conv2d.grad_input`` (a
+C -> C 3x3 conv with padding 1 on a square ``ow x ow`` map) over output
+width ``ow`` x B*C, once in each memory
 layout of the window kernel.  The layout is forced by setting the range
 ``egt.tensornet._SPATIAL_MAJOR_OW`` for the duration of a cell; each
 cell reports the spatial-major / channel-major ratio of the medians.
@@ -153,12 +154,11 @@ def sweep_cell(b: int, c: int, ow: int, repeats: int, rng) -> dict:
     """Both layouts of the window kernel on one ``(B, C, ow)`` cell."""
     conv = Conv2d(rng.standard_normal((c, c, 3, 3)), np.zeros(c), padding=1)
     x = rng.uniform(size=(b, c, ow, ow))
-    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = rng.standard_normal((b, c, 9, ow, ow))
+    parts = rng.standard_normal((b, c, 9, ow, ow)).transpose(2, 0, 1, 3, 4)
     cot = rng.standard_normal((b, c, ow, ow))
     ops = {
-        "windows": lambda: _windows(xpad, 3, 3, 1, ow, ow),
-        "fold": lambda: _fold(win, 3, 3, 1, ow + 2, ow + 2),
+        "windows": lambda: _windows(x, 3, 3, 1, ow, ow, 1),
+        "fold": lambda: _fold(parts, 3, 3, 1, ow, ow, 1),
         "conv_forward": lambda: conv.forward(x),
         "grad_input": lambda: conv.grad_input(cot, (c, ow, ow)),
     }
