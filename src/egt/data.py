@@ -7,6 +7,13 @@ fill, and noise level.  Class identity stays in the geometry, so a
 classifier that latches onto style features transfers badly across
 domains on purpose.
 
+Rendering takes a block of images of one class at a time, at most
+``_BLOCK_BYTES`` of float64 pixels.  Each image's draws are made in
+image order (its primitives' jitters, colour, background and noise), so
+the rng stream, and with it every image, is the same as one image at a
+time would give; the masks, the blend and the noise are then computed
+once for the block, from per-image parameter columns.
+
 Datasets serialize to the EGTD container: one ascii manifest line,
 then class-major little-endian float32 images followed by int32 labels.
 """
@@ -30,6 +37,17 @@ DATASET_END = b"\n"
 PRIMITIVE_KINDS = ("disk", "ring", "square", "triangle", "bar", "cross")
 
 
+# Elements per slice of the finite check, so that its mask stays 256 KiB
+# however many images a set holds.
+_FINITE_SLICE = 1 << 18
+
+
+def _all_finite(images: Array) -> bool:
+    """``np.isfinite(images).all()``, a slice of whole images at a time."""
+    rows = max(1, _FINITE_SLICE // max(1, images[:1].size))
+    return all(np.isfinite(images[i:i + rows]).all() for i in range(0, len(images), rows))
+
+
 class LabeledImageSet:
     """Image array [N, C, H, W] with contiguous integer class labels."""
 
@@ -41,7 +59,7 @@ class LabeledImageSet:
         if labels.shape != (images.shape[0],):
             raise ContractError(
                 f"labels shape {labels.shape} does not match {images.shape[0]} images")
-        if not np.isfinite(images).all():
+        if not _all_finite(images):
             raise ContractError("images contain non-finite values")
         if images.shape[0] == 0:
             raise ContractError("dataset is empty")
@@ -266,56 +284,106 @@ class GeneratorSpec:
                 f"min_channel_gap must be finite and >= 0, got {self.min_channel_gap}")
 
 
+# Bytes of one block's float64 pixel stack (images x 3 x H x W), the
+# largest temporary of the renderer.  Blocks are sized in bytes so that no
+# temporary grows with ``images_per_class``.  At 96 KiB (16 images of
+# 16x16) each one also stays below glibc's default 128 KiB mmap
+# threshold, so the renderer's arrays never move that threshold.
+_BLOCK_BYTES = 96 * 1024
+# Unit vertices of the triangle primitive, the first one straight up.
+_TRIANGLE = [(math.cos(math.pi / 2 + 2 * math.pi * k / 3),
+              math.sin(math.pi / 2 + 2 * math.pi * k / 3)) for k in range(3)]
+
+
+def _draw_block(prims: list[Primitive], style: DomainStyle, n: int, shape: tuple[int, int],
+                rng: np.random.Generator) -> tuple[Array, Array, Array | None, Array]:
+    """Draw ``n`` images of one class, image by image, in the renderer's fixed order.
+
+    Per image: four normal jitters per primitive (centre x, centre y,
+    size, angle), the palette pick, the colour jitter, the background's
+    draw if its kind has one (a stripe phase or a checker shift), then
+    the pixel noise.  The size floor and the angle's cosine and sine are
+    taken per image, as ``math`` scalars.  Returns each primitive's
+    (cx, cy, size, cos, sin) as (P, 5, n, 1, 1) columns, the (n, 3)
+    foreground colours, the background draws (None for a gradient) and
+    the (n, 3, H, W) noise.
+    """
+    geometry, picks, bg = [], [], []
+    shifts = np.empty((n, 3))
+    noise = np.empty((n, 3, *shape))
+    for i in range(n):
+        for prim in prims:
+            cx = prim.cx + float(rng.normal(0.0, 0.02))
+            cy = prim.cy + float(rng.normal(0.0, 0.02))
+            size = max(0.05, prim.size * (1.0 + float(rng.normal(0.0, 0.08))))
+            angle = prim.angle + float(rng.normal(0.0, 0.15))
+            geometry.append((cx, cy, size, math.cos(angle), math.sin(angle)))
+        picks.append(int(rng.integers(len(style.fg_palette))))
+        shifts[i] = rng.normal(0.0, 0.04, size=3)
+        if style.background == "stripes":
+            bg.append(rng.uniform(0.0, 1.0))
+        elif style.background == "checker":
+            bg.append(rng.integers(0, 2))
+        noise[i] = rng.normal(0.0, style.noise, size=noise.shape[1:])
+    columns = np.array(geometry).reshape(n, len(prims), 5).transpose(1, 2, 0)[..., None, None]
+    fg = np.clip(np.array(style.fg_palette)[picks] + shifts, 0.0, 1.0)
+    return columns, fg, np.array(bg) if bg else None, noise
+
+
 def _soft(dist: Array, edge: float) -> Array:
     return np.clip(dist / edge + 0.5, 0.0, 1.0)
 
 
-def _filled_mask(prim: Primitive, yy: Array, xx: Array, size: float,
+def _filled_mask(kind: str, params: Array, size: Array, yy: Array, xx: Array,
                  edge: float) -> Array:
-    dy = yy - prim.cy
-    dx = xx - prim.cx
-    ca, sa = math.cos(prim.angle), math.sin(prim.angle)
+    """One filled primitive's soft mask on a block, ``size`` across.
+
+    ``params`` holds the block's (cx, cy, size, cos, sin) (n, 1, 1) columns.
+    """
+    cx, cy, _, ca, sa = params
+    dy = yy - cy
+    dx = xx - cx
     rx = ca * dx + sa * dy
     ry = -sa * dx + ca * dy
-    if prim.kind == "disk":
+    if kind == "disk":
         return _soft(size - np.hypot(dx, dy), edge)
-    if prim.kind == "ring":
+    if kind == "ring":
         return _soft(0.3 * size - np.abs(np.hypot(dx, dy) - size), edge)
-    if prim.kind == "square":
+    if kind == "square":
         return _soft(size - np.maximum(np.abs(rx), np.abs(ry)), edge)
-    if prim.kind == "bar":
+    if kind == "bar":
         return np.minimum(_soft(size - np.abs(rx), edge),
                           _soft(0.3 * size - np.abs(ry), edge))
-    if prim.kind == "cross":
+    if kind == "cross":
         a = np.minimum(_soft(size - np.abs(rx), edge),
                        _soft(0.3 * size - np.abs(ry), edge))
         b = np.minimum(_soft(size - np.abs(ry), edge),
                        _soft(0.3 * size - np.abs(rx), edge))
         return np.maximum(a, b)
-    if prim.kind == "triangle":
-        verts = [(size * math.cos(math.pi / 2 + 2 * math.pi * k / 3),
-                  size * math.sin(math.pi / 2 + 2 * math.pi * k / 3))
-                 for k in range(3)]
+    if kind == "triangle":
+        verts = [(size * vx, size * vy) for vx, vy in _TRIANGLE]
         inside = None
         for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
             ex, ey = x2 - x1, y2 - y1
-            signed = (ex * (ry - y1) - ey * (rx - x1)) / math.hypot(ex, ey)
+            # ``math.hypot`` per image: numpy's hypot may round differently
+            norm = np.array([math.hypot(a, b) for a, b in zip(ex.flat, ey.flat)])
+            signed = (ex * (ry - y1) - ey * (rx - x1)) / norm.reshape(ex.shape)
             inside = signed if inside is None else np.minimum(inside, signed)
         return _soft(inside, edge)
-    raise ContractError(f"unknown primitive kind {prim.kind!r}")
+    raise ContractError(f"unknown primitive kind {kind!r}")
 
 
-def _primitive_mask(prim: Primitive, yy: Array, xx: Array, style: DomainStyle,
+def _primitive_mask(kind: str, params: Array, style: DomainStyle, yy: Array, xx: Array,
                     edge: float) -> Array:
-    full = _filled_mask(prim, yy, xx, prim.size, edge)
-    if not style.outline or prim.kind == "ring":
+    full = _filled_mask(kind, params, params[2], yy, xx, edge)
+    if not style.outline or kind == "ring":
         return full
-    inner = _filled_mask(prim, yy, xx, prim.size * (1.0 - style.stroke), edge)
+    inner = _filled_mask(kind, params, params[2] * (1.0 - style.stroke), yy, xx, edge)
     return np.clip(full - inner, 0.0, 1.0)
 
 
-def _background(style: DomainStyle, yy: Array, xx: Array,
-                rng: np.random.Generator) -> Array:
+def _background(style: DomainStyle, yy: Array, xx: Array, draws: Array | None) -> Array:
+    """A block's background: (3, H, W) for a gradient, else (n, 3, H, W) from each image's draw."""
     c0 = np.array(style.bg_colors[0])[:, None, None]
     c1 = np.array(style.bg_colors[1])[:, None, None]
     if style.background == "hgrad":
@@ -323,10 +391,10 @@ def _background(style: DomainStyle, yy: Array, xx: Array,
     elif style.background == "vgrad":
         t = yy
     elif style.background == "stripes":
-        phase = rng.uniform(0.0, 1.0)
+        phase = draws[:, None, None, None]
         t = 0.5 * (1.0 + np.sign(np.sin(2.0 * math.pi * (6.0 * xx + phase))))
     elif style.background == "checker":
-        shift = rng.integers(0, 2)
+        shift = draws[:, None, None, None]
         t = ((np.floor(xx * 8) + np.floor(yy * 8) + shift) % 2).astype(float)
     else:
         raise ConfigError(f"unknown background kind {style.background!r}")
@@ -350,23 +418,24 @@ def sample_class_geometries(n_classes: int, rng: np.random.Generator,
     return geoms
 
 
-def _render_image(prims: list[Primitive], style: DomainStyle, yy: Array,
-                  xx: Array, rng: np.random.Generator) -> Array:
+def _render_block(prims: list[Primitive], style: DomainStyle, yy: Array, xx: Array,
+                  rng: np.random.Generator, out: Array) -> None:
+    """Render ``len(out)`` images of one class into ``out``.
+
+    The draws are made image by image (:func:`_draw_block`), so the rng
+    stream does not depend on the block size; the pixel math then runs
+    once for the block on per-image parameter columns.
+    """
+    n = out.shape[0]
     edge = 1.5 / yy.shape[0]
-    mask = np.zeros_like(xx)
-    for prim in prims:
-        jittered = Primitive(
-            kind=prim.kind,
-            cx=prim.cx + float(rng.normal(0.0, 0.02)),
-            cy=prim.cy + float(rng.normal(0.0, 0.02)),
-            size=max(0.05, prim.size * (1.0 + float(rng.normal(0.0, 0.08)))),
-            angle=prim.angle + float(rng.normal(0.0, 0.15)))
-        mask = np.maximum(mask, _primitive_mask(jittered, yy, xx, style, edge))
-    fg = np.array(style.fg_palette[int(rng.integers(len(style.fg_palette)))])
-    fg = np.clip(fg + rng.normal(0.0, 0.04, size=3), 0.0, 1.0)[:, None, None]
-    img = _background(style, yy, xx, rng) * (1.0 - mask) + fg * mask
-    img = img + rng.normal(0.0, style.noise, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    columns, fg, bg, noise = _draw_block(prims, style, n, yy.shape, rng)
+    mask = np.zeros((n, *yy.shape))
+    for prim, params in zip(prims, columns):
+        np.maximum(mask, _primitive_mask(prim.kind, params, style, yy, xx, edge), out=mask)
+    mask = mask[:, None]
+    img = _background(style, yy, xx, bg) * (1.0 - mask) + fg[:, :, None, None] * mask
+    img += noise
+    out[...] = np.clip(img, 0.0, 1.0, out=img)
 
 
 def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSet]:
@@ -385,16 +454,16 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
     ys = (np.arange(spec.height) + 0.5) / spec.height
     xs = (np.arange(spec.width) + 0.5) / spec.width
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    block = max(1, _BLOCK_BYTES // (3 * yy.size * 8))
     sets = []
     for tag, images in zip(spec.domains, domain_images):
         style = STYLES[tag]
         labels = np.repeat(np.arange(spec.classes, dtype=np.int32),
                            spec.images_per_class)
-        row = 0
-        for cls in range(spec.classes):
-            for _ in range(spec.images_per_class):
-                images[row] = _render_image(geoms[cls], style, yy, xx, rng)
-                row += 1
+        for cls, prims in enumerate(geoms):
+            first, stop = cls * spec.images_per_class, (cls + 1) * spec.images_per_class
+            for start in range(first, stop, block):
+                _render_block(prims, style, yy, xx, rng, images[start:min(start + block, stop)])
         sets.append(LabeledImageSet(images, labels, domain_tag=tag))
     means = [s.images.mean(axis=(0, 2, 3)) for s in sets]
     for i in range(len(sets)):
@@ -409,7 +478,10 @@ def gen_synthetic_domains(spec: GeneratorSpec, seed: int) -> list[LabeledImageSe
 
 
 def save_dataset(data: LabeledImageSet, path: str) -> None:
-    order = np.argsort(data.labels, kind="stable")
+    labels = data.labels
+    # a class-major set, as every generated one is, is written without a reordered copy
+    order = (slice(None) if (labels[:-1] <= labels[1:]).all()
+             else np.argsort(labels, kind="stable"))
     tag = data.domain_tag or "untagged"
     if not (tag.isascii() and tag.replace("-", "").replace("_", "").replace(".", "").isalnum()):
         raise ContractError(f"domain tag {tag!r} is not filesystem-safe")
@@ -418,7 +490,7 @@ def save_dataset(data: LabeledImageSet, path: str) -> None:
                 f"shape={format_dims(data.image_shape)} domain={tag}")
     write_container(path, DATASET_MAGIC, [manifest], DATASET_END,
                     [data.images[order].astype("<f4", copy=False),
-                     data.labels[order].astype("<i4", copy=False)])
+                     labels[order].astype("<i4", copy=False)])
 
 
 def load_dataset(path: str) -> LabeledImageSet:

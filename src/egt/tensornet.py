@@ -91,12 +91,15 @@ def _out_sides(sides, kh: int, kw: int, stride: int, padding: int = 0) -> tuple[
 
 
 # Output widths ``ow`` for which the window kernel works spatial-major.
-# ``tools/layer_bench.py`` sweeps both layouts (3x3 conv, padding 1, B*C
-# 16..5120): at ``ow`` 2 and 4 the spatial-major fold runs at 0.1-0.9x the
-# channel-major time and the unroll at 0.35-1.1x; from ``ow`` 5 on, the
-# unroll's closing copy costs more than its slice ops save (up to 1.4x at
-# ``ow`` 5, 2-6x at ``ow`` 16).  At ``ow`` 1 the channel-major slice ops
-# already loop over C, and the spatial-major unroll measures 1.08-1.18x.
+# ``tools/layer_bench.py --repeats 15`` sweeps both layouts (3x3 conv,
+# padding 1, B*C 1..5120; two runs on 2 shared x86-64 CPUs): at ``ow`` 2
+# and 4 the spatial-major fold runs at 0.42-1.08x the channel-major time
+# (``grad_input`` 0.54-1.05x) and the unroll at 0.95-1.65x (``forward``
+# 0.98-1.28x), so the backward gains more than the forward loses.  The
+# unroll's closing copy grows with ``ow``: 1.05-1.71x at 5, up to 3.8x at
+# 8 and 8x at 16, where the fold loses too at the largest B*C.  At ``ow``
+# 1 the channel-major slice ops already loop over C; the spatial-major
+# unroll measures 1.05-1.96x there and the fold 1.03-1.05x.
 _SPATIAL_MAJOR_OW = range(2, 5)
 
 

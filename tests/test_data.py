@@ -1,16 +1,22 @@
 """Dataset, episode sampling, and generator tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import egt.data
 from egt.data import (
+    PRIMITIVE_KINDS,
+    STYLES,
     Episode,
     GeneratorSpec,
     LabeledImageSet,
     gen_synthetic_domains,
     load_dataset,
     query_shares,
+    sample_class_geometries,
     sample_episode,
     save_dataset,
 )
@@ -49,6 +55,16 @@ class TestLabeledImageSet:
         images[1, 0, 0, 0] = np.nan
         with pytest.raises(ContractError, match="finite"):
             LabeledImageSet(images, np.array([0, 1]))
+
+    @pytest.mark.parametrize("row", [0, 5, 8, 9])
+    def test_non_finite_found_in_every_slice(self, monkeypatch, row):
+        # slices of three 1x4x4 images, the last one short
+        monkeypatch.setattr(egt.data, "_FINITE_SLICE", 48)
+        images = np.zeros((10, 1, 4, 4), dtype=np.float32)
+        LabeledImageSet(images, np.arange(10) % 2)
+        images[row, 0, 3, 3] = -np.inf
+        with pytest.raises(ContractError, match="finite"):
+            LabeledImageSet(images, np.arange(10) % 2)
 
 
 class TestSampleEpisode:
@@ -212,6 +228,169 @@ class TestSampleEpisode:
         assert built.support_local is built.support_local
 
 
+# The renderer as it was before it took a block of images at a time: one
+# image per call, a jittered copy of each primitive, and every mask,
+# background and blend on one (H, W) grid.  Its draws and arithmetic are
+# the reference the block renderer must match bit for bit.
+def _ref_soft(dist, edge):
+    return np.clip(dist / edge + 0.5, 0.0, 1.0)
+
+
+def _ref_filled_mask(prim, yy, xx, size, edge):
+    kind, cx, cy, _, angle = prim
+    dy = yy - cy
+    dx = xx - cx
+    ca, sa = math.cos(angle), math.sin(angle)
+    rx = ca * dx + sa * dy
+    ry = -sa * dx + ca * dy
+    if kind == "disk":
+        return _ref_soft(size - np.hypot(dx, dy), edge)
+    if kind == "ring":
+        return _ref_soft(0.3 * size - np.abs(np.hypot(dx, dy) - size), edge)
+    if kind == "square":
+        return _ref_soft(size - np.maximum(np.abs(rx), np.abs(ry)), edge)
+    if kind == "bar":
+        return np.minimum(_ref_soft(size - np.abs(rx), edge),
+                          _ref_soft(0.3 * size - np.abs(ry), edge))
+    if kind == "cross":
+        a = np.minimum(_ref_soft(size - np.abs(rx), edge),
+                       _ref_soft(0.3 * size - np.abs(ry), edge))
+        b = np.minimum(_ref_soft(size - np.abs(ry), edge),
+                       _ref_soft(0.3 * size - np.abs(rx), edge))
+        return np.maximum(a, b)
+    assert kind == "triangle"
+    verts = [(size * math.cos(math.pi / 2 + 2 * math.pi * k / 3),
+              size * math.sin(math.pi / 2 + 2 * math.pi * k / 3)) for k in range(3)]
+    inside = None
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = x2 - x1, y2 - y1
+        signed = (ex * (ry - y1) - ey * (rx - x1)) / math.hypot(ex, ey)
+        inside = signed if inside is None else np.minimum(inside, signed)
+    return _ref_soft(inside, edge)
+
+
+def _ref_primitive_mask(prim, yy, xx, style, edge):
+    full = _ref_filled_mask(prim, yy, xx, prim[3], edge)
+    if not style.outline or prim[0] == "ring":
+        return full
+    inner = _ref_filled_mask(prim, yy, xx, prim[3] * (1.0 - style.stroke), edge)
+    return np.clip(full - inner, 0.0, 1.0)
+
+
+def _ref_background(style, yy, xx, rng):
+    c0 = np.array(style.bg_colors[0])[:, None, None]
+    c1 = np.array(style.bg_colors[1])[:, None, None]
+    if style.background == "hgrad":
+        t = xx
+    elif style.background == "vgrad":
+        t = yy
+    elif style.background == "stripes":
+        phase = rng.uniform(0.0, 1.0)
+        t = 0.5 * (1.0 + np.sign(np.sin(2.0 * math.pi * (6.0 * xx + phase))))
+    else:
+        assert style.background == "checker"
+        shift = rng.integers(0, 2)
+        t = ((np.floor(xx * 8) + np.floor(yy * 8) + shift) % 2).astype(float)
+    return c0 * (1.0 - t) + c1 * t
+
+
+def _ref_render_image(prims, style, yy, xx, rng):
+    edge = 1.5 / yy.shape[0]
+    mask = np.zeros_like(xx)
+    for prim in prims:
+        jittered = (prim.kind,
+                    prim.cx + float(rng.normal(0.0, 0.02)),
+                    prim.cy + float(rng.normal(0.0, 0.02)),
+                    max(0.05, prim.size * (1.0 + float(rng.normal(0.0, 0.08)))),
+                    prim.angle + float(rng.normal(0.0, 0.15)))
+        mask = np.maximum(mask, _ref_primitive_mask(jittered, yy, xx, style, edge))
+    fg = np.array(style.fg_palette[int(rng.integers(len(style.fg_palette)))])
+    fg = np.clip(fg + rng.normal(0.0, 0.04, size=3), 0.0, 1.0)[:, None, None]
+    img = _ref_background(style, yy, xx, rng) * (1.0 - mask) + fg * mask
+    img = img + rng.normal(0.0, style.noise, size=img.shape)
+    return np.clip(img, 0.0, 1.0)
+
+
+def _ref_corpus(spec, seed):
+    """Every domain's images, one :func:`_ref_render_image` call per image, in corpus order."""
+    rng = np.random.default_rng(seed)
+    geoms = sample_class_geometries(spec.classes, rng, spec.max_primitives)
+    ys = (np.arange(spec.height) + 0.5) / spec.height
+    xs = (np.arange(spec.width) + 0.5) / spec.width
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    return [np.stack([_ref_render_image(geoms[cls], STYLES[tag], yy, xx, rng)
+                      for cls in range(spec.classes)
+                      for _ in range(spec.images_per_class)]).astype(np.float32)
+            for tag in spec.domains]
+
+
+def _block(spec):
+    """Images per block of the renderer at ``spec``'s image size."""
+    return max(1, egt.data._BLOCK_BYTES // (3 * spec.height * spec.width * 8))
+
+
+ALL_DOMAINS = ("bright", "dark", "stripe", "noisy")
+# name -> (spec, seed); every style runs, stripe's outlines among them
+REFERENCE_CASES = {
+    "every-style-six-primitives": (
+        GeneratorSpec(classes=8, images_per_class=5, height=16, width=16,
+                      domains=ALL_DOMAINS, max_primitives=6), 3),
+    "16x24": (GeneratorSpec(classes=4, images_per_class=6, height=16, width=24,
+                            domains=ALL_DOMAINS, max_primitives=4), 1),
+    "one-image-per-class": (GeneratorSpec(classes=6, images_per_class=1, height=8, width=8,
+                                          domains=ALL_DOMAINS), 2),
+    "partial-last-block": (GeneratorSpec(classes=3, images_per_class=21, height=16, width=16,
+                                         domains=ALL_DOMAINS, max_primitives=6), 4),
+    "bench-shape": (GeneratorSpec(classes=4, images_per_class=60, height=16, width=16,
+                                  domains=("dark", "noisy")), 3),
+}
+
+
+class TestBlockRenderer:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_per_image_reference(self, case):
+        spec, seed = REFERENCE_CASES[case]
+        got = gen_synthetic_domains(spec, seed)
+        for data, want in zip(got, _ref_corpus(spec, seed), strict=True):
+            assert data.images.dtype == want.dtype and data.images.shape == want.shape
+            assert data.images.tobytes() == want.tobytes(), (case, data.domain_tag)
+
+    def test_reference_cases_cover_kinds_and_blocks(self):
+        # every primitive kind is drawn, and some class ends in a partial block
+        spec, seed = REFERENCE_CASES["every-style-six-primitives"]
+        geoms = sample_class_geometries(spec.classes, np.random.default_rng(seed),
+                                        spec.max_primitives)
+        assert {prim.kind for prims in geoms for prim in prims} == set(PRIMITIVE_KINDS)
+        assert max(len(prims) for prims in geoms) == 6
+        spec, _ = REFERENCE_CASES["partial-last-block"]
+        assert spec.images_per_class > _block(spec) and spec.images_per_class % _block(spec)
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+    def test_block_size_changes_no_byte(self, monkeypatch, block_bytes):
+        # one image per block, and one block per class
+        spec, seed = REFERENCE_CASES["partial-last-block"]
+        monkeypatch.setattr(egt.data, "_BLOCK_BYTES", block_bytes)
+        if block_bytes == 1:
+            assert _block(spec) == 1
+        else:
+            assert _block(spec) >= spec.images_per_class
+        got = [data.images.tobytes() for data in gen_synthetic_domains(spec, seed)]
+        assert got == [images.tobytes() for images in _ref_corpus(spec, seed)]
+
+    def test_memory_beyond_the_images_stays_bounded(self):
+        # 3,000 images of a class would be an 18 MB float64 stack in one block
+        spec = GeneratorSpec(classes=2, images_per_class=3000, height=16, width=16)
+        tracemalloc.start()
+        try:
+            sets = gen_synthetic_domains(spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(data.images.nbytes + data.labels.nbytes for data in sets)
+        assert held == 2 * 6000 * (3 * 16 * 16 * 4 + 4)
+        assert peak - held < 1 << 20
+
+
 class TestGenerator:
     def test_shapes_and_range(self):
         spec = GeneratorSpec(classes=4, images_per_class=3, height=16, width=16)
@@ -319,6 +498,20 @@ class TestDatasetIo:
         np.testing.assert_array_equal(loaded.labels, [0, 0, 1, 1])
         np.testing.assert_array_equal(loaded.images[0], images[1])
         np.testing.assert_array_equal(loaded.images[2], images[0])
+
+    def test_class_major_set_is_written_as_it_is(self, tmp_path, monkeypatch):
+        # no reordered copy of a sorted set, and the file bytes of the copying writer
+        data = _toy_set([3, 2, 4])
+        path = tmp_path / "d.egtd"
+        save_dataset(data, str(path))
+        raw = path.read_bytes()
+        assert raw[raw.index(b"\n") + 1:] == data.images.tobytes() + data.labels.tobytes()
+        blocks = []
+        monkeypatch.setattr(egt.data, "write_container",
+                            lambda path, magic, lines, end, arrays: blocks.extend(arrays))
+        save_dataset(data, str(path))
+        assert np.shares_memory(blocks[0], data.images)
+        assert np.shares_memory(blocks[1], data.labels)
 
     def test_manifest_text(self, tmp_path):
         # a non-square shape pins the CxHxW order of the dims token

@@ -106,7 +106,9 @@ def test_fingerprint_chain_runs(load_tool, tmp_path):
     assert {name: entries[f"exit/{name}"] for name in steps} == dict.fromkeys(steps, "0")
     for name in steps:
         assert f"stdout/{name}" in entries and f"stderr/{name}" in entries
-    for path in ("gen-data/noisy.egtd", "train-cosine/model.egt1", "train-relation/model.egt1",
+    for path in ("gen-data/noisy.egtd", "gen-data-outline/bright.egtd",
+                 "gen-data-outline/stripe.egtd", "train-cosine/model.egt1",
+                 "train-relation/model.egt1",
                  "eval-cosine/eval_dark.csv", "eval-cosine/eval_noisy.csv",
                  "eval-relation-transductive/eval_noisy.csv", "explain-relation/query0_class2.npy",
                  "stats-cosine/stats_noisy_summary.csv"):

@@ -11,6 +11,9 @@ directory that is removed afterwards; every path the chain passes is
 relative to it:
 
 * ``gen-data``: a 6-class 16x16 corpus in two domains;
+* ``gen-data-outline``: a 16x24 corpus in ``bright`` and ``stripe`` (whose
+  primitives are outlines) with up to 6 primitives per class and 13
+  images per class, which the renderer's 16x24 blocks do not divide;
 * ``train`` of the cosine head (EGT) and of the relation head (``--mode
   baseline``);
 * ``eval``: the cosine model on both domain files in one call, and the
@@ -48,6 +51,9 @@ TRAIN = EPISODE + ["--epochs", "2", "--episodes-per-epoch", "3", "--widths", "4,
 CHAIN = {
     "gen-data": ["gen-data", "--classes", "6", "--per-class", "10", "--height", "16",
                  "--width", "16", "--domains", "dark,noisy", "--seed", "1"],
+    "gen-data-outline": ["gen-data", "--classes", "5", "--per-class", "13", "--height", "16",
+                         "--width", "24", "--domains", "bright,stripe", "--max-primitives", "6",
+                         "--seed", "2"],
     "train-cosine": ["train", "--data", "gen-data/dark.egtd", "--head", "cosine"] + TRAIN,
     "train-relation": ["train", "--data", "gen-data/dark.egtd", "--head", "relation",
                        "--mode", "baseline"] + TRAIN,
