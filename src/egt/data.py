@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigError, Container, ContractError, DataFormatError,
-                     check_addressable, format_dims, parse_dims, parse_fields, write_container)
+                     check_addressable, first_nonfinite, format_dims, parse_dims, parse_fields,
+                     write_container)
 
 Array = np.ndarray
 
@@ -35,17 +36,6 @@ DATASET_MAGIC = b"EGTD "
 DATASET_END = b"\n"
 
 PRIMITIVE_KINDS = ("disk", "ring", "square", "triangle", "bar", "cross")
-
-
-# Elements per slice of the finite check, so that its mask stays 256 KiB
-# however many images a set holds.
-_FINITE_SLICE = 1 << 18
-
-
-def _all_finite(images: Array) -> bool:
-    """``np.isfinite(images).all()``, a slice of whole images at a time."""
-    rows = max(1, _FINITE_SLICE // max(1, images[:1].size))
-    return all(np.isfinite(images[i:i + rows]).all() for i in range(0, len(images), rows))
 
 
 class LabeledImageSet:
@@ -59,7 +49,7 @@ class LabeledImageSet:
         if labels.shape != (images.shape[0],):
             raise ContractError(
                 f"labels shape {labels.shape} does not match {images.shape[0]} images")
-        if not _all_finite(images):
+        if first_nonfinite(images) is not None:
             raise ContractError("images contain non-finite values")
         if images.shape[0] == 0:
             raise ContractError("dataset is empty")

@@ -99,13 +99,37 @@ def parse_fields(tokens: list[str], schema: dict, offset: int | None,
     return fields
 
 
+# Elements per slice of :func:`first_nonfinite`: its mask buffer stays
+# 64 KiB however large the array it checks, below glibc's 128 KiB mmap
+# threshold, so the check maps and unmaps nothing and leaves that
+# threshold as it was.
+_FINITE_SLICE = 1 << 16
+
+
+def first_nonfinite(values: np.ndarray) -> int | None:
+    """The flat index of the first non-finite value of ``values``, or ``None`` if none is.
+
+    One mask buffer is filled a slice of whole rows (along axis 0) at a
+    time, so a large array costs no mask of its own size.
+    """
+    row = max(1, values[:1].size)
+    rows = max(1, _FINITE_SLICE // row)
+    mask = np.empty((min(rows, len(values)),) + values.shape[1:], dtype=bool)
+    for start in range(0, len(values), rows):
+        chunk = values[start:start + rows]
+        finite = np.isfinite(chunk, out=mask[:len(chunk)])
+        if not finite.all():
+            return start * row + int(np.flatnonzero(~finite)[0])
+    return None
+
+
 def write_container(path: str, magic: bytes, lines: list[str], terminator: bytes,
                     blocks: list[np.ndarray]) -> None:
     """Write ``magic``, the ascii ``lines`` joined by newlines, ``terminator``, then each block.
 
     A float block holding a non-finite value is refused before the file is opened, as
     :meth:`Container.blocks` refuses it on read: a file already at ``path`` stays whole."""
-    if any(block.dtype.kind == "f" and not np.isfinite(block).all() for block in blocks):
+    if any(block.dtype.kind == "f" and first_nonfinite(block) is not None for block in blocks):
         raise NumericError(f"refusing to write {path}: it would hold a non-finite value")
     with open(path, "wb") as fh:
         fh.write(magic + "\n".join(lines).encode("ascii") + terminator)
@@ -153,8 +177,8 @@ class Container:
         arrays, pos = [], self.start
         for (dtype, shape), size in zip(layout, sizes):
             block = np.frombuffer(self.raw, dtype, math.prod(shape), pos).reshape(shape)
-            if block.dtype.kind == "f" and not np.isfinite(block).all():
-                first = int(np.flatnonzero(~np.isfinite(block))[0])
+            first = first_nonfinite(block) if block.dtype.kind == "f" else None
+            if first is not None:
                 raise DataFormatError(f"{self.what} payload holds a non-finite value",
                                       pos + first * block.itemsize)
             arrays.append(block)

@@ -30,6 +30,22 @@ activations and of the output relevance.  Relevance shapes mirror the
 activation shapes of the trace, so conv layers run the same
 unrolled-window machinery as the gradient pass instead of
 materializing a dense matrix.
+
+A row whose output relevance is all zero (a dead row) stays zero all the
+way down, so :func:`lrp_backward` runs the conv z+ rule and the pools on
+the live rows only and writes ``+0.0`` across each dead row, which is
+what they compute there: the z+ rule ends in ``+ 0.0`` and the pools
+fold onto ``+0.0``.  The relation head explains one pair per query, 16
+live rows of 80 at the gate's shapes.  The conv rule's ``matmul`` is
+stacked per row, and every other step is elementwise, so a live row
+comes out as it would among all rows, bit for bit.  Whether the z+ rule
+takes its signed branch then depends on the live rows alone; on a row
+without negative inputs that branch adds only zeros, which the closing
+``+ 0.0`` makes ``+0.0``, so the values and their zero signs are the
+same either way.  Linear layers keep every row: their GEMM over all rows
+may round a row differently than one over fewer rows.  The epsilon rule,
+relu and flatten also keep every row, since they can leave ``-0.0`` in a
+dead row.
 """
 
 from __future__ import annotations
@@ -142,6 +158,25 @@ def lrp_passthrough(layer, entry: LayerTrace, rel_out: Array) -> Array:
                         for tap in layer.taps(x)), x.shape)
 
 
+def _apply_rule(layer, entry: LayerTrace, rel_out: Array, cfg: LrpConfig) -> Array:
+    """Relevance at ``layer``'s input, by the rule ``cfg`` assigns it, for ``entry``."""
+    if not isinstance(layer, (Linear, Conv2d)):
+        return lrp_passthrough(layer, entry, rel_out)
+    if cfg.rule_for(layer.kind) == "epsilon":
+        return lrp_epsilon(layer, entry.input, entry.output, rel_out, cfg.epsilon)
+    return lrp_alpha(layer, entry.input, entry.output, rel_out)
+
+
+def _zero_on_dead_rows(layer, cfg: LrpConfig) -> bool:
+    """Whether ``layer``'s rule computes row by row and writes ``+0.0`` across a row whose
+    relevance is all zero: the conv z+ rule (ends in ``+ 0.0``) and the pools (fold onto
+    ``+0.0``).  A Linear GEMM may round a row differently with the row count, and the
+    epsilon rule, relu and flatten can leave ``-0.0`` there."""
+    if isinstance(layer, Conv2d):
+        return cfg.rule_for(layer.kind) == "alpha"
+    return isinstance(layer, (MaxPool2d, AvgPool2d))
+
+
 def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
                  cfg: LrpConfig | None = None) -> list[Array]:
     """Propagate relevance from the network output down to its input.
@@ -149,7 +184,11 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
     ``output_relevance`` has the traced output's rows.  Returns the
     relevance at every activation of the trace: entry ``i`` is shaped
     like the input of layer ``i``, so entry 0 is the input relevance and
-    the last entry is the output relevance the pass started from.
+    the last entry is the output relevance the pass started from.  The
+    rows holding a nonzero entry of ``output_relevance`` are the live
+    rows; when some row is dead, the conv z+ rule and the pools run on
+    the live rows only (see the module docstring), and every entry still
+    has all rows.
     """
     cfg = cfg or LrpConfig()
     r = np.asarray(output_relevance, dtype=np.float64)
@@ -159,16 +198,18 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
             f"{trace.entries[-1].output.shape}")
     relevances: list[Array] = [None] * (len(net.layers) + 1)  # type: ignore[list-item]
     relevances[-1] = r
+    # a row without relevance keeps none on the way down: no rule mixes rows
+    live = np.flatnonzero(np.any(r != 0, axis=tuple(range(1, r.ndim))))
+    gather = len(live) < len(r)
     for i in reversed(range(len(net.layers))):
         layer, entry = net.layers[i], trace.entries[i]
-        if isinstance(layer, (Linear, Conv2d)):
-            rule = cfg.rule_for(layer.kind)
-            if rule == "epsilon":
-                r = lrp_epsilon(layer, entry.input, entry.output, r, cfg.epsilon)
-            else:
-                r = lrp_alpha(layer, entry.input, entry.output, r)
+        if gather and _zero_on_dead_rows(layer, cfg):
+            rel = np.zeros(entry.input.shape)
+            rel[live] = _apply_rule(layer, LayerTrace(entry.input[live], entry.output[live]),
+                                    r[live], cfg)
+            r = rel
         else:
-            r = lrp_passthrough(layer, entry, r)
+            r = _apply_rule(layer, entry, r, cfg)
         relevances[i] = r
     if not np.isfinite(r).all():
         raise NumericError("relevance pass produced non-finite values")

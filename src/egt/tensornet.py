@@ -13,9 +13,10 @@ expose their input pull-back as ``grad_input(grad_out, in_shape,
 weight=None)``, which the relevance rules reuse with their own weights.
 
 There is one window kernel, for convolution and pooling alike.  Its
-offset table (:func:`_offsets`) holds, per kernel offset ``(i, j)``, the
-slices of an input padded by ``pad`` that the offset taps and of the
-windows that read them, so no padded copy is ever built.
+offset table (:func:`_offsets`, built once per shape) holds, per kernel
+offset ``(i, j)``, the slices of an input padded by ``pad`` that the
+offset taps and of the windows that read them, so no padded copy is
+ever built.
 :func:`_windows` unrolls through it (:meth:`Conv2d.unroll`), leaving
 taps on the padding ``+0.0``, and :func:`_fold` scatter-adds one window
 part per offset back onto the unpadded grid.  Both take their working
@@ -54,6 +55,7 @@ file format is known here: :mod:`egt.model` owns a layer's checkpoint line.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -118,16 +120,24 @@ def _kernel_array(alloc, shape: tuple[int, ...], ow: int, dtype) -> Array:
     return alloc(shape[2:] + shape[:2], dtype).transpose(n, n + 1, *range(n))
 
 
-def _offsets(kh: int, kw: int, stride: int, oh: int, ow: int, h: int, w: int, pad: int) -> list:
+# Offset tables kept by ``_offsets``: one per window shape, and a pass of
+# the encoder and relation net at one episode shape uses 8.
+_OFFSET_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_OFFSET_TABLES)
+def _offsets(kh: int, kw: int, stride: int, oh: int, ow: int, h: int, w: int, pad: int) -> tuple:
     """The window kernel's offset table: entry ``i*kw + j`` serves kernel offset ``(i, j)``.
 
     An entry is ``(grid, windows)``, the slices of an ``h x w`` input padded
     by ``pad`` that the offset taps and of the ``oh x ow`` windows that read
-    them (:func:`_interior`).  Taps on the padding are in neither.
+    them (:func:`_interior`).  Taps on the padding are in neither.  A table
+    depends on its 8 ints only, so each is built once and shared.
     """
     rows = [_interior(i, stride, oh, pad, h) for i in range(kh)]
     cols = [_interior(j, stride, ow, pad, w) for j in range(kw)]
-    return [((grid_y, grid_x), (win_y, win_x)) for grid_y, win_y in rows for grid_x, win_x in cols]
+    return tuple(((grid_y, grid_x), (win_y, win_x))
+                 for grid_y, win_y in rows for grid_x, win_x in cols)
 
 
 def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int, pad: int) -> Array:

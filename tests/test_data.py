@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import egt.data
+import egt.errors
 from egt.data import (
     PRIMITIVE_KINDS,
     STYLES,
@@ -20,7 +21,8 @@ from egt.data import (
     sample_episode,
     save_dataset,
 )
-from egt.errors import ConfigError, ContractError, DataFormatError, format_dims, parse_dims
+from egt.errors import (ConfigError, ContractError, DataFormatError, NumericError, format_dims,
+                        parse_dims, write_container)
 
 from util_nets import FUZZ_BYTES, loads_or_fails_cleanly, with_f4
 
@@ -59,7 +61,7 @@ class TestLabeledImageSet:
     @pytest.mark.parametrize("row", [0, 5, 8, 9])
     def test_non_finite_found_in_every_slice(self, monkeypatch, row):
         # slices of three 1x4x4 images, the last one short
-        monkeypatch.setattr(egt.data, "_FINITE_SLICE", 48)
+        monkeypatch.setattr(egt.errors, "_FINITE_SLICE", 48)
         images = np.zeros((10, 1, 4, 4), dtype=np.float32)
         LabeledImageSet(images, np.arange(10) % 2)
         images[row, 0, 3, 3] = -np.inf
@@ -634,3 +636,56 @@ class TestDatasetIo:
         with pytest.raises(DataFormatError, match=rf"\(byte offset {offset}\)") as info:
             load_dataset(path)
         assert info.value.offset == offset
+
+    # slices of three 1x4x4 images over 10 images: rows 0, 4 and 9 sit in the
+    # first, a middle and the short last slice
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_reader_names_a_non_finite_value_in_every_slice(self, tmp_path, monkeypatch, row):
+        monkeypatch.setattr(egt.errors, "_FINITE_SLICE", 48)
+        path = str(tmp_path / "d.egtd")
+        save_dataset(_toy_set([4, 6]), path)
+        raw = open(path, "rb").read()
+        offset = raw.index(b"\n") + 1 + 4 * (row * 16 + 13)
+        open(path, "wb").write(with_f4(raw, offset, np.nan))
+        with pytest.raises(DataFormatError, match="non-finite") as info:
+            load_dataset(path)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_writer_refuses_a_non_finite_value_in_every_slice(self, tmp_path, monkeypatch,
+                                                               row):
+        monkeypatch.setattr(egt.errors, "_FINITE_SLICE", 48)
+        path = tmp_path / "d.egtd"
+        path.write_bytes(b"kept")
+        block = np.zeros((10, 1, 4, 4), dtype="<f4")
+        write_container(str(tmp_path / "ok.egtd"), b"X ", ["a=1"], b"\n", [block])
+        block[row, 0, 3, 1] = -np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            write_container(str(path), b"X ", ["a=1"], b"\n", [block])
+        assert path.read_bytes() == b"kept"
+
+    def test_load_builds_no_full_size_mask(self, tmp_path):
+        # 2,000 images of 3x16x16: a whole-payload finite mask would be 1.5 MB
+        rng = np.random.default_rng(3)
+        images = rng.uniform(size=(2000, 3, 16, 16)).astype(np.float32)
+        data = LabeledImageSet(images, np.repeat(np.arange(2, dtype=np.int32), 1000), "big")
+        path = str(tmp_path / "d.egtd")
+        save_dataset(data, path)
+        size = len(open(path, "rb").read())
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+            # the reader's check alone, while only the file's bytes are held
+            box = egt.errors.Container(path, "dataset", egt.data.DATASET_MAGIC,
+                                       egt.data.DATASET_END)
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            box.blocks([("<f4", images.shape), ("<i4", (2000,))])
+            _, blocks_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = loaded.images.nbytes + loaded.labels.nbytes
+        # the file's bytes, the images copied out of them, and one 64 KiB mask slice
+        assert peak - held - size < 256 << 10
+        assert blocks_peak - before < 256 << 10

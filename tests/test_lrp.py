@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egt import lrp as lrp_module
 from egt.errors import ConfigError, ContractError
+from egt.model import build_model
 from egt.lrp import (LrpConfig, epsilon_divide, lrp_alpha, lrp_backward, lrp_epsilon,
                      lrp_passthrough, normalize_relevance)
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, LayerTrace, Linear,
@@ -395,6 +397,150 @@ class TestLrpBackward:
         _, trace = net.forward_recorded(rng.standard_normal((1, 3)))
         with pytest.raises(ContractError):
             lrp_backward(net, trace, np.ones((1, 3)))
+
+
+def _all_rows_backward(net, trace, output_relevance, cfg):
+    """The relevance pass with every rule on every row of the trace: the reference
+    for :func:`lrp_backward`, which runs the conv z+ rule and the pools on live rows."""
+    r = np.asarray(output_relevance, dtype=np.float64)
+    rels = [r]
+    for layer, entry in zip(reversed(net.layers), reversed(trace.entries)):
+        if isinstance(layer, (Linear, Conv2d)):
+            if cfg.rule_for(layer.kind) == "epsilon":
+                r = lrp_epsilon(layer, entry.input, entry.output, r, cfg.epsilon)
+            else:
+                r = lrp_alpha(layer, entry.input, entry.output, r)
+        else:
+            r = lrp_passthrough(layer, entry, r)
+        rels.insert(0, r)
+    return rels
+
+
+def _gate_relation_trace(seed, pairs=None):
+    """The gate's relation net (16x16 images, widths 8/16/32) and a recorded pass over
+    its 16 queries x 5 classes = 80 pair rows, or over ``pairs`` when given."""
+    rng = np.random.default_rng(seed)
+    model = build_model("relation", (3, 16, 16), rng)
+    if pairs is None:
+        maps = model.encode(rng.uniform(size=(21, 3, 16, 16)))
+        _, trace = model.head.scores(maps[:5], maps[5:])
+    else:
+        _, trace = model.head.net.forward_recorded(pairs)
+    return model.head.net, trace
+
+
+def _one_per_query(rng, n=16, way=5, value=None):
+    """Output relevance ``(n*way, 1)`` with a nonzero entry on row ``i*way + t_i`` only."""
+    init = np.zeros((n * way, 1))
+    rows = np.arange(n) * way + rng.integers(0, way, n)
+    init[rows, 0] = rng.standard_normal(n) if value is None else value
+    return init, rows
+
+
+class TestLiveRows:
+    """The conv z+ rule and the pools run on the rows that carry relevance, and every
+    returned array is the all-rows pass's: value, sign of zero and dtype."""
+
+    CFG = LrpConfig()
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Rows that each rule call received, as ``(layer kind, rows)``."""
+        calls = []
+
+        def spy(fn, layer_at):
+            def wrapped(*args, **kwargs):
+                layer, rows = args[0], layer_at(args)
+                calls.append((layer.kind, rows))
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(lrp_module, "lrp_alpha",
+                            spy(lrp_alpha, lambda args: len(args[1])))
+        monkeypatch.setattr(lrp_module, "lrp_epsilon",
+                            spy(lrp_epsilon, lambda args: len(args[1])))
+        monkeypatch.setattr(lrp_module, "lrp_passthrough",
+                            spy(lrp_passthrough, lambda args: len(args[1].input)))
+        return calls
+
+    def _check(self, net, trace, init):
+        want = _all_rows_backward(net, trace, init, self.CFG)
+        got = lrp_backward(net, trace, init, self.CFG)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float64
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+        return got
+
+    def _rows_seen(self, seen, live, total):
+        # Linear GEMMs, relu and flatten take every row; the conv and pools the live ones
+        want = {"linear": total, "relu": total, "flatten": total,
+                "conv2d": live, "avgpool2d": live, "maxpool2d": live}
+        assert seen and all(rows == want[kind] for kind, rows in seen), seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gate_relation_net_sixteen_live_rows(self, seen, seed):
+        net, trace = _gate_relation_trace(seed)
+        init, rows = _one_per_query(np.random.default_rng(100 + seed))
+        got = self._check(net, trace, init)
+        self._rows_seen(seen, 16, 80)
+        dead = np.setdiff1d(np.arange(80), rows)
+        assert not got[0][dead].any() and not np.signbit(got[0][dead]).any()
+
+    def test_minus_zero_rows_are_dead(self, seen):
+        net, trace = _gate_relation_trace(4)
+        init, rows = _one_per_query(np.random.default_rng(104))
+        init[np.setdiff1d(np.arange(80), rows)] = -0.0
+        self._check(net, trace, init)
+        self._rows_seen(seen, 16, 80)
+
+    def test_negative_conv_inputs_in_dead_rows_only(self, seen):
+        # the all-rows z+ rule takes its signed branch; the live rows alone do not need it
+        rng = np.random.default_rng(5)
+        init, rows = _one_per_query(rng)
+        pairs = rng.uniform(size=(80, 64, 2, 2))
+        dead = np.setdiff1d(np.arange(80), rows)
+        pairs[dead] -= 0.5
+        net, trace = _gate_relation_trace(5, pairs)
+        assert (pairs[dead] < 0).any() and not (pairs[rows] < 0).any()
+        self._check(net, trace, init)
+        self._rows_seen(seen, 16, 80)
+
+    def test_all_rows_live(self, seen):
+        net, trace = _gate_relation_trace(6)
+        self._check(net, trace, np.random.default_rng(106).standard_normal((80, 1)))
+        self._rows_seen(seen, 80, 80)
+
+    def test_no_row_live(self, seen):
+        net, trace = _gate_relation_trace(7)
+        got = self._check(net, trace, np.zeros((80, 1)))
+        self._rows_seen(seen, 0, 80)
+        assert not any(r.any() for r in got)
+
+    def test_minus_zero_from_a_linear_rule_is_kept(self, seen):
+        # a Linear rule on signed input leaves -0.0 in dead rows, and flatten passes it on
+        rng = np.random.default_rng(9)
+        net = Network((2, 4, 4), [rand_conv(rng, 2, 3, 3, padding=1), AvgPool2d(2),
+                                  Flatten(), rand_linear(rng, 12, 3)])
+        out, trace = net.forward_recorded(rng.standard_normal((5,) + net.input_shape))
+        init = np.zeros(out.shape)
+        init[[0, 3]] = rng.standard_normal((2, 3))
+        got = self._check(net, trace, init)
+        self._rows_seen(seen, 2, 5)
+        assert np.signbit(got[2][[1, 2, 4]]).any() and not got[2][[1, 2, 4]].any()
+
+    def test_encoder_with_pools_and_signed_input(self, seen):
+        # a conv/maxpool/avgpool stack on signed input, half its rows live
+        rng = np.random.default_rng(8)
+        net = Network((2, 8, 8), [rand_conv(rng, 2, 3, 3, padding=1), ReLU(), MaxPool2d(2),
+                                  rand_conv(rng, 3, 4, 3, padding=1), ReLU(), AvgPool2d(2),
+                                  Flatten(), rand_linear(rng, 16, 3)])
+        out, trace = net.forward_recorded(rng.standard_normal((6,) + net.input_shape))
+        init = rng.standard_normal(out.shape)
+        init[[1, 2, 4]] = 0.0
+        self._check(net, trace, init)
+        self._rows_seen(seen, 3, 6)
 
 
 class TestNormalizeRelevance:

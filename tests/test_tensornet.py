@@ -10,7 +10,8 @@ from egt.errors import ContractError, NumericError
 from egt.lrp import lrp_backward, lrp_passthrough
 from egt.model import build_encoder, describe_layer, layer_from_description
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
-                           Network, ReLU, he_uniform, _fold, _windows, sgd_step)
+                           Network, ReLU, he_uniform, _fold, _offsets, _out_sides, _windows,
+                           sgd_step)
 from util_nets import (central_diff, count_grad_input, max_rel_err, rand_conv, rand_linear,
                        recorded_entry)
 
@@ -541,6 +542,32 @@ class TestInteriorFold:
             got = conv.grad_input(cot, (c, h, w), weight)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _table_args(h, w, k, stride, p):
+    """The 8 ints of the offset table for ``k x k`` windows over ``h x w`` padded by ``p``."""
+    return (k, k, stride, *_out_sides((h, w), k, k, stride, p), h, w, p)
+
+
+_TABLE_CASES = ([_table_args(h, w, k, s, p) for _, _, h, w, k, s, p in _CONV_CASES]
+                + [_table_args(h, w, k, s, 0)
+                   for _, _, h, w, k, s in _POOL_CASES + _ONE_WINDOW_POOL_CASES])
+
+
+class TestOffsetTables:
+    """Each offset table is built once per shape: the cached table is a tuple, equal to
+    one built afresh, and the cache holds a fixed number of tables."""
+
+    @pytest.mark.parametrize("args", _TABLE_CASES, ids=str)
+    def test_cached_table_equals_fresh_one(self, args):
+        table = _offsets(*args)
+        assert isinstance(table, tuple) and len(table) == args[0] * args[1]
+        assert table == _offsets.__wrapped__(*args)
+        assert _offsets(*args) is table
+
+    def test_cache_is_bounded(self):
+        maxsize = _offsets.cache_info().maxsize
+        assert maxsize == tensornet._OFFSET_TABLES and 0 < maxsize < 1 << 10
 
 
 class TestWindowKernelLayouts:

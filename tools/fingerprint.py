@@ -14,8 +14,8 @@ relative to it:
 * ``gen-data-outline``: a 16x24 corpus in ``bright`` and ``stripe`` (whose
   primitives are outlines) with up to 6 primitives per class and 13
   images per class, which the renderer's 16x24 blocks do not divide;
-* ``train`` of the cosine head (EGT) and of the relation head (``--mode
-  baseline``);
+* ``train`` of the cosine head (EGT) and of the relation head, both
+  ``--mode baseline`` and EGT, whose relevance pass runs in training;
 * ``eval``: the cosine model on both domain files in one call, and the
   relation model with ``--transductive``;
 * ``explain`` for both models, then ``stats`` for both;
@@ -57,6 +57,7 @@ CHAIN = {
     "train-cosine": ["train", "--data", "gen-data/dark.egtd", "--head", "cosine"] + TRAIN,
     "train-relation": ["train", "--data", "gen-data/dark.egtd", "--head", "relation",
                        "--mode", "baseline"] + TRAIN,
+    "train-relation-egt": ["train", "--data", "gen-data/dark.egtd", "--head", "relation"] + TRAIN,
     "eval-cosine": ["eval", "--checkpoint", "train-cosine/model.egt1", "--data",
                     "gen-data/dark.egtd", "gen-data/noisy.egtd", "--episodes", "20"] + EPISODE,
     "eval-relation-transductive": ["eval", "--checkpoint", "train-relation/model.egt1",
