@@ -361,5 +361,5 @@ def lrp_through_head(head, protos: Array, query_maps: Array, trace: ForwardTrace
         rows = np.arange(n) * way + targets
         init = np.zeros((n * way, 1))
         init[rows, 0] = relevance_init[np.arange(n), targets]
-        return lrp_backward(head.net, trace, init, cfg)[0][rows]
+        return lrp_backward(head.net, trace, init, cfg)[rows]
     raise ConfigError(f"unknown head kind {type(head).__name__!r}")

@@ -31,21 +31,21 @@ activation shapes of the trace, so conv layers run the same
 unrolled-window machinery as the gradient pass instead of
 materializing a dense matrix.
 
-A row whose output relevance is all zero (a dead row) stays zero all the
-way down, so :func:`lrp_backward` runs the conv z+ rule and the pools on
-the live rows only and writes ``+0.0`` across each dead row, which is
-what they compute there: the z+ rule ends in ``+ 0.0`` and the pools
-fold onto ``+0.0``.  The relation head explains one pair per query, 16
-live rows of 80 at the gate's shapes.  The conv rule's ``matmul`` is
-stacked per row, and every other step is elementwise, so a live row
-comes out as it would among all rows, bit for bit.  Whether the z+ rule
-takes its signed branch then depends on the live rows alone; on a row
-without negative inputs that branch adds only zeros, which the closing
-``+ 0.0`` makes ``+0.0``, so the values and their zero signs are the
-same either way.  Linear layers keep every row: their GEMM over all rows
-may round a row differently than one over fewer rows.  The epsilon rule,
-relu and flatten also keep every row, since they can leave ``-0.0`` in a
-dead row.
+The pass is read at the network input only (f_p, the input of the
+relation net or the cosine vector, in the paper), so :func:`lrp_backward`
+returns that one array.  A row whose output relevance is all zero (a
+dead row) comes back ``+0.0``.  Linear layers, and every layer above the
+lowest one, run on all rows: a GEMM over all rows may round a row
+differently than one over fewer rows.  Below the lowest Linear layer
+(from the top, in a net without one) every rule runs on the live rows
+only, gathered once, and the result is scattered into zeros at the end.
+There every step is elementwise or, in the conv rules, a ``matmul``
+stacked per row, so a live row comes out as it would among all rows, bit
+for bit.  The relation head explains one pair per query, 16 live rows of
+80 at the gate's shapes.  Whether the z+ rule takes its signed branch
+then depends on the live rows alone; on a row without negative inputs
+that branch adds only zeros, which the closing ``+ 0.0`` makes ``+0.0``,
+so a live row's values and zero signs are the same either way.
 """
 
 from __future__ import annotations
@@ -167,28 +167,14 @@ def _apply_rule(layer, entry: LayerTrace, rel_out: Array, cfg: LrpConfig) -> Arr
     return lrp_alpha(layer, entry.input, entry.output, rel_out)
 
 
-def _zero_on_dead_rows(layer, cfg: LrpConfig) -> bool:
-    """Whether ``layer``'s rule computes row by row and writes ``+0.0`` across a row whose
-    relevance is all zero: the conv z+ rule (ends in ``+ 0.0``) and the pools (fold onto
-    ``+0.0``).  A Linear GEMM may round a row differently with the row count, and the
-    epsilon rule, relu and flatten can leave ``-0.0`` there."""
-    if isinstance(layer, Conv2d):
-        return cfg.rule_for(layer.kind) == "alpha"
-    return isinstance(layer, (MaxPool2d, AvgPool2d))
-
-
 def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
-                 cfg: LrpConfig | None = None) -> list[Array]:
-    """Propagate relevance from the network output down to its input.
+                 cfg: LrpConfig | None = None) -> Array:
+    """The relevance at the network input, shaped like the traced input.
 
-    ``output_relevance`` has the traced output's rows.  Returns the
-    relevance at every activation of the trace: entry ``i`` is shaped
-    like the input of layer ``i``, so entry 0 is the input relevance and
-    the last entry is the output relevance the pass started from.  The
-    rows holding a nonzero entry of ``output_relevance`` are the live
-    rows; when some row is dead, the conv z+ rule and the pools run on
-    the live rows only (see the module docstring), and every entry still
-    has all rows.
+    ``output_relevance`` has the traced output's rows.  The rows holding a
+    nonzero entry of it are the live rows; below the lowest Linear layer
+    the rules run on those only, and every other row of the result is
+    ``+0.0`` (see the module docstring).
     """
     cfg = cfg or LrpConfig()
     r = np.asarray(output_relevance, dtype=np.float64)
@@ -196,24 +182,25 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
         raise ContractError(
             f"output relevance shape {r.shape} does not match traced output "
             f"{trace.entries[-1].output.shape}")
-    relevances: list[Array] = [None] * (len(net.layers) + 1)  # type: ignore[list-item]
-    relevances[-1] = r
     # a row without relevance keeps none on the way down: no rule mixes rows
     live = np.flatnonzero(np.any(r != 0, axis=tuple(range(1, r.ndim))))
     gather = len(live) < len(r)
-    for i in reversed(range(len(net.layers))):
-        layer, entry = net.layers[i], trace.entries[i]
-        if gather and _zero_on_dead_rows(layer, cfg):
-            rel = np.zeros(entry.input.shape)
-            rel[live] = _apply_rule(layer, LayerTrace(entry.input[live], entry.output[live]),
-                                    r[live], cfg)
-            r = rel
-        else:
-            r = _apply_rule(layer, entry, r, cfg)
-        relevances[i] = r
+    rows = live if gather else slice(None)
+    low = min((i for i, layer in enumerate(net.layers) if isinstance(layer, Linear)),
+              default=len(net.layers))
+    steps = list(zip(net.layers, trace.entries))
+    for layer, entry in reversed(steps[low:]):
+        r = _apply_rule(layer, entry, r, cfg)
+    r = r[rows]
+    for layer, entry in reversed(steps[:low]):
+        r = _apply_rule(layer, LayerTrace(entry.input[rows], entry.output[rows]), r, cfg)
     if not np.isfinite(r).all():
         raise NumericError("relevance pass produced non-finite values")
-    return relevances
+    if not gather:
+        return r
+    rel = np.zeros(trace.entries[0].input.shape)
+    rel[live] = r
+    return rel
 
 
 def normalize_relevance(rel: Array) -> Array:

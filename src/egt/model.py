@@ -214,7 +214,7 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
     # vector and the second channel half of a relation pair.
     map_rel = np.reshape([r.reshape(-1)[-qmaps.size:] for r in rels],
                          (reps,) + qmaps.shape[1:])
-    rows = lrp_backward(model.encoder, _tile_trace(qtrace, reps), map_rel, lrp_cfg)[0]
+    rows = lrp_backward(model.encoder, _tile_trace(qtrace, reps), map_rel, lrp_cfg)
     return ExplainResult(scores=scores[0], probabilities=probs[0],
                          relevance_init=rel_init[0],
                          feature_relevance=dict(zip(targets, rels)),

@@ -19,14 +19,15 @@ offset taps and of the windows that read them, so no padded copy is
 ever built.
 :func:`_windows` unrolls through it (:meth:`Conv2d.unroll`), leaving
 taps on the padding ``+0.0``, and :func:`_fold` scatter-adds one window
-part per offset back onto the unpadded grid.  Both take their working
-array's memory layout from the output width ``ow`` (:func:`_kernel_array`):
-spatial-major, ``(..., B, C)``, for ``ow`` in ``_SPATIAL_MAJOR_OW``, so
-that a slice op's innermost loop spans B*C elements instead of ``ow``,
-and channel-major otherwise.  Both hand back a C-contiguous ``(B, C, ...)``
-array.  The results are bit-identical in either layout: the unroll only
-copies, and every folded element receives its additions in the same
-``(i, j)`` order, starting from ``+0.0``.
+part per offset back onto the unpadded grid.  The unroll works
+channel-major, ``(B, C, ...)``, as the GEMMs want.  The fold takes its
+accumulator's layout from the output width ``ow``: spatial-major,
+``(..., B, C)``, for ``ow`` in ``_SPATIAL_MAJOR_OW``, so that a slice
+op's innermost loop spans B*C elements instead of ``ow``, and
+channel-major otherwise; it hands back a C-contiguous ``(B, C, ...)``
+array.  The result is bit-identical in either layout: every folded
+element receives its additions in the same ``(i, j)`` order, starting
+from ``+0.0``.
 
 The pools stack no windows.  Their taps (:meth:`_Pool.taps`) are the
 table's grid slices, as strided views: max pooling reduces them with
@@ -92,32 +93,17 @@ def _out_sides(sides, kh: int, kw: int, stride: int, padding: int = 0) -> tuple[
     return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
-# Output widths ``ow`` for which the window kernel works spatial-major.
+# Output widths ``ow`` for which :func:`_fold` accumulates spatial-major.
 # ``tools/layer_bench.py --repeats 15`` sweeps both layouts (3x3 conv,
 # padding 1, B*C 1..5120; two runs on 2 shared x86-64 CPUs): at ``ow`` 2
 # and 4 the spatial-major fold runs at 0.42-1.08x the channel-major time
-# (``grad_input`` 0.54-1.05x) and the unroll at 0.95-1.65x (``forward``
-# 0.98-1.28x), so the backward gains more than the forward loses.  The
-# unroll's closing copy grows with ``ow``: 1.05-1.71x at 5, up to 3.8x at
-# 8 and 8x at 16, where the fold loses too at the largest B*C.  At ``ow``
-# 1 the channel-major slice ops already loop over C; the spatial-major
-# unroll measures 1.05-1.96x there and the fold 1.03-1.05x.
+# (``grad_input`` 0.54-1.05x), and at ``ow`` 1 and 16 at 1.03-1.05x.  At
+# ``ow`` 8 it gains in the sweep but read 1.14x on the encoder's first
+# max-pool pull-back (41 rows x 8 channels), so the range stops at 4.  The
+# unroll is channel-major at every width: spatial-major, it read 0.96-1.01x
+# at ``ow`` 2 and 4 on the encoder's and relation head's shapes, and 1.55x
+# at 8 and 7.4x at 16.
 _SPATIAL_MAJOR_OW = range(2, 5)
-
-
-def _kernel_array(alloc, shape: tuple[int, ...], ow: int, dtype) -> Array:
-    """A ``(B, C, ...)`` array of ``shape`` from ``alloc`` (``np.empty`` or ``np.zeros``).
-
-    It is laid out for the window kernel.  For ``ow`` in
-    ``_SPATIAL_MAJOR_OW`` the memory is spatial-major, ``(..., B, C)``,
-    so that each slice op of the kernel's loop runs its innermost loop
-    over B*C elements rather than over ``ow``; otherwise it is
-    channel-major, as the GEMMs want.
-    """
-    if ow not in _SPATIAL_MAJOR_OW:
-        return alloc(shape, dtype)
-    n = len(shape) - 2
-    return alloc(shape[2:] + shape[:2], dtype).transpose(n, n + 1, *range(n))
 
 
 # Offset tables kept by ``_offsets``: one per window shape, and a pass of
@@ -145,15 +131,14 @@ def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int, pad: int
 
     Window index ``i*kw + j`` holds kernel offset ``(i, j)``.  ``x`` is read
     unpadded, through :func:`_offsets`, and a tap on the padding stays
-    ``+0.0``.  The result is C-contiguous whatever layout
-    :func:`_kernel_array` picked.
+    ``+0.0``.
     """
     b, c, h, w = x.shape
-    win = _kernel_array(np.zeros, (b, c, kh * kw, oh, ow), ow, x.dtype)
+    win = np.zeros((b, c, kh * kw, oh, ow), x.dtype)
     x_s, win_s = x.transpose(2, 3, 0, 1), win.transpose(2, 3, 4, 0, 1)
     for t, (grid, part) in enumerate(_offsets(kh, kw, stride, oh, ow, h, w, pad)):
         win_s[t][part] = x_s[grid]
-    return np.ascontiguousarray(win)
+    return win
 
 
 def _fold(parts, kh: int, kw: int, stride: int, h: int, w: int, pad: int) -> Array:
@@ -164,15 +149,18 @@ def _fold(parts, kh: int, kw: int, stride: int, h: int, w: int, pad: int) -> Arr
     skipped.  Each element receives its additions in kernel-offset order
     ``(i, j)`` in either layout, starting from ``+0.0``, so the sums are
     those of folding onto the padded grid and slicing, to the bit.  The
-    result is C-contiguous.
+    accumulator is spatial-major for ``ow`` in ``_SPATIAL_MAJOR_OW``, and
+    the result is C-contiguous.
     """
     oh, ow = _out_sides((h, w), kh, kw, stride, pad)
     out = None
     for part, (grid, win) in zip(parts, _offsets(kh, kw, stride, oh, ow, h, w, pad)):
         if out is None:
-            out = _kernel_array(np.zeros, part.shape[:2] + (h, w), ow, np.float64)
-        out.transpose(2, 3, 0, 1)[grid] += part.transpose(2, 3, 0, 1)[win]
-    return np.ascontiguousarray(out)
+            rows = part.shape[:2]
+            out = (np.zeros((h, w) + rows) if ow in _SPATIAL_MAJOR_OW
+                   else np.zeros(rows + (h, w)).transpose(2, 3, 0, 1))
+        out[grid] += part.transpose(2, 3, 0, 1)[win]
+    return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
 
 
 def _interior(offset: int, stride: int, n: int, pad: int, size: int) -> tuple[slice, slice]:

@@ -10,7 +10,7 @@ from egt.errors import ConfigError, ContractError
 from egt.model import build_model
 from egt.lrp import (LrpConfig, epsilon_divide, lrp_alpha, lrp_backward, lrp_epsilon,
                      lrp_passthrough, normalize_relevance)
-from egt.tensornet import (AvgPool2d, Conv2d, Flatten, LayerTrace, Linear,
+from egt.tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, LayerTrace, Linear,
                            MaxPool2d, Network, ReLU)
 from util_nets import (conservation_net, count_grad_input, dense_alpha_oracle,
                        dense_epsilon_oracle, rand_conv, rand_linear, recorded_entry,
@@ -316,9 +316,8 @@ class TestLrpBackward:
         net = Network((6,), [layer])
         x = rng.standard_normal((1, 6))
         out, trace = net.forward_recorded(x)
-        rels = lrp_backward(net, trace, np.array([[1.0, 2.0, -1.0]]),
-                            LrpConfig(epsilon=0.0))
-        assert rels[0].sum() == pytest.approx(2.0, rel=1e-10)
+        rel = lrp_backward(net, trace, np.array([[1.0, 2.0, -1.0]]), LrpConfig(epsilon=0.0))
+        assert rel.sum() == pytest.approx(2.0, rel=1e-10)
 
     def test_conservation_random_nets(self):
         rng = np.random.default_rng(8)
@@ -328,7 +327,7 @@ class TestLrpBackward:
             x = rng.standard_normal((1,) + net.input_shape)
             out, trace = net.forward_recorded(x)
             rel_out = rng.standard_normal(out.shape)
-            rel_in = lrp_backward(net, trace, rel_out, cfg)[0]
+            rel_in = lrp_backward(net, trace, rel_out, cfg)
             total = rel_out.sum()
             assert abs(rel_in.sum() - total) <= 1e-5 * max(abs(total), 1e-12)
 
@@ -343,7 +342,7 @@ class TestLrpBackward:
             c = int(rng.integers(0, out.size))
             rel_out = np.zeros_like(out)
             rel_out[0, c] = out[0, c]
-            rel_in = lrp_backward(net, trace, rel_out, cfg)[0]
+            rel_in = lrp_backward(net, trace, rel_out, cfg)
             cot = np.zeros_like(out)
             cot[0, c] = 1.0
             grad_in, _ = net.backward_grad(trace, cot)
@@ -360,7 +359,7 @@ class TestLrpBackward:
         x = rng.standard_normal((1,) + net.input_shape)
         out, trace = net.forward_recorded(x)
         cot = rng.standard_normal(out.shape)
-        rel_in = lrp_backward(net, trace, out * cot, cfg)[0]
+        rel_in = lrp_backward(net, trace, out * cot, cfg)
         grad_in, _ = net.backward_grad(trace, cot)
         np.testing.assert_allclose(rel_in, grad_in * x,
                                    rtol=1e-4, atol=1e-10)
@@ -369,8 +368,8 @@ class TestLrpBackward:
         rng = np.random.default_rng(11)
         net = conservation_net(rng)
         _, trace = net.forward_recorded(rng.standard_normal((1,) + net.input_shape))
-        for rel in lrp_backward(net, trace, np.zeros((1,) + net.output_shape)):
-            assert not rel.any()
+        rel = lrp_backward(net, trace, np.zeros((1,) + net.output_shape))
+        assert not rel.any() and not np.signbit(rel).any()
 
     def test_trace_shapes_align(self):
         rng = np.random.default_rng(12)
@@ -378,10 +377,7 @@ class TestLrpBackward:
                                   AvgPool2d(2), Flatten(), rand_linear(rng, 27, 4)])
         x = rng.standard_normal((3,) + net.input_shape)
         out, trace = net.forward_recorded(x)
-        rels = lrp_backward(net, trace, rng.standard_normal(out.shape))
-        assert len(rels) == len(trace.entries) + 1
-        for entry, rel in zip(trace.entries, rels):
-            assert rel.shape == entry.input.shape
+        assert lrp_backward(net, trace, rng.standard_normal(out.shape)).shape == x.shape
 
     def test_missing_rule_is_config_error(self):
         rng = np.random.default_rng(13)
@@ -400,10 +396,10 @@ class TestLrpBackward:
 
 
 def _all_rows_backward(net, trace, output_relevance, cfg):
-    """The relevance pass with every rule on every row of the trace: the reference
-    for :func:`lrp_backward`, which runs the conv z+ rule and the pools on live rows."""
+    """The input relevance with every rule on every row of the trace: the reference
+    for :func:`lrp_backward`, which runs the rules below the lowest Linear layer on
+    the live rows only."""
     r = np.asarray(output_relevance, dtype=np.float64)
-    rels = [r]
     for layer, entry in zip(reversed(net.layers), reversed(trace.entries)):
         if isinstance(layer, (Linear, Conv2d)):
             if cfg.rule_for(layer.kind) == "epsilon":
@@ -412,8 +408,7 @@ def _all_rows_backward(net, trace, output_relevance, cfg):
                 r = lrp_alpha(layer, entry.input, entry.output, r)
         else:
             r = lrp_passthrough(layer, entry, r)
-        rels.insert(0, r)
-    return rels
+    return r
 
 
 def _gate_relation_trace(seed, pairs=None):
@@ -437,15 +432,21 @@ def _one_per_query(rng, n=16, way=5, value=None):
     return init, rows
 
 
-class TestLiveRows:
-    """The conv z+ rule and the pools run on the rows that carry relevance, and every
-    returned array is the all-rows pass's: value, sign of zero and dtype."""
+def _relation_rows(top, below):
+    """The rows each rule of the relation net should see, top layer first: the two
+    Linear layers and the relu between them ``top``, the rest ``below``."""
+    return [("linear", top), ("relu", top), ("linear", top),
+            ("flatten", below), ("avgpool2d", below), ("relu", below), ("conv2d", below)]
 
-    CFG = LrpConfig()
+
+class TestLiveRows:
+    """Below the lowest Linear layer every rule runs on the rows that carry relevance
+    only.  A live row of the input relevance is the all-rows pass's (value, sign of
+    zero and dtype), and a dead row is ``+0.0``."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Rows that each rule call received, as ``(layer kind, rows)``."""
+        """Rows that each rule call received, as ``(layer kind, rows)``, in call order."""
         calls = []
 
         def spy(fn, layer_at):
@@ -462,38 +463,32 @@ class TestLiveRows:
                             spy(lrp_passthrough, lambda args: len(args[1].input)))
         return calls
 
-    def _check(self, net, trace, init):
-        want = _all_rows_backward(net, trace, init, self.CFG)
-        got = lrp_backward(net, trace, init, self.CFG)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype == np.float64
-            assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
-            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
-        return got
-
-    def _rows_seen(self, seen, live, total):
-        # Linear GEMMs, relu and flatten take every row; the conv and pools the live ones
-        want = {"linear": total, "relu": total, "flatten": total,
-                "conv2d": live, "avgpool2d": live, "maxpool2d": live}
-        assert seen and all(rows == want[kind] for kind, rows in seen), seen
+    @staticmethod
+    def _check(net, trace, init, cfg=LrpConfig()):
+        """``lrp_backward`` against the reference; returns the reference."""
+        want = _all_rows_backward(net, trace, init, cfg)
+        got = lrp_backward(net, trace, init, cfg)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == trace.entries[0].input.shape
+        live = np.any(init != 0, axis=tuple(range(1, init.ndim)))
+        np.testing.assert_array_equal(got[live], want[live])
+        np.testing.assert_array_equal(np.signbit(got[live]), np.signbit(want[live]))
+        assert not got[~live].any() and not np.signbit(got[~live]).any()
+        return want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gate_relation_net_sixteen_live_rows(self, seen, seed):
         net, trace = _gate_relation_trace(seed)
-        init, rows = _one_per_query(np.random.default_rng(100 + seed))
-        got = self._check(net, trace, init)
-        self._rows_seen(seen, 16, 80)
-        dead = np.setdiff1d(np.arange(80), rows)
-        assert not got[0][dead].any() and not np.signbit(got[0][dead]).any()
+        init, _ = _one_per_query(np.random.default_rng(100 + seed))
+        self._check(net, trace, init)
+        assert seen == _relation_rows(80, 16)
 
     def test_minus_zero_rows_are_dead(self, seen):
         net, trace = _gate_relation_trace(4)
         init, rows = _one_per_query(np.random.default_rng(104))
         init[np.setdiff1d(np.arange(80), rows)] = -0.0
         self._check(net, trace, init)
-        self._rows_seen(seen, 16, 80)
+        assert seen == _relation_rows(80, 16)
 
     def test_negative_conv_inputs_in_dead_rows_only(self, seen):
         # the all-rows z+ rule takes its signed branch; the live rows alone do not need it
@@ -505,33 +500,54 @@ class TestLiveRows:
         net, trace = _gate_relation_trace(5, pairs)
         assert (pairs[dead] < 0).any() and not (pairs[rows] < 0).any()
         self._check(net, trace, init)
-        self._rows_seen(seen, 16, 80)
+        assert seen == _relation_rows(80, 16)
 
     def test_all_rows_live(self, seen):
+        # nothing is gathered: every rule sees every row
         net, trace = _gate_relation_trace(6)
         self._check(net, trace, np.random.default_rng(106).standard_normal((80, 1)))
-        self._rows_seen(seen, 80, 80)
+        assert seen == _relation_rows(80, 80)
 
     def test_no_row_live(self, seen):
         net, trace = _gate_relation_trace(7)
-        got = self._check(net, trace, np.zeros((80, 1)))
-        self._rows_seen(seen, 0, 80)
-        assert not any(r.any() for r in got)
+        self._check(net, trace, np.zeros((80, 1)))
+        assert seen == _relation_rows(80, 0)
 
-    def test_minus_zero_from_a_linear_rule_is_kept(self, seen):
-        # a Linear rule on signed input leaves -0.0 in dead rows, and flatten passes it on
+    def test_zero_rows(self, seen):
+        # as explain's trace tiled zero times
+        net, trace = _gate_relation_trace(10)
+        trace = ForwardTrace([LayerTrace(e.input[:0], e.output[:0]) for e in trace.entries])
+        assert lrp_backward(net, trace, np.zeros((0, 1))).shape == (0, 64, 2, 2)
+        assert seen == _relation_rows(0, 0)
+
+    def test_linear_at_the_bottom(self, seen):
+        # the epsilon rule leaves -0.0 in dead rows; the input relevance has +0.0 there
         rng = np.random.default_rng(9)
-        net = Network((2, 4, 4), [rand_conv(rng, 2, 3, 3, padding=1), AvgPool2d(2),
-                                  Flatten(), rand_linear(rng, 12, 3)])
-        out, trace = net.forward_recorded(rng.standard_normal((5,) + net.input_shape))
+        net = Network((6,), [rand_linear(rng, 6, 4), ReLU(), rand_linear(rng, 4, 3)])
+        out, trace = net.forward_recorded(rng.standard_normal((5, 6)))
         init = np.zeros(out.shape)
         init[[0, 3]] = rng.standard_normal((2, 3))
-        got = self._check(net, trace, init)
-        self._rows_seen(seen, 2, 5)
-        assert np.signbit(got[2][[1, 2, 4]]).any() and not got[2][[1, 2, 4]].any()
+        want = self._check(net, trace, init)
+        assert np.signbit(want[[1, 2, 4]]).any() and not want[[1, 2, 4]].any()
+        assert seen == [("linear", 5), ("relu", 5), ("linear", 5)]
+
+    @pytest.mark.parametrize("rule", ["alpha", "epsilon"])
+    def test_no_linear_layer(self, seen, rule):
+        # a conv/pool stack on signed input gathers its live rows at the top
+        rng = np.random.default_rng(11)
+        net = Network((2, 8, 8), [rand_conv(rng, 2, 3, 3, padding=1), ReLU(), MaxPool2d(2),
+                                  rand_conv(rng, 3, 4, 3, padding=1), ReLU(), AvgPool2d(2)])
+        out, trace = net.forward_recorded(rng.standard_normal((6,) + net.input_shape))
+        init = rng.standard_normal(out.shape)
+        init[[0, 2, 5]] = 0.0
+        want = self._check(net, trace, init,
+                           LrpConfig(rule_map={"linear": "epsilon", "conv2d": rule}))
+        assert np.signbit(want[[0, 2, 5]]).any() == (rule == "epsilon")
+        assert seen == [(layer.kind, 3) for layer in reversed(net.layers)]
 
     def test_encoder_with_pools_and_signed_input(self, seen):
-        # a conv/maxpool/avgpool stack on signed input, half its rows live
+        # a conv/maxpool/avgpool stack on signed input under a Linear layer, half its
+        # rows live
         rng = np.random.default_rng(8)
         net = Network((2, 8, 8), [rand_conv(rng, 2, 3, 3, padding=1), ReLU(), MaxPool2d(2),
                                   rand_conv(rng, 3, 4, 3, padding=1), ReLU(), AvgPool2d(2),
@@ -540,7 +556,7 @@ class TestLiveRows:
         init = rng.standard_normal(out.shape)
         init[[1, 2, 4]] = 0.0
         self._check(net, trace, init)
-        self._rows_seen(seen, 3, 6)
+        assert seen == [("linear", 6)] + [(layer.kind, 3) for layer in reversed(net.layers[:-1])]
 
 
 class TestNormalizeRelevance:

@@ -447,7 +447,7 @@ class TestExplainInput:
             single = explain_input(model, support, local, 3, query, targets=[t])
             assert res.feature_relevance[t].tobytes() == single.feature_relevance[t].tobytes()
             map_rel = res.feature_relevance[t].reshape(-1)[-qmaps.size:].reshape(qmaps.shape)
-            want = lrp_backward(model.encoder, qtrace, map_rel, LrpConfig())[0][0]
+            want = lrp_backward(model.encoder, qtrace, map_rel, LrpConfig())[0]
             np.testing.assert_array_equal(res.input_relevance[t], want)
             assert res.input_relevance[t].tobytes() == want.tobytes()
 

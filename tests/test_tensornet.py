@@ -334,7 +334,7 @@ class TestInitAndDescriptions:
             conv.out_shape((2, 5, 5))
 
 
-# --- the window kernel: both memory layouts against a channel-major loop ---
+# --- the window kernel: the unroll, and the fold in both layouts, against loops ---
 
 def _ref_windows(x, kh, kw, stride, oh, ow, pad):
     """Unroll a zero-padded copy of ``x``, window index by window index."""
@@ -412,7 +412,7 @@ _ONE_WINDOW_POOL_CASES = [
     (4, 3, 4, 4, 3, 2),
     (4, 3, 4, 4, 3, 3),
 ]
-# The shape's own choice, then each layout forced for every shape.
+# The fold's layout: the shape's own choice, then each layout forced for every shape.
 _LAYOUT_RANGES = {"auto": tensornet._SPATIAL_MAJOR_OW, "channel": range(0),
                   "spatial": range(1, 1 << 30)}
 

@@ -309,7 +309,7 @@ class TestGradientsAgainstFiniteDifferences:
         init = np.zeros((n * way, 1))
         rows = np.arange(n) * way + winners
         init[rows, 0] = logits0[:, 0].reshape(n, way)[np.arange(n), winners]
-        rel = lrp_backward(model.head.net, trace0, init, lrp_cfg)[0]
+        rel = lrp_backward(model.head.net, trace0, init, lrp_cfg)
         w0 = np.stack([1.0 + normalize_relevance(rel[r]) for r in rows])
 
         def frozen_loss():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the egt tensor stack, and the window-kernel layout sweep.
+"""Per-layer timings of the egt tensor stack, and the fold layout sweep.
 
 Usage (from the repository root):
 
@@ -27,15 +27,15 @@ per-layer table, timing ``relation.0`` on ready-made pair rows, cannot
 show), ``lrp_through_head`` on the plain pass, and ``head.backward`` over
 both passes, as a training episode runs them, joined as above.
 
-Part 3, ``sweep``: ``_windows`` (the conv's unroll of its unpadded
-input), ``_fold`` (of one part per window index, as the conv's input
-pull-back hands them), ``Conv2d.forward`` and ``Conv2d.grad_input`` (a
-C -> C 3x3 conv with padding 1 on a square ``ow x ow`` map) over output
-width ``ow`` x B*C, once in each memory
-layout of the window kernel.  The layout is forced by setting the range
-``egt.tensornet._SPATIAL_MAJOR_OW`` for the duration of a cell; each
-cell reports the spatial-major / channel-major ratio of the medians.
-This sweep is what sets that range.
+Part 3, ``sweep``: ``_fold`` (of one part per window index, as the
+conv's input pull-back hands them) and ``Conv2d.grad_input`` (a C -> C
+3x3 conv with padding 1 on a square ``ow x ow`` map) over output width
+``ow`` x B*C, once in each memory layout of the fold's accumulator.  The
+layout is forced by setting the range ``egt.tensornet._SPATIAL_MAJOR_OW``
+for the duration of a cell; each cell reports the spatial-major /
+channel-major ratio of the medians.  This sweep is what sets that range.
+The range sets the fold's layout only: the unroll (``_windows``) works
+channel-major at every width.
 
 Every timing is the median over ``--repeats`` samples, with the first and
 third quartiles, in ms per call; one sample averages enough calls to last
@@ -66,12 +66,12 @@ from egt import tensornet  # noqa: E402
 from egt.heads import RelationHead, lrp_through_head  # noqa: E402
 from egt.lrp import LrpConfig, lrp_alpha, lrp_epsilon, lrp_passthrough  # noqa: E402
 from egt.model import build_encoder, build_relation_net  # noqa: E402
-from egt.tensornet import Conv2d, Linear, _fold, _windows, joined  # noqa: E402
+from egt.tensornet import Conv2d, Linear, _fold, joined  # noqa: E402
 
 SAMPLE_S = 0.005
 SWEEP_OW = (1, 2, 4, 5, 8, 16)
 SWEEP_BC = ((1, 1), (4, 4), (8, 8), (16, 16), (40, 32), (80, 64))
-SWEEP_MAX_ELEMENTS = 80 * 64 * 8 * 8  # skips (80x64, ow 16): 94 MB of windows
+SWEEP_MAX_ELEMENTS = 80 * 64 * 8 * 8  # skips (80x64, ow 16): 94 MB of window parts
 LAYOUTS = {"channel": range(0), "spatial": range(1, 1 << 30)}
 
 
@@ -151,15 +151,12 @@ def relation_head_rows(repeats: int, rng) -> list[dict]:
 
 
 def sweep_cell(b: int, c: int, ow: int, repeats: int, rng) -> dict:
-    """Both layouts of the window kernel on one ``(B, C, ow)`` cell."""
+    """Both layouts of the fold on one ``(B, C, ow)`` cell."""
     conv = Conv2d(rng.standard_normal((c, c, 3, 3)), np.zeros(c), padding=1)
-    x = rng.uniform(size=(b, c, ow, ow))
     parts = rng.standard_normal((b, c, 9, ow, ow)).transpose(2, 0, 1, 3, 4)
     cot = rng.standard_normal((b, c, ow, ow))
     ops = {
-        "windows": lambda: _windows(x, 3, 3, 1, ow, ow, 1),
         "fold": lambda: _fold(parts, 3, 3, 1, ow, ow, 1),
-        "conv_forward": lambda: conv.forward(x),
         "grad_input": lambda: conv.grad_input(cot, (c, ow, ow)),
     }
     cell: dict = {"b": b, "c": c, "bc": b * c, "ow": ow}
@@ -211,9 +208,9 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep = []
     spatial = tensornet._SPATIAL_MAJOR_OW
-    print(f"\nspatial-major / channel-major time, median of {args.repeats}; "
+    print(f"\nfold, spatial-major / channel-major time, median of {args.repeats}; "
           f"spatial-major now for ow {spatial.start}..{spatial.stop - 1}")
-    print(f"{'ow':>3}{'B*C':>6}{'windows':>10}{'fold':>8}{'conv fwd':>10}{'grad_in':>9}")
+    print(f"{'ow':>3}{'B*C':>6}{'fold':>8}{'grad_in':>9}")
     for ow in SWEEP_OW:
         for b, c in SWEEP_BC:
             if b * c * ow * ow > SWEEP_MAX_ELEMENTS:
@@ -221,8 +218,7 @@ def main(argv: list[str] | None = None) -> int:
             cell = sweep_cell(b, c, ow, args.repeats, rng)
             sweep.append(cell)
             r = cell["spatial_over_channel"]
-            print(f"{ow:>3}{b * c:>6}{r['windows']:>10.2f}{r['fold']:>8.2f}"
-                  f"{r['conv_forward']:>10.2f}{r['grad_input']:>9.2f}")
+            print(f"{ow:>3}{b * c:>6}{r['fold']:>8.2f}{r['grad_input']:>9.2f}")
 
     result = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
