@@ -82,7 +82,7 @@ def _at_least(n: int) -> tuple:
 
 
 # Settings several commands share.  A default the library also has is
-# read from its owner; a list setting holds it comma-joined.
+# read from its owner; a list setting holds it comma-separated.
 _PATH = (str, REQUIRED, None)
 _INPUTS = {"checkpoint": _PATH, "data": _PATH, "out": _PATH}
 _EPISODE = {"way": (int, TrainConfig.way, _at_least(2)),
@@ -286,7 +286,7 @@ def _cmd_train(params: dict) -> None:
 
 
 def _cmd_eval(params: dict) -> None:
-    # A config echoed before the list form holds the files comma-joined.
+    # A config echoed before the list form holds the files comma-separated.
     paths = params["data"] = (params["data"] if isinstance(params["data"], list)
                               else params["data"].split(","))
     stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]

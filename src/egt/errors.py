@@ -125,7 +125,7 @@ def first_nonfinite(values: np.ndarray) -> int | None:
 
 def write_container(path: str, magic: bytes, lines: list[str], terminator: bytes,
                     blocks: list[np.ndarray]) -> None:
-    """Write ``magic``, the ascii ``lines`` joined by newlines, ``terminator``, then each block.
+    """Write ``magic``, the ascii ``lines`` separated by newlines, ``terminator``, then each block.
 
     A float block holding a non-finite value is refused before the file is opened, as
     :meth:`Container.blocks` refuses it on read: a file already at ``path`` stays whole."""

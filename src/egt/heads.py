@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
 from .lrp import LrpConfig, epsilon_divide, lrp_backward
-from .tensornet import Conv2d, ForwardTrace, Network, added
+from .tensornet import Conv2d, ForwardTrace, Network
 
 Array = np.ndarray
 
@@ -318,9 +318,7 @@ class RelationHead:
 
         The prototype half is summed over queries, the query half over
         classes; the relation-net parameter gradients are summed over
-        the passes (``None`` without a pass).  A weight gradient that is
-        still being summed (a ``Future``) is added on the reduction
-        worker, in pass order, and comes back pending.
+        the passes in pass order (``None`` without a pass).
         """
         n, way, channels = len(query_maps), len(protos), np.shape(protos)[1]
         d_pairs = np.zeros((n, way, 2 * channels) + np.shape(protos)[2:])
@@ -330,7 +328,7 @@ class RelationHead:
             d_in = d_in.reshape(d_pairs.shape)
             d_pairs += d_in if weights is None else _weigh_pairs(d_in, weights)
             param_grads = pg if param_grads is None else [
-                None if a is None else {k: added(a[k], b[k]) for k in a}
+                None if a is None else {k: a[k] + b[k] for k in a}
                 for a, b in zip(param_grads, pg)]
         return (d_pairs[:, :, :channels].sum(axis=0),
                 d_pairs[:, :, channels:].sum(axis=1), param_grads)

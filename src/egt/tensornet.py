@@ -38,15 +38,9 @@ in that order, and the pull-backs hand :func:`_fold` one part per tap
 stack's to the bit, except at one output position over 3x3 or larger
 windows, where numpy reduces a stack in its own vectorized order.
 
-A convolution's weight gradient is a sum of per-row products
-(:func:`_summed_products`).  One that takes more than one chunk of the
-product buffer is summed on one background worker thread per process,
-and ``backward`` hands back a ``Future`` in its place, so the
-input gradient goes on down the stack meanwhile; :func:`added` sums
-gradients that may be pending, and :func:`joined` waits for them.  The
-worker runs the same numpy calls on the same arrays, so each gradient
-is the inline one to the bit.  Smaller reductions run inline and start
-no thread.
+A convolution's weight gradient is a sum of per-row products, reduced
+inline (:meth:`Conv2d.backward`): over the stack of products when it
+fits ``_PRODUCT_STACK_BYTES``, and by one GEMM over all rows otherwise.
 
 All arithmetic is float64 numpy.  Every activation carries a leading
 row axis: ``(B, C, H, W)`` for image-like tensors and ``(B, D)`` for
@@ -58,17 +52,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, NumericError, check_addressable
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
 
 Array = np.ndarray
 
@@ -177,95 +165,16 @@ def _interior(offset: int, stride: int, n: int, pad: int, size: int) -> tuple[sl
     return slice(start, start + (last - first) * stride, stride), slice(first, last)
 
 
-# Bytes of the one buffer through which ``_summed_products`` reduces a
-# stack of products: the encoder's convolutions at a batch of 41 fit in
-# one chunk (the last one exactly), the relation net's first convolution
-# (80 pairs, 147 KB of weight gradient per pair) takes chunks of 9 rows
-# instead of an 11.8 MB stack, and so goes to the reduction worker.
-_PRODUCT_BUFFER_BYTES = 3 << 19
-
-
-def _chunk_rows(a: Array, b: Array) -> int:
-    """Rows of ``a @ b`` per chunk of ``_summed_products``' buffer, at most all of them."""
-    n, size = a.shape[0], a.shape[1] * b.shape[2]
-    return max(1, min(n, _PRODUCT_BUFFER_BYTES // (8 * size) - 1))
-
-
-def _summed_products(a: Array, b: Array) -> Array:
-    """``np.matmul(a, b).sum(axis=0)``, bit for bit, without the whole stack.
-
-    Each chunk of rows has its products written behind the running sum
-    in one reused buffer, and ``np.add.reduce`` extends the sum over
-    them in row order: the additions are those of the full reduction.
-    """
-    n, shape = a.shape[0], (a.shape[1], b.shape[2])
-    rows = _chunk_rows(a, b)
-    buf = np.empty((rows + 1,) + shape)
-    total = np.zeros(shape)
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        np.matmul(a[start:start + m], b[start:start + m], out=buf[1:m + 1])
-        if start:
-            buf[0] = total
-        np.add.reduce(buf[0 if start else 1:m + 1], axis=0, out=total)
-    return total
-
-
-# The process's one reduction worker, and the lock under which it is started.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _later(fn, *args) -> Future:
-    """Queue ``fn(*args)`` on the reduction worker, started on first use.
-
-    The worker is one thread, so tasks run in submission order, and a
-    task may wait for any future queued before it.  Its tasks only
-    reduce and add arrays; nothing they call records or times a pass.
-    The future's ``result()`` raises what the task raised, unchanged.
-    """
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            # imported on first use: concurrent.futures brings in logging, about
-            # 0.6 MB that a process which never uses the worker does not need
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="egt-reduce")
-        return _worker.submit(fn, *args)
-
-
-def _forget_worker() -> None:
-    """A forked child has no copy of the parent's thread: it starts its own on demand."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _pending(grad: Array | Future) -> bool:
-    """Whether ``grad`` is a worker's ``Future`` (an array has no ``result``)."""
-    return hasattr(grad, "result")
-
-
-def _value(grad: Array | Future) -> Array:
-    return grad.result() if _pending(grad) else grad
-
-
-def added(a: Array | Future, b: Array | Future) -> Array | Future:
-    """``a + b`` for two gradients, queued on the worker behind them when either is pending."""
-    if _pending(a) or _pending(b):
-        return _later(lambda: _value(a) + _value(b))
-    return a + b
-
-
-def joined(param_grads: list[dict[str, Array | Future] | None] | None
-           ) -> list[dict[str, Array] | None] | None:
-    """Per-layer parameter gradients with every pending one (a ``Future``) waited for."""
-    if param_grads is None:
-        return None
-    return [None if grads is None else {name: _value(g) for name, g in grads.items()}
-            for grads in param_grads]
+# Bytes up to which a convolution's weight gradient is reduced over the
+# stack of its per-row products, ``np.matmul(g, cols).sum(axis=0)``; a
+# larger stack is reduced by one GEMM over all rows (``np.tensordot``).
+# The encoder's convolutions at a batch of 41 fit (the last one with 1.7
+# rows to spare); the relation net's first convolution at 80 pairs (147 KB
+# of products per pair) does not.  Stack against GEMM, median of 200
+# calls with ``OPENBLAS_NUM_THREADS=1`` on 2 shared x86-64 CPUs: encoder
+# convs 0.23/0.80, 0.23/0.52 and 0.37/0.31 ms; the relation conv
+# 1.82/0.55 ms.
+_PRODUCT_STACK_BYTES = 3 << 19
 
 
 @dataclass
@@ -306,8 +215,7 @@ class Layer:
         """Return ``(grad_in, param_grads)`` for the recorded application ``entry``.
 
         ``param_grads`` is summed over the batch axis; ``None`` for
-        parameter-free layers.  A convolution's weight gradient may be a
-        pending ``Future`` (:meth:`Conv2d.backward`).
+        parameter-free layers.
         """
         raise NotImplementedError
 
@@ -426,21 +334,22 @@ class Conv2d(_Parameterized):
         return y.reshape(b, o, oh, ow)
 
     def backward(self, entry: LayerTrace, grad_out: Array,
-                 input_grad: bool = True) -> tuple[Array | None, dict[str, Array | Future]]:
+                 input_grad: bool = True) -> tuple[Array | None, dict[str, Array]]:
         """Gradients for ``entry``, the weight's from its recorded columns.
 
-        A weight gradient that takes more than one chunk of the product
-        buffer is summed on the reduction worker and returned as a
-        ``Future``, while the caller goes on with the input gradient.
+        The weight gradient is a sum of one weight-sized product per row:
+        summed over the stack of products when that fits
+        ``_PRODUCT_STACK_BYTES``, and otherwise one GEMM over every row at
+        once, which adds in another order.
         """
-        b, o = grad_out.shape[:2]
-        g2 = grad_out.reshape(b, o, -1)
-        cols = entry.kept["cols"].transpose(0, 2, 1)
-
-        def weight_grad() -> Array:
-            return _summed_products(g2, cols).reshape(self.weight.shape)
-        dw = _later(weight_grad) if _chunk_rows(g2, cols) < b else weight_grad()
-        grads = {"weight": dw, "bias": g2.sum(axis=(0, 2))}
+        b, o, oh, ow = grad_out.shape
+        g2 = grad_out.reshape(b, o, oh * ow)
+        cols = entry.kept["cols"]
+        if b * self.weight.nbytes <= _PRODUCT_STACK_BYTES:
+            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
+        grads = {"weight": dw.reshape(self.weight.shape), "bias": g2.sum(axis=(0, 2))}
         grad_in = self.grad_input(grad_out, entry.input.shape[1:]) if input_grad else None
         return grad_in, grads
 
@@ -556,7 +465,7 @@ class Flatten(Layer):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x: Array, kept: dict[str, Array] | None = None) -> Array:
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, entry: LayerTrace, grad_out: Array) -> tuple[Array, None]:
         return grad_out.reshape(entry.input.shape), None
@@ -632,8 +541,7 @@ class Network:
         dict per layer (``None`` where the layer has no parameters),
         summed over the rows.  With ``input_grad=False`` the pass stops at
         the lowest parameterized layer, skips that layer's input
-        pull-back, and returns ``None`` for the input gradient.  A weight
-        gradient may still be a pending ``Future``; :func:`joined` waits for it.
+        pull-back, and returns ``None`` for the input gradient.
         """
         g = np.asarray(grad_out, dtype=np.float64)
         expected = trace.entries[-1].output.shape
@@ -663,13 +571,11 @@ def sgd_step(net: Network, param_grads: list[dict[str, Array] | None],
     """In-place momentum SGD: ``v <- momentum*v + g``, ``p <- p - lr*v``.
 
     Momentum buffers live on the layers and persist across calls.  A
-    pending gradient is waited for first.  A non-finite gradient aborts
-    before any parameter is touched.
+    non-finite gradient aborts before any parameter is touched.
     """
     if len(param_grads) != len(net.layers):
         raise ContractError(
             f"expected {len(net.layers)} gradient entries, got {len(param_grads)}")
-    param_grads = joined(param_grads)
     for i, (layer, grads) in enumerate(zip(net.layers, param_grads)):
         if not layer.params():
             continue

@@ -55,7 +55,7 @@ from .heads import (
 )
 from .lrp import LrpConfig, lrp_backward, normalize_relevance
 from .model import FewShotModel, save_model
-from .tensornet import joined, sgd_step
+from .tensornet import sgd_step
 
 Array = np.ndarray
 
@@ -151,9 +151,7 @@ def episode_gradients(model: FewShotModel, episode, cfg: TrainConfig,
     The one EGT step for every head: the plain pass (with ``xi`` > 0)
     and the re-weighted pass (with LRP and ``lam`` > 0) each add their
     CE gradient through ``head.backward``.  The relation-net gradients
-    are ``None`` for the cosine head, and without a pass.  The encoder
-    backward runs while the reduction worker sums what ``head.backward``
-    left pending; every gradient returned is an array.
+    are ``None`` for the cosine head, and without a pass.
     """
     if episode.way != cfg.way:
         raise ContractError(
@@ -205,7 +203,7 @@ def episode_gradients(model: FewShotModel, episode, cfg: TrainConfig,
         loss_plain=loss_plain, loss_lrp=loss_lrp,
         loss_total=cfg.xi * loss_plain + cfg.lam * loss_lrp,
         probs=probs, probs_lrp=probs_lrp, accuracy=accuracy)
-    return result, joined(enc_grads), joined(rel_grads)
+    return result, enc_grads, rel_grads
 
 
 def _apply(model: FewShotModel, enc_grads, rel_grads, lr: float, momentum: float) -> None:

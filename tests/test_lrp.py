@@ -10,8 +10,8 @@ from egt.errors import ConfigError, ContractError
 from egt.model import build_model
 from egt.lrp import (LrpConfig, epsilon_divide, lrp_alpha, lrp_backward, lrp_epsilon,
                      lrp_passthrough, normalize_relevance)
-from egt.tensornet import (AvgPool2d, Conv2d, Flatten, ForwardTrace, LayerTrace, Linear,
-                           MaxPool2d, Network, ReLU)
+from egt.tensornet import (AvgPool2d, Conv2d, Flatten, LayerTrace, Linear, MaxPool2d,
+                           Network, ReLU)
 from util_nets import (conservation_net, count_grad_input, dense_alpha_oracle,
                        dense_epsilon_oracle, rand_conv, rand_linear, recorded_entry,
                        relu_tower, unrolled_dense)
@@ -515,8 +515,7 @@ class TestLiveRows:
 
     def test_zero_rows(self, seen):
         # as explain's trace tiled zero times
-        net, trace = _gate_relation_trace(10)
-        trace = ForwardTrace([LayerTrace(e.input[:0], e.output[:0]) for e in trace.entries])
+        net, trace = _gate_relation_trace(10, np.zeros((0, 64, 2, 2)))
         assert lrp_backward(net, trace, np.zeros((0, 1))).shape == (0, 64, 2, 2)
         assert seen == _relation_rows(0, 0)
 

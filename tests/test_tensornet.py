@@ -8,7 +8,7 @@ import pytest
 from egt import tensornet
 from egt.errors import ContractError, NumericError
 from egt.lrp import lrp_backward, lrp_passthrough
-from egt.model import build_encoder, describe_layer, layer_from_description
+from egt.model import build_encoder, build_relation_net, describe_layer, layer_from_description
 from egt.tensornet import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
                            Network, ReLU, he_uniform, _fold, _offsets, _out_sides, _windows,
                            sgd_step)
@@ -230,6 +230,48 @@ class TestRecordedPass:
                 _assert_same_bits(b[name], a[name])
 
 
+def _row_count_net(kind, rng):
+    """A one-layer network of layer kind ``kind``, or the gate's encoder or relation net."""
+    if kind == "encoder":
+        return build_encoder((3, 16, 16), rng, widths=(8, 16, 32))
+    if kind == "relation":
+        return build_relation_net((64, 2, 2), rng, hidden=64)
+    shape, layer = {
+        "linear": ((6,), rand_linear(rng, 6, 4)),
+        "conv2d": ((2, 5, 5), rand_conv(rng, 2, 3, 3, padding=1)),
+        "relu": ((2, 4, 4), ReLU()),
+        "maxpool2d": ((2, 4, 4), MaxPool2d(2)),
+        "avgpool2d": ((2, 5, 5), AvgPool2d(2)),
+        "flatten": ((2, 2, 3), Flatten()),
+    }[kind]
+    assert layer.kind == kind
+    return Network(shape, [layer])
+
+
+class TestRowCounts:
+    """Every layer kind, and the gate's two networks, take 0, 1 or 41 rows through
+    forward, recorded forward, backward and LRP; every result has those rows."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 41])
+    @pytest.mark.parametrize("kind", ["linear", "conv2d", "relu", "maxpool2d", "avgpool2d",
+                                      "flatten", "encoder", "relation"])
+    def test_every_pass(self, kind, rows):
+        rng = np.random.default_rng(rows)
+        net = _row_count_net(kind, rng)
+        x = rng.uniform(size=(rows,) + net.input_shape)
+        out = net.forward(x)
+        assert out.shape == (rows,) + net.output_shape
+        recorded, trace = net.forward_recorded(x)
+        _assert_same_bits(recorded, out)
+        grad_in, grads = net.backward_grad(trace, rng.standard_normal(out.shape))
+        assert grad_in.shape == x.shape
+        for i, layer in net.param_layers():
+            for name, param in layer.params().items():
+                assert grads[i][name].shape == param.shape
+                assert rows or not grads[i][name].any()
+        assert lrp_backward(net, trace, rng.uniform(size=out.shape)).shape == x.shape
+
+
 class TestSgdStep:
     def _one_weight_net(self, w0):
         return Network((1,), [Linear(np.array([[w0]]), np.zeros(1))])
@@ -438,7 +480,8 @@ def _unrolled_conv_backward(conv, x, cot):
     p = conv.padding
     cols = _ref_windows(x, k, k, conv.stride, *cot.shape[2:], p).reshape(b, c * k * k, -1)
     g2 = cot.reshape(b, o, -1)
-    dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+    fits = b * conv.weight.nbytes <= tensornet._PRODUCT_STACK_BYTES
+    dw = (_stack_sum if fits else _one_gemm)(g2, cols)
     grads = {"weight": dw.reshape(conv.weight.shape), "bias": g2.sum(axis=(0, 2))}
     return conv.grad_input(cot, x.shape[1:]), grads
 
@@ -473,20 +516,72 @@ def _stacked_pool(pool, x, cot):
 
 
 def _recorded_backward(layer, x, cot):
-    # a weight gradient over more than one buffer chunk comes back pending
-    grad_in, grads = layer.backward(recorded_entry(layer, x), cot)
-    return grad_in, tensornet.joined([grads])[0]
+    return layer.backward(recorded_entry(layer, x), cot)
+
+
+def _stack_sum(g2, cols):
+    """A weight gradient summed over the stack of per-row products ``(B, O, C*k*k)``."""
+    return np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _one_gemm(g2, cols):
+    """A weight gradient as one GEMM over every row and output position."""
+    return np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
+
+
+def _weight_grad_parts(conv, b, seed):
+    """``conv``'s weight gradient from a recorded pass over ``b`` rows, with the
+    cotangent ``(B, O, L)`` and the kept columns ``(B, C*k*k, L)`` it reduces."""
+    rng = np.random.default_rng(seed)
+    o, c = conv.weight.shape[:2]
+    entry = recorded_entry(conv, _signed_data(rng, (b, c, 4, 5)))
+    cot = _signed_data(rng, entry.output.shape)
+    dw, cols = conv.backward(entry, cot)[1]["weight"], entry.kept["cols"]
+    return dw.reshape(o, -1), cot.reshape(b, o, cols.shape[2]), cols
 
 
 class TestSummedProducts:
-    """The weight gradient's sum of per-row products, reduced in chunks."""
+    """A conv's weight gradient sums one product per row: over the stack of products
+    while that fits ``_PRODUCT_STACK_BYTES``, and by one GEMM from one row above."""
+
+    @staticmethod
+    def _conv_bounded_at(monkeypatch, rows):
+        conv = rand_conv(np.random.default_rng(rows), 3, 4, 3, padding=1)
+        monkeypatch.setattr(tensornet, "_PRODUCT_STACK_BYTES", rows * conv.weight.nbytes)
+        return conv
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7, 9, 10])
-    def test_matches_the_full_stack_bitwise(self, monkeypatch, rows):
-        rng = np.random.default_rng(16)
-        a, b = _signed_data(rng, (10, 4, 6)), _signed_data(rng, (10, 6, 5))
-        monkeypatch.setattr(tensornet, "_PRODUCT_BUFFER_BYTES", 8 * 4 * 5 * (rows + 1))
-        _assert_same_bits(tensornet._summed_products(a, b), np.matmul(a, b).sum(axis=0))
+    def test_matches_the_full_stack_bitwise(self, monkeypatch, gemms, rows):
+        conv = self._conv_bounded_at(monkeypatch, rows)
+        for b in (rows - 1, rows):
+            dw, g2, cols = _weight_grad_parts(conv, b, 16 + b)
+            _assert_same_bits(dw, _stack_sum(g2, cols))
+        assert gemms == []
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 9, 10])
+    def test_one_row_over_is_one_gemm(self, monkeypatch, gemms, rows):
+        conv = self._conv_bounded_at(monkeypatch, rows)
+        dw, g2, cols = _weight_grad_parts(conv, rows + 1, 17 + rows)
+        assert len(gemms) == 1
+        _assert_same_bits(dw, _one_gemm(g2, cols))
+        assert max_rel_err(dw, _stack_sum(g2, cols)) < 1e-12
+
+    def test_gate_shapes(self, gemms):
+        # each encoder conv at 41 images fits the stack; the relation net's first
+        # conv at 80 pair rows does not, and is one GEMM
+        rng = np.random.default_rng(18)
+        encoder = build_encoder((3, 16, 16), rng, widths=(8, 16, 32))
+        relation = build_relation_net((64, 2, 2), rng, hidden=64)
+        for net, rows, rule in ((encoder, 41, _stack_sum), (relation, 80, _one_gemm)):
+            _, trace = net.forward_recorded(rng.uniform(size=(rows,) + net.input_shape))
+            for layer, entry in zip(net.layers, trace.entries):
+                if isinstance(layer, Conv2d):
+                    cot = rng.standard_normal(entry.output.shape)
+                    dw = layer.backward(entry, cot)[1]["weight"].reshape(len(layer.weight), -1)
+                    assert len(gemms) == (rule is _one_gemm)
+                    g2, cols = cot.reshape(rows, len(layer.weight), -1), entry.kept["cols"]
+                    _assert_same_bits(dw, rule(g2, cols))
+                    assert max_rel_err(dw, sum(g @ c.T for g, c in zip(g2, cols))) < 1e-12
 
 
 # (B, C, H, W, kernel, stride, padding): padding 1 and 2, stride 1 and 2,

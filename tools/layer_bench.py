@@ -10,9 +10,7 @@ which keeps what ``backward`` reuses, as a recording pass runs it),
 backward and relevance-rule time of every layer of two networks, each
 on its own recorded input.  The backward and the rule run on the
 layer's entry of one recorded pass, so they reuse what it kept (a
-convolution's columns) as training and explanation do.  A backward's timed call waits for a weight gradient
-summed on the reduction worker (``tensornet.joined``), so its time is
-the whole reduction, not its hand-off:
+convolution's columns) as training and explanation do:
 
 * the encoder at the acceptance gate's shapes: batch 41 (5-way 5-shot
   plus 16 queries), 3x16x16 images, widths 8/16/32;
@@ -25,7 +23,7 @@ hidden 64: ``head.scores`` plain and re-weighted (they build the first
 convolution's columns from the prototype and query unrolls, which the
 per-layer table, timing ``relation.0`` on ready-made pair rows, cannot
 show), ``lrp_through_head`` on the plain pass, and ``head.backward`` over
-both passes, as a training episode runs them, joined as above.
+both passes, as a training episode runs them.
 
 Part 3, ``sweep``: ``_fold`` (of one part per window index, as the
 conv's input pull-back hands them) and ``Conv2d.grad_input`` (a C -> C
@@ -66,7 +64,7 @@ from egt import tensornet  # noqa: E402
 from egt.heads import RelationHead, lrp_through_head  # noqa: E402
 from egt.lrp import LrpConfig, lrp_alpha, lrp_epsilon, lrp_passthrough  # noqa: E402
 from egt.model import build_encoder, build_relation_net  # noqa: E402
-from egt.tensornet import Conv2d, Linear, _fold, joined  # noqa: E402
+from egt.tensornet import Conv2d, Linear, _fold  # noqa: E402
 
 SAMPLE_S = 0.005
 SWEEP_OW = (1, 2, 4, 5, 8, 16)
@@ -122,7 +120,7 @@ def layer_rows(name: str, net, x, repeats: int, rng) -> list[dict]:
             "input": list(xin.shape), "output": list(y.shape),
             "forward_ms": timed(lambda: layer.forward(xin), repeats),
             "recorded_ms": timed(lambda: layer.forward(xin, {}), repeats),
-            "backward_ms": timed(lambda: joined([layer.backward(entry, cot)[1]]), repeats),
+            "backward_ms": timed(lambda: layer.backward(entry, cot), repeats),
             "lrp_ms": timed(rule, repeats),
         })
     return rows
@@ -144,7 +142,7 @@ def relation_head_rows(repeats: int, rng) -> list[dict]:
         "scores_weighted": lambda: head.scores(protos, qs, weights),
         "lrp_through_head": lambda: lrp_through_head(head, protos, qs, trace, scores,
                                                      targets, LrpConfig()),
-        "backward": lambda: joined(head.backward(protos, qs, passes)[2]),
+        "backward": lambda: head.backward(protos, qs, passes),
     }
     return [{"op": op, "queries": n, "classes": way, "ms": timed(fn, repeats)}
             for op, fn in ops.items()]
