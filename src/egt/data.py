@@ -54,8 +54,8 @@ class LabeledImageSet:
         if images.shape[0] == 0:
             raise ContractError("dataset is empty")
         uniq = np.unique(labels)
-        if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
-            raise ContractError("labels must cover 0..n_classes-1 without gaps")
+        if not np.array_equal(uniq, np.arange(uniq.size)):  # a fractional label too
+            raise ContractError("labels must be the integers 0..n_classes-1 without gaps")
         self.images = images.astype(np.float32, copy=False)
         self.labels = labels.astype(np.int32, copy=False)
         self.domain_tag = domain_tag

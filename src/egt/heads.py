@@ -30,8 +30,8 @@ each of its K pairs.  :func:`relation_pairs` builds the pair rows from
 the maps and, when the relation net opens with a convolution, that
 conv's im2col columns from the maps' unrolls, so the K prototypes and n
 queries are unrolled once instead of the n*K pairs, with the same
-columns to the bit.  Evaluation's ``block_scores`` runs the same pass
-unrecorded.
+columns to the bit.  ``block_scores``, through which every episode is
+scored for its probabilities, runs the same pass unrecorded.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def class_sums(features: Array, labels: Array, num_classes: int) -> tuple[Array,
             and (labels.reshape(num_classes, shot) == np.arange(num_classes)[:, None]).all()):
         return (features.reshape((num_classes, shot) + features.shape[1:]).sum(axis=1),
                 np.full(num_classes, shot))
+    if labels.shape != features.shape[:1]:
+        raise ContractError(f"labels shape {labels.shape} does not hold one label per "
+                            f"feature row {features.shape[:1]}")
     sums = np.empty((num_classes,) + features.shape[1:])
     counts = np.empty(num_classes, dtype=np.intp)
     for k in range(num_classes):
@@ -75,6 +78,9 @@ def class_sums(features: Array, labels: Array, num_classes: int) -> tuple[Array,
         if members.shape[0] == 0:
             raise ContractError(f"class {k} has no support members")
         sums[k], counts[k] = members.sum(axis=0), members.shape[0]
+    if counts.sum() != labels.size:
+        outside = np.setdiff1d(labels, np.arange(num_classes))
+        raise ContractError(f"labels {outside.tolist()} lie outside 0..{num_classes - 1}")
     return sums, counts
 
 

@@ -192,8 +192,9 @@ def lrp_backward(net: Network, trace: ForwardTrace, output_relevance: Array,
     for layer, entry in reversed(steps[low:]):
         r = _apply_rule(layer, entry, r, cfg)
     r = r[rows]
-    for layer, entry in reversed(steps[:low]):
-        r = _apply_rule(layer, LayerTrace(entry.input[rows], entry.output[rows]), r, cfg)
+    below = ForwardTrace(trace.entries[:low]).rows(rows)
+    for layer, entry in reversed(list(zip(net.layers, below.entries))):
+        r = _apply_rule(layer, entry, r, cfg)
     if not np.isfinite(r).all():
         raise NumericError("relevance pass produced non-finite values")
     if not gather:

@@ -45,7 +45,6 @@ from .tensornet import (
     Flatten,
     ForwardTrace,
     Layer,
-    LayerTrace,
     Linear,
     MaxPool2d,
     Network,
@@ -150,25 +149,21 @@ def build_model(head_kind: str, in_shape: tuple[int, int, int],
 
 
 def probs_from_maps(model: FewShotModel, proto_maps: Array, query_maps: Array) -> Array:
-    """Class probabilities for each query map given prototype maps.
-
-    One episode's ``[K, ...]`` and ``[n, ...]`` maps give ``[n, K]``; a
-    block of E episodes, ``[E, K, ...]`` and ``[E, n, ...]``, gives
-    ``[E, n, K]``, each episode bit for bit as on its own.
-    """
+    """Class probabilities ``[E, n, K]`` of a block of E episodes, from prototype
+    maps ``[E, K, ...]`` and query maps ``[E, n, ...]``; each episode's are
+    bit for bit those it would get in a block of its own."""
     head = model.head
-    if np.ndim(query_maps) > len(model.encoder.output_shape) + 1:
-        return scaled_softmax(head.block_scores(proto_maps, query_maps), head.beta)
-    return scaled_softmax(head.scores(proto_maps, query_maps)[0], head.beta)
+    return scaled_softmax(head.block_scores(proto_maps, query_maps), head.beta)
 
 
 def episode_probs(model: FewShotModel, support_images: Array, support_local: Array,
                   way: int, query_images: Array) -> Array:
-    """End-to-end class probabilities for a batch of query images."""
+    """End-to-end class probabilities ``[n, K]`` for a batch of query images,
+    scored as a block of one episode, as ``evaluate`` scores it."""
     smaps = model.encode(support_images)
     qmaps = model.encode(query_images)
     protos = class_prototypes(smaps, support_local, way)
-    return probs_from_maps(model, protos, qmaps)
+    return probs_from_maps(model, protos[None], qmaps[None])[0]
 
 
 @dataclass
@@ -207,33 +202,20 @@ def explain_input(model: FewShotModel, support_images: Array, support_local: Arr
 
     targets = [int(t) for t in (range(way) if targets is None else targets)]
     reps = len(targets)
-    rels = lrp_through_head(model.head, protos, np.repeat(qmaps, reps, 0),
-                            _tile_trace(trace, reps), np.repeat(rel_init, reps, 0),
-                            targets, lrp_cfg)
+    # row t*K + k of the repeated relation trace is the query's pair with class k
+    head_trace = None if trace is None else trace.rows(np.tile(np.arange(way), reps))
+    rels = lrp_through_head(model.head, protos, np.repeat(qmaps, reps, 0), head_trace,
+                            np.repeat(rel_init, reps, 0), targets, lrp_cfg)
     # f_p ends with the query map for both heads: it is the whole cosine
     # vector and the second channel half of a relation pair.
     map_rel = np.reshape([r.reshape(-1)[-qmaps.size:] for r in rels],
                          (reps,) + qmaps.shape[1:])
-    rows = lrp_backward(model.encoder, _tile_trace(qtrace, reps), map_rel, lrp_cfg)
+    rows = lrp_backward(model.encoder, qtrace.rows(np.zeros(reps, dtype=np.intp)), map_rel,
+                        lrp_cfg)
     return ExplainResult(scores=scores[0], probabilities=probs[0],
                          relevance_init=rel_init[0],
                          feature_relevance=dict(zip(targets, rels)),
                          input_relevance=dict(zip(targets, rows)))
-
-
-def _tile_trace(trace: ForwardTrace | None, reps: int) -> ForwardTrace | None:
-    """``trace`` repeated ``reps`` times along its rows: row ``t*B + b`` is row ``b``.
-
-    Only what the relevance rules read is tiled: each entry's input and
-    output, from which max pooling derives its winners again.  A
-    convolution's kept columns serve only the gradient pass and are dropped.
-    """
-    if trace is None:
-        return None
-
-    def tile(a: Array) -> Array:
-        return np.tile(a, (reps,) + (1,) * (a.ndim - 1))
-    return ForwardTrace([LayerTrace(tile(e.input), tile(e.output)) for e in trace.entries])
 
 
 def describe_layer(layer: Layer) -> str:

@@ -90,7 +90,11 @@ def _out_sides(sides, kh: int, kw: int, stride: int, padding: int = 0) -> tuple[
 # max-pool pull-back (41 rows x 8 channels), so the range stops at 4.  The
 # unroll is channel-major at every width: spatial-major, it read 0.96-1.01x
 # at ``ow`` 2 and 4 on the encoder's and relation head's shapes, and 1.55x
-# at 8 and 7.4x at 16.
+# at 8 and 7.4x at 16.  End to end, one fold layout (``range(0)``,
+# channel-major at every width, the same bits) against this range, medians
+# of 10 alternating 30 s ``benchmarks/bench.py --trace 0`` pairs: 73.2
+# against 82.1 ``train-relation`` episodes/s (slower in 10 of 10) and 140.3
+# against 147.4 ``train-cosine`` episodes/s (slower in 9 of 10).
 _SPATIAL_MAJOR_OW = range(2, 5)
 
 
@@ -475,6 +479,12 @@ class Flatten(Layer):
 class ForwardTrace:
     """Everything the gradient and relevance passes need to replay a forward pass."""
     entries: list[LayerTrace]
+
+    def rows(self, index) -> "ForwardTrace":
+        """The trace of rows ``index`` (repeats allowed) of the pass: every entry's
+        input and output indexed along the row axis.  ``kept`` serves only the
+        gradient pass and is dropped."""
+        return ForwardTrace([LayerTrace(e.input[index], e.output[index]) for e in self.entries])
 
 
 class Network:

@@ -46,6 +46,13 @@ class TestLabeledImageSet:
         with pytest.raises(ContractError, match="gaps"):
             LabeledImageSet(images, np.array([0, 2, 2]))
 
+    def test_fractional_labels_rejected(self):
+        # 0.5 is no class: it is refused, not truncated to class 0.
+        with pytest.raises(ContractError, match="integers"):
+            LabeledImageSet(np.zeros((3, 1, 8, 8)), np.array([0, 0.5, 2]))
+        data = LabeledImageSet(np.zeros((3, 1, 8, 8)), np.array([0.0, 1.0, 2.0]))
+        assert data.labels.tolist() == [0, 1, 2]
+
     def test_shape_validation(self):
         with pytest.raises(ContractError):
             LabeledImageSet(np.zeros((3, 4, 4), dtype=np.float32), np.zeros(3))

@@ -22,7 +22,7 @@ from egt.evaluation import (
 )
 from egt.heatmap import read_ppm, relevance_to_rgb, render_heatmap, write_ppm
 from egt.heads import class_prototypes, scaled_softmax
-from egt.model import build_model, episode_probs, probs_from_maps
+from egt.model import build_model, episode_probs
 
 
 def _toy_set(counts, channels=1, side=8, seed=0):
@@ -173,14 +173,17 @@ class TestEmbeddingTable:
 def _one_episode_predictions(model, ep, cfg, seen=None):
     """One episode scored on its own, with the pool grown by concatenation:
     maps encoded afresh, prototypes by ``class_prototypes`` over the pool,
-    probabilities from the head's one-episode ``scores``.  ``seen``
-    collects each round's probabilities and the final ones."""
+    probabilities from the head's one-episode ``scores``, not the block
+    path that ``evaluate`` takes.  ``seen`` collects each round's
+    probabilities and the final ones."""
+    def score(protos):
+        return scaled_softmax(model.head.scores(protos, queries)[0], model.head.beta)
     support, queries = model.encode(ep.support_images), model.encode(ep.query_images)
     pool, pool_labels = support, ep.support_local
     absorbed = np.zeros(len(queries), dtype=bool)
     seen = [] if seen is None else seen
     for t in range(cfg.iterations):
-        probs = probs_from_maps(model, class_prototypes(pool, pool_labels, ep.way), queries)
+        probs = score(class_prototypes(pool, pool_labels, ep.way))
         seen.append(probs)
         remaining = np.flatnonzero(~absorbed)
         order = remaining[np.argsort(-probs.max(axis=1)[remaining], kind="stable")]
@@ -188,7 +191,7 @@ def _one_episode_predictions(model, ep, cfg, seen=None):
         absorbed[chosen] = True
         pool = np.concatenate([pool, queries[chosen]])
         pool_labels = np.concatenate([pool_labels, probs.argmax(axis=1)[chosen]])
-    seen.append(probs_from_maps(model, class_prototypes(pool, pool_labels, ep.way), queries))
+    seen.append(score(class_prototypes(pool, pool_labels, ep.way)))
     return seen[-1].argmax(axis=1)
 
 

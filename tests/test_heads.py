@@ -48,6 +48,23 @@ class TestPrototypes:
         with pytest.raises(ContractError, match="class 1"):
             class_prototypes(np.ones((4, 3)), np.array([0, 0, 2, 2]), 2)
 
+    def test_labels_outside_the_classes_rejected(self):
+        # Every support row counts: a label beyond 0..K-1 is refused, not
+        # left out of every class.
+        feats = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ContractError, match=r"labels \[2\] lie outside 0..1"):
+            class_prototypes(feats, np.array([0, 0, 1, 1, 2, 2]), 2)
+        with pytest.raises(ContractError, match=r"labels \[-1\] lie outside 0..1"):
+            class_prototypes(feats, np.array([0, 1, 0, 1, -1, 1]), 2)
+        # An empty class is named first.
+        with pytest.raises(ContractError, match="class 1 has no support members"):
+            class_prototypes(feats, np.array([0, 0, 2, 2, 3, 3]), 2)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0], [[0, 1, 0, 1, 0, 1]]])
+    def test_labels_not_one_per_row_rejected(self, labels):
+        with pytest.raises(ContractError, match="one label per feature row"):
+            class_sums(np.ones((6, 2)), np.array(labels), 2)
+
     @staticmethod
     def _loop(feats, labels, k):
         """The per-class reference: a boolean-mask mean for each class."""

@@ -19,6 +19,7 @@ from egt.model import (
 )
 from egt import model as model_module
 from egt.lrp import LrpConfig, lrp_backward
+from egt import tensornet
 from egt.tensornet import Conv2d, Flatten, Linear, Network
 
 from util_nets import FUZZ_BYTES, count_grad_input, loads_or_fails_cleanly, with_f4
@@ -109,14 +110,34 @@ class TestEpisodeProbs:
                                        rtol=1e-10)
 
     def test_probs_from_maps_matches_episode_probs(self):
-        rng = np.random.default_rng(8)
-        model = build_model("cosine", (1, 16, 16), rng, widths=(4, 8))
-        support, local, queries = self._episode(rng)
+        # A block of one episode and ``episode_probs`` both give the
+        # probabilities of the head's one-episode ``scores``, bit for bit.
         from egt.heads import class_prototypes
-        protos = class_prototypes(model.encode(support), local, 3)
-        a = probs_from_maps(model, protos, model.encode(queries))
-        b = episode_probs(model, support, local, 3, queries)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+        for head in ("cosine", "relation"):
+            rng = np.random.default_rng(8)
+            model = build_model(head, (1, 16, 16), rng, widths=(4, 8))
+            support, local, queries = self._episode(rng)
+            protos = class_prototypes(model.encode(support), local, 3)
+            qmaps = model.encode(queries)
+            want = scaled_softmax(model.head.scores(protos, qmaps)[0], model.head.beta)
+            np.testing.assert_array_equal(
+                probs_from_maps(model, protos[None], qmaps[None])[0], want)
+            np.testing.assert_array_equal(episode_probs(model, support, local, 3, queries),
+                                          want)
+
+    def test_relation_episode_probs_records_no_trace(self, monkeypatch):
+        # One episode is scored as a block of one, by the unrecorded pass
+        # that ``evaluate`` runs, with the probabilities of ``scores``.
+        rng = np.random.default_rng(9)
+        model = build_model("relation", (1, 16, 16), rng, widths=(4, 8))
+        support, local, queries = self._episode(rng)
+        want = episode_probs(model, support, local, 3, queries)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("episode_probs recorded a forward pass")
+        monkeypatch.setattr(tensornet.Network, "forward_recorded", refuse)
+        monkeypatch.setattr(tensornet, "LayerTrace", refuse)
+        np.testing.assert_array_equal(episode_probs(model, support, local, 3, queries), want)
 
 
 class TestCheckpoint:
@@ -431,8 +452,8 @@ class TestExplainInput:
         passes = []
 
         def recorded(net, trace, *args, **kwargs):
-            # the tiled traces keep nothing: no relevance rule reads conv columns,
-            # and max pooling derives its winners from the tiled input and output
+            # the repeated traces keep nothing: no relevance rule reads conv columns,
+            # and max pooling derives its winners from the repeated input and output
             assert all(e.kept == {} for e in trace.entries)
             passes.append(net)
             return lrp_backward(net, trace, *args, **kwargs)

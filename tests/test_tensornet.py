@@ -229,6 +229,30 @@ class TestRecordedPass:
             for name in a or {}:
                 _assert_same_bits(b[name], a[name])
 
+    @pytest.mark.parametrize("net", ["encoder", "relation"])
+    def test_rows_index_every_entry_and_drop_kept(self, net):
+        # ``ForwardTrace.rows`` takes the rows of every entry's input and
+        # output, as ``np.tile`` and per-entry indexing do, bit for bit.
+        rng = np.random.default_rng(16)
+        net = _row_count_net(net, rng)
+        _, trace = net.forward_recorded(rng.uniform(size=(3,) + net.input_shape))
+        cases = {
+            "tiled": (np.tile(np.arange(3), 4),
+                      lambda a: np.tile(a, (4,) + (1,) * (a.ndim - 1))),
+            "repeated": (np.zeros(5, dtype=np.intp), lambda a: np.repeat(a[:1], 5, axis=0)),
+            "none": (np.zeros(0, dtype=np.intp), lambda a: a[:0]),
+            "all": (slice(None), lambda a: a),
+            "reordered": (np.array([2, 0, 2]), lambda a: a[[2, 0, 2]]),
+        }
+        for name, (index, want) in cases.items():
+            got = trace.rows(index)
+            assert len(got.entries) == len(trace.entries), name
+            for entry, e in zip(got.entries, trace.entries):
+                for a, b in ((entry.input, want(e.input)), (entry.output, want(e.output))):
+                    assert a.shape == b.shape and a.dtype == b.dtype, name
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+                assert entry.kept == {}, name
+
 
 def _row_count_net(kind, rng):
     """A one-layer network of layer kind ``kind``, or the gate's encoder or relation net."""

@@ -38,8 +38,13 @@ channel-major at every width.
 Every timing is the median over ``--repeats`` samples, with the first and
 third quartiles, in ms per call; one sample averages enough calls to last
 at least 5 ms, and the sweep alternates the two layouts sample by sample.
-BLAS is pinned to one thread before numpy loads.  The result is written
-as JSON to ``--out`` and summarised on stdout.
+The summary prints each median with "±" half its interquartile range:
+the spread within one run, not between runs.  The medians of identical
+code have moved by up to about 40% from one run to the next (on 2 shared
+x86-64 CPUs), so to compare two trees, run this tool on each in
+alternating processes, several times, and compare the medians across
+runs.  BLAS is pinned to one thread before numpy loads.  The result is
+written as JSON to ``--out`` and summarised on stdout.
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from egt import tensornet  # noqa: E402
+from egt import lrp, tensornet  # noqa: E402
 from egt.heads import RelationHead, lrp_through_head  # noqa: E402
-from egt.lrp import LrpConfig, lrp_alpha, lrp_epsilon, lrp_passthrough  # noqa: E402
+from egt.lrp import LrpConfig  # noqa: E402
 from egt.model import build_encoder, build_relation_net  # noqa: E402
-from egt.tensornet import Conv2d, Linear, _fold  # noqa: E402
+from egt.tensornet import Conv2d, _fold  # noqa: E402
 
 SAMPLE_S = 0.005
 SWEEP_OW = (1, 2, 4, 5, 8, 16)
@@ -104,24 +109,18 @@ def timed(fn, repeats: int) -> dict[str, float]:
 def layer_rows(name: str, net, x, repeats: int, rng) -> list[dict]:
     """Time each layer of ``net`` on its input from one recorded pass of ``x``."""
     _, trace = net.forward_recorded(x)
-    rows = []
+    cfg, rows = LrpConfig(), []
     for i, (layer, entry) in enumerate(zip(net.layers, trace.entries)):
         xin, y = entry.input, entry.output
         cot = rng.standard_normal(y.shape)
         rel = rng.uniform(size=y.shape)
-        if isinstance(layer, Conv2d):
-            rule = lambda: lrp_alpha(layer, xin, y, rel)  # noqa: E731
-        elif isinstance(layer, Linear):
-            rule = lambda: lrp_epsilon(layer, xin, y, rel, 0.001)  # noqa: E731
-        else:
-            rule = lambda: lrp_passthrough(layer, entry, rel)  # noqa: E731
         rows.append({
             "net": name, "index": i, "kind": layer.kind,
             "input": list(xin.shape), "output": list(y.shape),
             "forward_ms": timed(lambda: layer.forward(xin), repeats),
             "recorded_ms": timed(lambda: layer.forward(xin, {}), repeats),
             "backward_ms": timed(lambda: layer.backward(entry, cot), repeats),
-            "lrp_ms": timed(rule, repeats),
+            "lrp_ms": timed(lambda: lrp._apply_rule(layer, entry, rel, cfg), repeats),
         })
     return rows
 
@@ -190,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     layers = (layer_rows("encoder", encoder, rng.uniform(size=(41, 3, 16, 16)), args.repeats, rng)
               + layer_rows("relation", relation, rng.uniform(size=(80, 64, 2, 2)),
                            args.repeats, rng))
+    print("median ± half the interquartile range within this run, ms per call; medians\n"
+          "of identical code move by up to about 40% between runs, so compare two trees\n"
+          "in alternating processes")
     print(f"{'layer':<22}{'input':<18}{'forward ms':>16}{'recorded ms':>16}"
           f"{'backward ms':>16}{'lrp ms':>16}")
     for row in layers:
